@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import modeqs, modfit, profile as prof, sim
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, validate
 from .lab import get_lab
 
 
@@ -370,11 +370,9 @@ def _apply_overrides(cfg, args):
         cfg.data["kmodel"]["k1"] = args.k1
     if getattr(args, "lam_scan", None) is not None:
         cfg.data["profile"]["lam_scan"] = list(args.lam_scan)
-    from .config import _validate, ConfigError as CE
-
-    issues = _validate(cfg.data)
+    issues = validate(cfg.data)
     if issues:
-        raise CE(issues)
+        raise ConfigError(issues)
 
 
 def main(argv=None) -> int:
@@ -385,7 +383,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
-        np.random.seed(cfg["seed"])          # determinism for any legacy draws
         if args.command == "analyze":
             return COMMANDS[args.command](cfg, out, snapshots_dir=args.snapshots)
         return COMMANDS[args.command](cfg, out)

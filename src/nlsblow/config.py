@@ -102,7 +102,8 @@ def _merge(base: dict, override: dict, path: str, violations: List[str]) -> dict
     return out
 
 
-def _validate(data: dict) -> List[str]:
+def validate(data: dict) -> List[str]:
+    """Every violation of a merged config, path-addressed."""
     v: List[str] = []
     km = data["kmodel"]
     H = np.asarray(km["hessian"], dtype=float)
@@ -184,7 +185,7 @@ def parse_config(text: Optional[str]) -> RunConfig:
         raise ConfigError(["top level: expected a mapping"])
     violations: List[str] = []
     data = _merge(DEFAULTS, user, "", violations)
-    violations += _validate(data)
+    violations += validate(data)
     if violations:
         raise ConfigError(violations)
     return RunConfig(data=data)

@@ -1,17 +1,34 @@
-"""Angular-harmonic fields: complex radial profiles per e^{imθ} mode.
+"""Angular-harmonic fields, and the polar product grid they are sampled on.
 
-A field F(y) = Σ_m f_m(r) e^{imθ} with the f_m sampled on the shared radial
-grid.  Real fields carry conjugate-symmetric components f_{-m} = conj(f_m).
-Mode products are exact convolutions in m; parameter-space calculus on the
-profile expansion never touches these radial arrays.
+An AngularField F(y) = Σ_m f_m(r) e^{imθ} keeps each f_m sampled on the
+shared radial grid.  Real fields carry conjugate-symmetric components
+f_{-m} = conj(f_m).  Mode products are exact convolutions in m; parameter-
+space calculus on the profile expansion never touches these radial arrays.
+
+A PolarGrid is the (r, θ) product grid on which every sampled polar field
+lives: r_j = j·h on [0, r_max] (n_r nodes, r_0 = 0) and θ_k = 2πk/n_θ.
+Samples are arrays of shape (n_r, n_θ).  The grid owns the three operations
+on them, with these conventions:
+
+- Modes: the FFT along θ divided by n_θ, so f(r, θ_k) = Σ_c F[:, c] e^{i m_c θ_k}.
+  Columns are in np.fft order: column c carries m_c = c for c ≤ n_θ/2 and
+  c − n_θ above (an even n_θ's Nyquist column counts as +n_θ/2).
+- Gradient (∂_r, r⁻¹∂_θ): ∂_r is radial.derivative, 4th order, applied to
+  each mode with the parity (−1)^m of r^|m| e^{imθ} at the origin (ghost
+  values F(−r) = (−1)^m F(r)) and zero ghosts past r_max.  r⁻¹∂_θ has modes
+  i m F / r, and is set to 0 on the r = 0 row.
+- Integral: ∫ f r dr dθ, composite Simpson in r and the uniform rule in θ
+  (exact for trigonometric polynomials of degree below n_θ).
 """
 
+from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
+from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from .radial import RadialGrid
+from .radial import RadialGrid, derivative, quadrature
 
 
 def angular_modes(fn: Callable, max_deg: int) -> Dict[int, complex]:
@@ -24,13 +41,69 @@ def angular_modes(fn: Callable, max_deg: int) -> Dict[int, complex]:
     theta = np.arange(nt) * (2 * np.pi / nt)
     vals = fn(np.cos(theta), np.sin(theta))
     c = np.fft.fft(np.asarray(vals, dtype=complex)) / nt
-    out = {}
     scale = np.max(np.abs(c)) + 1e-300
-    for m in range(-max_deg, max_deg + 1):
-        cm = c[m % nt]
-        if abs(cm) > 1e-13 * scale:
-            out[m] = complex(cm)
-    return out
+    ms = np.arange(-max_deg, max_deg + 1)
+    cm = c[ms % nt]
+    keep = np.abs(cm) > 1e-13 * scale
+    return dict(zip(ms[keep].tolist(), cm[keep].tolist()))
+
+
+@dataclass(frozen=True)
+class PolarGrid:
+    """Uniform (r, θ) product grid; the defaults are the modulation-fit grid."""
+
+    r_max: float = 25.0
+    n_r: int = 500
+    n_theta: int = 64
+
+    @property
+    def radial(self) -> RadialGrid:
+        return RadialGrid(self.r_max, self.n_r)
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.radial.nodes
+
+    @property
+    def theta(self) -> np.ndarray:
+        return np.arange(self.n_theta) * (2 * np.pi / self.n_theta)
+
+    @property
+    def m(self) -> np.ndarray:
+        """The mode number of each FFT column."""
+        c = np.arange(self.n_theta)
+        return np.where(c <= self.n_theta // 2, c, c - self.n_theta)
+
+    def modes(self, vals: np.ndarray) -> np.ndarray:
+        """Samples -> modes (FFT along θ, np.fft column order)."""
+        return np.fft.fft(vals, axis=1) / self.n_theta
+
+    def samples(self, modes: np.ndarray) -> np.ndarray:
+        """Modes -> samples: Σ_c F[:, c] e^{i m_c θ} at every θ_k."""
+        return np.fft.ifft(modes, axis=1) * self.n_theta
+
+    def over_r_dtheta(self, modes: np.ndarray) -> np.ndarray:
+        """Modes of r⁻¹∂_θ f, i m F / r, with the r = 0 row set to 0."""
+        r = self.r[:, None]
+        return np.divide(1j * self.m * modes, r, out=np.zeros_like(modes, dtype=complex),
+                         where=r > 0)
+
+    def gradient(self, vals: np.ndarray):
+        """(∂_r f, r⁻¹∂_θ f) of samples; real samples give real derivatives."""
+        F = self.modes(vals)
+        dF = np.empty_like(F)
+        odd = self.m % 2 == 1
+        dF[:, ~odd] = derivative(F[:, ~odd], self.radial, parity=+1)
+        dF[:, odd] = derivative(F[:, odd], self.radial, parity=-1)
+        dr, dth = self.samples(dF), self.samples(self.over_r_dtheta(F))
+        if not np.iscomplexobj(vals):
+            return dr.real, dth.real
+        return dr, dth
+
+    def integral(self, vals: np.ndarray) -> float:
+        """∫ vals r dr dθ of real samples."""
+        radial = simpson(vals * self.r[:, None], x=self.r, axis=0)
+        return float(np.sum(radial) * (2 * np.pi / self.n_theta))
 
 
 class AngularField:
@@ -104,30 +177,23 @@ class AngularField:
 
     def norm(self) -> float:
         """L²(R²) norm via the mode-orthogonality 2π Σ_m ∫ |f_m|² r dr."""
-        from scipy.integrate import simpson
-
-        r = self.grid.nodes
-        total = sum(simpson(np.abs(v) ** 2 * r, x=r) for v in self.comps.values())
-        return float(np.sqrt(2 * np.pi * total))
-
-    def is_real(self, tol: float = 1e-10) -> bool:
-        scale = max((np.max(np.abs(v)) for v in self.comps.values()), default=0.0) + 1e-300
-        for m, v in self.comps.items():
-            w = self.comps.get(-m)
-            if w is None:
-                return False
-            if np.max(np.abs(np.conj(w) - v)) > tol * scale:
-                return False
-        return True
+        return float(np.sqrt(sum(quadrature(np.abs(v) ** 2, grid=self.grid, tail=False)
+                                 for v in self.comps.values())))
 
     # ---- evaluation -----------------------------------------------------
 
-    def on_native(self, theta: np.ndarray) -> np.ndarray:
-        """Evaluate on (grid.nodes) x theta without interpolation -> (n, nt)."""
-        out = np.zeros((self.grid.n, theta.size), dtype=complex)
+    def on_native(self, polar: PolarGrid) -> np.ndarray:
+        """Samples on polar's grid, whose radial grid must be this field's.
+
+        Mode m goes to FFT column m % n_θ, which samples e^{imθ} exactly
+        even for |m| ≥ n_θ/2 (where it aliases onto that column).
+        """
+        if polar.radial != self.grid:
+            raise ValueError("polar grid must share the field's radial grid")
+        modes = np.zeros((self.grid.n, polar.n_theta), dtype=complex)
         for m, v in self.comps.items():
-            out += v[:, None] * np.exp(1j * m * theta)[None, :]
-        return out
+            modes[:, m % polar.n_theta] += v
+        return polar.samples(modes)
 
     def at(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Evaluate at matched point arrays (spline in r, zero beyond r_max)."""

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .radial import RadialGrid, RadialFunction, Moments, solve_ground_state, moments
+from .radial import RadialGrid, RadialFunction, Moments, quadrature, solve_ground_state, moments
 from .linops import LinearizedOps, M_MAX_DEFAULT
 
 DEFAULT_R_MAX = 30.0
@@ -35,16 +35,13 @@ class Lab:
     @property
     def rho_Q(self) -> float:
         """(ρ, Q) -- nondegenerate, equals ||yQ||²/2."""
-        from .linops import simpson_weighted
-        r = self.grid.nodes
-        return 2 * np.pi * simpson_weighted(self.rho.values * self.Q.values * r, r)
+        return quadrature(self.rho.values * self.Q.values, grid=self.grid, tail=False)
 
     @property
     def y2Q_rho(self) -> float:
         """(|y|²Q, ρ)."""
-        from .linops import simpson_weighted
         r = self.grid.nodes
-        return 2 * np.pi * simpson_weighted(r ** 2 * self.Q.values * self.rho.values * r, r)
+        return quadrature(r ** 2 * self.Q.values * self.rho.values, grid=self.grid, tail=False)
 
 
 @lru_cache(maxsize=8)

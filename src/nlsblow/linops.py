@@ -11,16 +11,14 @@ L- at m=0 (Q itself) -- are inverted through a bordered system that both
 enforces solvability and gauges the solution orthogonal to the kernel.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import simpson
 from scipy.linalg import solve_banded
 
-from .radial import RadialGrid, RadialFunction, derivative
+from .radial import RadialGrid, RadialFunction, derivative, quadrature
 
 M_MAX_DEFAULT = 4
 
@@ -37,18 +35,6 @@ class SolvabilityViolated(RuntimeError):
 
 class ModeError(ValueError):
     """Angular mode index exceeds the configured m_max."""
-
-
-@dataclass
-class HarmonicField:
-    """One angular harmonic: mode index m and its (possibly complex) radial part."""
-
-    m: int
-    profile: RadialFunction
-
-    def __post_init__(self):
-        if self.m != 0 and abs(self.profile.values[0]) > 1e-10 * (np.max(np.abs(self.profile.values)) + 1e-300):
-            raise ValueError("harmonic with m != 0 must vanish at r = 0")
 
 
 def _d2_rows(n, h):
@@ -320,11 +306,11 @@ class LinearizedOps:
         """(y_j y_l Q³, ΛQ) with the angular factor done by honest quadrature."""
         theta = np.linspace(0.0, 2 * np.pi, nt, endpoint=False)
         cs = np.stack([np.cos(theta), np.sin(theta)])
-        ang = np.mean(cs[j] * cs[l]) * 2 * np.pi
+        ang = np.mean(cs[j] * cs[l])
+        r = self.grid.nodes
         q = self.Q.values
-        lam_q = q + self.grid.nodes * self.dQ
-        radial = simpson_weighted(self.grid.nodes ** 2 * q ** 3 * lam_q * self.grid.nodes,
-                                  self.grid.nodes)
+        lam_q = q + r * self.dQ
+        radial = quadrature(r ** 2 * q ** 3 * lam_q, grid=self.grid, tail=False)
         return float(ang * radial)
 
     def identity_residuals(self) -> dict:
@@ -352,11 +338,6 @@ class LinearizedOps:
         return out
 
 
-def simpson_weighted(fr: np.ndarray, r: np.ndarray) -> float:
-    return float(simpson(fr, x=r))
-
-
 def norm2d(values: np.ndarray, grid: RadialGrid) -> float:
     """L²(R²) norm of a single-harmonic radial part (measure 2π r dr)."""
-    v = np.abs(np.asarray(values)) ** 2
-    return float(np.sqrt(2 * np.pi * simpson_weighted(v * grid.nodes, grid.nodes)))
+    return float(np.sqrt(quadrature(np.abs(np.asarray(values)) ** 2, grid=grid, tail=False)))

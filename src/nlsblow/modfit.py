@@ -12,10 +12,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.ndimage import map_coordinates
 
+from .fields import AngularField, PolarGrid
 from .modeqs import ModState
 from .profile import ParamPoint, ProfileExpansion
 from .sim import ComplexField2D, Stepper
@@ -69,54 +69,18 @@ def phi_second(r):
 # fit grid and samplers
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FitGrid:
-    r_max: float = 25.0
-    n_r: int = 500
-    n_theta: int = 64
-
-    @property
-    def r(self):
-        return np.linspace(0.0, self.r_max, self.n_r)
-
-    @property
-    def theta(self):
-        return np.arange(self.n_theta) * (2 * np.pi / self.n_theta)
-
-    def integral(self, vals):
-        """∫ vals r dr dθ."""
-        radial = simpson(vals * self.r[:, None], x=self.r, axis=0)
-        return float(np.sum(radial) * (2 * np.pi / self.n_theta))
-
-    def pair(self, a, b):
-        return self.integral(a * b)
-
-
-def polar_gradient(vals: np.ndarray, r: np.ndarray, theta: np.ndarray):
-    """(∂_r, (1/r)∂_θ) of samples on an (r, θ) product grid, spectral in θ."""
-    nt = theta.size
-    vm = np.fft.fft(vals, axis=1) / nt
-    dr = np.zeros_like(vals, dtype=complex)
-    dth = np.zeros_like(vals, dtype=complex)
-    h = r[1] - r[0]
-    for k in range(nt):
-        m = k if k <= nt // 2 else k - nt
-        col = vm[:, k]
-        dcol = np.gradient(col, h, edge_order=2)
-        em = np.exp(1j * m * theta)[None, :]
-        dr += dcol[:, None] * em
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rad = np.where(r > 0, col / np.where(r > 0, r, 1.0), 0.0)
-        dth += 1j * m * rad[:, None] * em
-    if not np.iscomplexobj(vals):
-        return dr.real, dth.real
-    return dr, dth
+FitGrid = PolarGrid
 
 
 class _ExpansionSampler:
     """Per-term mode samples of the expansion on the fixed fit radii."""
 
     def __init__(self, expansion: ProfileExpansion, grid: FitGrid):
+        # the im/r term reads m off the FFT column, which aliases once 2|m| >= n_θ
+        top = max((f.max_mode() for f in expansion.terms.values()), default=0)
+        if 2 * top >= grid.n_theta:
+            raise ValueError(f"n_theta = {grid.n_theta} cannot resolve the expansion's "
+                             f"modes up to |m| = {top}; it must exceed {2 * top}")
         self.exp = expansion
         self.grid = grid
         r = grid.r
@@ -136,30 +100,21 @@ class _ExpansionSampler:
                 per_mode[m] = (sre(r) + 1j * sim_(r), sre.derivative()(r) + 1j * sim_.derivative()(r))
             self.samples[mono] = per_mode
 
-    def eval_with_grad(self, P: ParamPoint, theta: np.ndarray):
+    def eval_with_grad(self, P: ParamPoint):
         """P_P values, ∂_r P_P and (1/r)∂_θ P_P on the fit grid."""
-        modes_v = {0: self.q.astype(complex)}
-        modes_d = {0: self.dq.astype(complex)}
+        g = self.grid
+        modes_v = np.zeros((g.n_r, g.n_theta), dtype=complex)
+        modes_d = np.zeros_like(modes_v)
+        modes_v[:, 0] = self.q
+        modes_d[:, 0] = self.dq
         for mono, per_mode in self.samples.items():
             c = ProfileExpansion._coeff(mono, P)
             if c == 0.0:
                 continue
             for m, (v, dv) in per_mode.items():
-                modes_v[m] = modes_v.get(m, 0.0) + c * v
-                modes_d[m] = modes_d.get(m, 0.0) + c * dv
-        r = self.grid.r
-        shape = (r.size, theta.size)
-        Pv = np.zeros(shape, dtype=complex)
-        dPr = np.zeros(shape, dtype=complex)
-        dPth = np.zeros(shape, dtype=complex)
-        for m in modes_v:
-            em = np.exp(1j * m * theta)[None, :]
-            Pv += modes_v[m][:, None] * em
-            dPr += modes_d[m][:, None] * em
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rad = np.where(r > 0, modes_v[m] / np.where(r > 0, r, 1.0), 0.0)
-            dPth += 1j * m * rad[:, None] * em
-        return Pv, dPr, dPth
+                modes_v[:, m % g.n_theta] += c * v
+                modes_d[:, m % g.n_theta] += c * dv
+        return g.samples(modes_v), g.samples(modes_d), g.samples(g.over_r_dtheta(modes_v))
 
 
 class FieldSampler:
@@ -209,7 +164,7 @@ def _window_fields(sampler: _ExpansionSampler, grid: FitGrid, p: np.ndarray):
     P = ParamPoint(b=b, lam=lam, beta=beta.copy(), alpha=p[4:6].copy())
     r = grid.r
     theta = grid.theta
-    Pv, dPr, dPth = sampler.eval_with_grad(P, theta)
+    Pv, dPr, dPth = sampler.eval_with_grad(P)
     ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
     phase = -b * r[:, None] ** 2 / 4.0 + r[:, None] * (beta[0] * ct + beta[1] * st)
     eip = np.exp(1j * phase)
@@ -279,7 +234,6 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ModState,
         return _condition_values(eps, w, grid), eps, w
 
     R, eps, w = residuals(p)
-    best = np.max(np.abs(R))
     jac = None
     for _ in range(max_iter):
         if np.max(np.abs(R)) <= tol:
@@ -309,7 +263,6 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ModState,
             scale *= 0.5
         else:
             raise NewtonDiverged("line search failed; guess outside the basin")
-        best = min(best, np.max(np.abs(R)))
     if np.max(np.abs(R)) > tol:
         raise NewtonDiverged(
             f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} after {max_iter} iterations")
@@ -324,7 +277,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ModState,
             jac[:, j] = (Rj - R) / dp
     cond = float(np.linalg.cond(jac))
 
-    dr_eps, dth_eps = polar_gradient(eps, grid.r, grid.theta)
+    dr_eps, dth_eps = grid.gradient(eps)
     l2 = np.sqrt(grid.integral(np.abs(eps) ** 2))
     h1 = np.sqrt(l2 ** 2 + grid.integral(np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2))
     state = ModState(b=p[0], lam=p[1], beta=p[2:4].copy(), alpha=p[4:6].copy(),
@@ -423,7 +376,7 @@ def virial_boundary(dec: Decomposition, A: float, ymomQ: float) -> float:
         raise ValueError("A must be at least 10")
     g = dec.fit_grid
     lam, b = dec.params.lam, dec.params.b
-    dr_eps, _ = polar_gradient(dec.epsilon, g.r, g.theta)
+    dr_eps, _ = g.gradient(dec.epsilon)
     psi = phi_prime(g.r / A)[:, None]
     term = 0.5 / lam * g.integral((A * psi * dr_eps * np.conj(dec.epsilon)).imag)
     return float(-(b / lam) * ymomQ / 4.0 + term)
@@ -483,16 +436,7 @@ def rescaled_perturbation(eps: np.ndarray, grid: FitGrid, params: ModState,
     lam, alpha = params.lam, params.alpha
     rr = np.hypot(X - alpha[0], Y - alpha[1]) / lam
     tt = np.arctan2(Y - alpha[1], X - alpha[0])
-    out = np.zeros((n, n), dtype=complex)
-    inside = rr <= grid.r_max
-    # spectral in θ, spline in r
-    nt = grid.n_theta
-    em = np.fft.fft(eps, axis=1) / nt
-    for k in range(nt):
-        m = k if k <= nt // 2 else k - nt
-        spl_re = CubicSpline(grid.r, em[:, k].real)
-        spl_im = CubicSpline(grid.r, em[:, k].imag)
-        vals = spl_re(np.clip(rr, 0, grid.r_max)) + 1j * spl_im(np.clip(rr, 0, grid.r_max))
-        out += np.where(inside, vals, 0.0) * np.exp(1j * m * tt)
+    # spectral in θ, spline in r, zero beyond r_max
+    out = AngularField(grid.radial, dict(zip(grid.m, grid.modes(eps).T))).at(rr, tt)
     kfac = float(model.k(alpha)) ** -0.5
     return kfac / lam * out * np.exp(1j * params.gamma)

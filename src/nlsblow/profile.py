@@ -15,13 +15,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .fields import AngularField, angular_modes
+from .fields import AngularField, PolarGrid, angular_modes
 from .kmodel import InhomogeneityModel
 from .lab import Lab
 from .linops import SolvabilityViolated  # noqa: F401  (re-exported)
-from .radial import derivative
+from .radial import quadrature
 
 Monomial = Tuple[int, int, int, int, int, int]   # powers of (b, λ, β1, β2, α1, α2)
 
@@ -92,8 +91,8 @@ def hessian_quartic_integral(model: InhomogeneityModel, lab: Lab) -> float:
     """∫ ∇²k(0)(y,y) Q⁴ dy (negative for a negative-definite Hessian)."""
     r = lab.grid.nodes
     c0 = angular_modes(model.hess_form, 2).get(0, 0.0)
-    radial = simpson(r ** 2 * lab.Q.values ** 4 * r, x=r)
-    return float(2 * np.pi * np.real(c0) * radial)
+    radial = quadrature(r ** 2 * lab.Q.values ** 4, grid=lab.grid, tail=False)
+    return float(np.real(c0) * radial)
 
 
 def derive_constants(model: InhomogeneityModel, lab: Lab) -> ProfileConstants:
@@ -105,11 +104,11 @@ def derive_constants(model: InhomogeneityModel, lab: Lab) -> ProfileConstants:
 
     r = lab.grid.nodes
     q4 = lab.Q.values ** 4
-    rad3 = simpson(r ** 2 * q4 * r, x=r)
+    rad3 = quadrature(r ** 2 * q4, grid=lab.grid, tail=False)
     beta3 = np.zeros(2)
     for j in range(2):
         cj = angular_modes(lambda cx, sx, j=j: model.third_form(cx, sx, e=j), 2).get(0, 0.0)
-        beta3[j] = 2 * np.pi * np.real(cj) * rad3 / (4.0 * m.massQ)
+        beta3[j] = np.real(cj) * rad3 / (4.0 * m.massQ)
 
     d0_form = (2.0 * m.massQ / m.ymomQ) * H
     d1_form = (lab.y2Q_rho / (4.0 * lab.rho_Q)) * d0_form
@@ -133,17 +132,16 @@ def a1_projection(model: InhomogeneityModel, lab: Lab, ntheta: int = 64) -> floa
     src = AngularField.from_angular(g, 0.5 * r ** 2 * q ** 3, model.hess_form, 2)
     T20 = _solve_field(lab, "plus", src)
 
-    theta = np.arange(ntheta) * (2 * np.pi / ntheta)
-    ct, st = np.cos(theta), np.sin(theta)
-    T20v = T20.on_native(theta).real
+    polar = PolarGrid(g.r_max, g.n, ntheta)
+    ct, st = np.cos(polar.theta), np.sin(polar.theta)
+    T20v = T20.on_native(polar).real
     hyy = r[:, None] ** 2 * model.hess_form(ct, st)[None, :]
     dq = lab.dQ
     vals = []
     for cj in (ct, st):
         integrand = (6 * q[:, None] * T20v + 1.5 * hyy * q[:, None] ** 2) \
             * (dq[:, None] * cj[None, :]) ** 2
-        pair = _polar_integral(integrand, r, ntheta)
-        vals.append(-pair / lab.moments.massQ)
+        vals.append(-polar.integral(integrand) / lab.moments.massQ)
     return float(0.5 * (vals[0] + vals[1]))
 
 
@@ -185,12 +183,6 @@ def _lap_field(lab: Lab, f: AngularField) -> AngularField:
             w[0] = 0.0      # matrix row 0 is the f(0)=0 constraint; Δ vanishes there
         out[m] = w
     return AngularField(lab.grid, out)
-
-
-def _polar_integral(vals: np.ndarray, r: np.ndarray, ntheta: int) -> float:
-    """∫ f r dr dθ for samples on (r, θ) with uniform θ."""
-    radial = simpson(vals * r[:, None], x=r, axis=0)
-    return float(np.sum(radial) * (2 * np.pi / ntheta))
 
 
 @dataclass
@@ -264,44 +256,28 @@ class ProfileExpansion:
         """∫|Q_P|², exact in the mode algebra (equals ∫Q² + O(P⁴))."""
         return self.combined(P).norm() ** 2
 
-    def _polar_eval(self, P: ParamPoint, ntheta: int):
-        theta = np.arange(ntheta) * (2 * np.pi / ntheta)
-        comb = self.combined(P)
-        vals = comb.on_native(theta)
-        return theta, comb, vals
-
-    def gradient_terms(self, comb: AngularField, theta: np.ndarray):
-        """(∂_r F, (1/r)∂_θ F) of an angular field on the native polar grid."""
-        g = self.lab.grid
-        r = g.nodes
-        dr = np.zeros((g.n, theta.size), dtype=complex)
-        dth = np.zeros_like(dr)
-        for m, v in comb.comps.items():
-            par = 1 if m % 2 == 0 else -1
-            dvr = derivative(v.real, g, parity=par) + 1j * derivative(v.imag, g, parity=par)
-            em = np.exp(1j * m * theta)[None, :]
-            dr += dvr[:, None] * em
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rad = np.where(r > 0, v / np.where(r > 0, r, 1.0), 0.0)
-            dth += 1j * m * rad[:, None] * em
-        return dr, dth
+    def _kappa(self, P: ParamPoint, polar: PolarGrid):
+        """(k(λy+α)/k(α) on the polar grid, k(α))."""
+        r = polar.r[:, None]
+        ct, st = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
+        x = np.stack([P.lam * r * ct + P.alpha[0], P.lam * r * st + P.alpha[1]], axis=-1)
+        k_alpha = float(self.model.k(P.alpha))
+        return self.model.k(x) / k_alpha, k_alpha
 
     def energy(self, P: ParamPoint, ntheta: int = 64) -> float:
         """Ẽ(Q_P) = (1/2)∫|∇Q_P|² - (1/4)∫ (k(λy+α)/k(α)) |Q_P|⁴."""
-        g = self.lab.grid
-        r = g.nodes
-        theta, comb, vals = self._polar_eval(P, ntheta)
-        dr, dth = self.gradient_terms(comb, theta)
-        ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
+        polar = PolarGrid(self.lab.grid.r_max, self.lab.grid.n, ntheta)
+        r = polar.r[:, None]
+        vals = self.combined(P).on_native(polar)
+        dr, dth = polar.gradient(vals)
+        ct, st = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
         # polar components of ∇phase: u_r = -(b/2) r + β·ê_r, u_θ = β·ê_θ
-        u_r = -0.5 * P.b * r[:, None] + P.beta[0] * ct + P.beta[1] * st
+        u_r = -0.5 * P.b * r + P.beta[0] * ct + P.beta[1] * st
         u_th = -P.beta[0] * st + P.beta[1] * ct
         grad2 = np.abs(dr + 1j * vals * u_r) ** 2 + np.abs(dth + 1j * vals * u_th) ** 2
-        kin = 0.5 * _polar_integral(grad2, r, ntheta)
-        x = np.stack([P.lam * r[:, None] * ct + P.alpha[0] * np.ones_like(grad2),
-                      P.lam * r[:, None] * st + P.alpha[1] * np.ones_like(grad2)], axis=-1)
-        kappa = self.model.k(x) / float(self.model.k(P.alpha))
-        pot = 0.25 * _polar_integral(kappa * np.abs(vals) ** 4, r, ntheta)
+        kin = 0.5 * polar.integral(grad2)
+        kappa, _ = self._kappa(P, polar)
+        pot = 0.25 * polar.integral(kappa * np.abs(vals) ** 4)
         return kin - pot
 
     def energy_prediction(self, P: ParamPoint) -> float:
@@ -322,72 +298,44 @@ class ProfileExpansion:
         evaluator (not its Taylor polynomial).
         """
         P.check_small(self.eta_star)
-        g = self.lab.grid
-        r = g.nodes
+        polar = PolarGrid(self.lab.grid.r_max, self.lab.grid.n, ntheta)
+        psi = self._mismatch(P, polar)
+        w2 = np.exp(2.0 * weight * polar.r)[:, None]
+        l2 = np.sqrt(polar.integral(np.abs(psi) ** 2 * w2))
+        dr_psi, dth_psi = polar.gradient(psi)
+        grad2 = np.abs(dr_psi) ** 2 + np.abs(dth_psi) ** 2
+        h1 = np.sqrt(l2 ** 2 + polar.integral(grad2 * w2))
+        return {"L2w": float(l2), "H1w": float(h1), "weight": weight}
+
+    def _mismatch(self, P: ParamPoint, polar: PolarGrid) -> np.ndarray:
+        """The profile-equation residual ψ sampled on the polar grid."""
+        r = polar.r[:, None]
         q = self.lab.Q.values
-        theta = np.arange(ntheta) * (2 * np.pi / ntheta)
+        Pv = self.combined(P, include_Q=False).on_native(polar) + q[:, None]
+        # Δ amplifies roundoff by 1/h², and at λ ~ 0.01 the norm of ψ resolves
+        # the order of summation, so the monomials are summed after synthesis
+        coeffs = {mono: self._coeff(mono, P) for mono in self.terms}
+        lapP = sum(c * _lap_field(self.lab, self.terms[mono]).on_native(polar)
+                   for mono, c in coeffs.items() if c != 0.0)
+        lapP = lapP + _lap_field(self.lab, AngularField.radial(self.lab.grid, q)).on_native(polar)
+        d_b, d_lam, d_beta1, d_beta2, d_alpha1, d_alpha2 = (
+            self.combined(P, include_Q=False, terms=self.derivative_map(i)).on_native(polar)
+            for i in range(6))
 
-        def eval_map(tmap, include_Q=False, lap=False):
-            out = np.zeros((g.n, ntheta), dtype=complex)
-            for mono, f in tmap.items():
-                c = self._coeff(mono, P)
-                if c == 0.0:
-                    continue
-                ff = _lap_field(self.lab, f) if lap else f
-                out += c * ff.on_native(theta)
-            return out
-
-        Pv = eval_map(self.terms) + q[:, None]
-        lapP = eval_map(self.terms, lap=True) \
-            + (_lap_field(self.lab, AngularField.radial(g, q)).on_native(theta))
-
-        d_b = eval_map(self.derivative_map(0))
-        d_lam = eval_map(self.derivative_map(1))
-        d_beta = [eval_map(self.derivative_map(2)), eval_map(self.derivative_map(3))]
-        d_alpha = [eval_map(self.derivative_map(4)), eval_map(self.derivative_map(5))]
-
-        consts = self.constants
-        Bvec = consts.B(P.lam, P.alpha)
-        ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
-        By = r[:, None] * (Bvec[0] * ct + Bvec[1] * st)
-
-        k_alpha = float(self.model.k(P.alpha))
-        gk = self.model.grad_k(P.alpha) / k_alpha
-        gterm = P.lam * float(P.beta @ gk)
-
-        x = np.stack([P.lam * r[:, None] * ct + P.alpha[0] * np.ones_like(By),
-                      P.lam * r[:, None] * st + P.alpha[1] * np.ones_like(By)], axis=-1)
-        kappa = self.model.k(x) / k_alpha
+        Bvec = self.constants.B(P.lam, P.alpha)
+        ct, st = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
+        By = r * (Bvec[0] * ct + Bvec[1] * st)
+        kappa, k_alpha = self._kappa(P, polar)
+        gterm = P.lam * float(P.beta @ (self.model.grad_k(P.alpha) / k_alpha))
 
         lhs = (-1j * P.b ** 2 * d_b
                - 1j * P.lam * P.b * d_lam
-               + 2j * P.lam * (P.beta[0] * d_alpha[0] + P.beta[1] * d_alpha[1])
-               + 1j * ((-P.b * P.beta[0] + Bvec[0]) * d_beta[0]
-                       + (-P.b * P.beta[1] + Bvec[1]) * d_beta[1])
+               + 2j * P.lam * (P.beta[0] * d_alpha1 + P.beta[1] * d_alpha2)
+               + 1j * ((-P.b * P.beta[0] + Bvec[0]) * d_beta1
+                       + (-P.b * P.beta[1] + Bvec[1]) * d_beta2)
                - (By + 1j * gterm) * Pv
                + lapP - Pv + kappa * np.abs(Pv) ** 2 * Pv)
-        psi = -lhs
-
-        w2 = np.exp(2.0 * weight * r)[:, None]
-        l2 = np.sqrt(_polar_integral(np.abs(psi) ** 2 * w2, r, ntheta))
-
-        # gradient through θ-FFT (per-mode radial derivative + im/r)
-        psi_m = np.fft.fft(psi, axis=1) / ntheta
-        dr_psi = np.zeros_like(psi)
-        dth_psi = np.zeros_like(psi)
-        for k in range(ntheta):
-            m = k if k <= ntheta // 2 else k - ntheta
-            par = 1 if m % 2 == 0 else -1
-            col = psi_m[:, k]
-            dcol = derivative(col.real, g, parity=par) + 1j * derivative(col.imag, g, parity=par)
-            em = np.exp(1j * m * theta)[None, :]
-            dr_psi += dcol[:, None] * em
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rad = np.where(r > 0, col / np.where(r > 0, r, 1.0), 0.0)
-            dth_psi += 1j * m * rad[:, None] * em
-        grad2 = np.abs(dr_psi) ** 2 + np.abs(dth_psi) ** 2
-        h1 = np.sqrt(l2 ** 2 + _polar_integral(grad2 * w2, r, ntheta))
-        return {"L2w": float(l2), "H1w": float(h1), "weight": weight}
+        return -lhs
 
 
 def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
@@ -505,13 +453,8 @@ def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
 
 def field_pair(a: AngularField, b: AngularField) -> float:
     """Real L²(R²) pairing 2π Σ_m ∫ a_m conj(b_m) r dr."""
-    r = a.grid.nodes
-    total = 0.0
-    for m, v in a.comps.items():
-        w = b.comps.get(m)
-        if w is not None:
-            total += np.real(simpson(v * np.conj(w) * r, x=r))
-    return float(2 * np.pi * total)
+    return float(sum(quadrature((v * np.conj(b.comps[m])).real, grid=a.grid, tail=False)
+                     for m, v in a.comps.items() if m in b.comps))
 
 
 def conformal_ray(lam: float, C0: float, beta_scale=(0.0, 0.0),

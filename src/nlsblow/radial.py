@@ -122,12 +122,11 @@ def quadrature(f: Union[RadialFunction, np.ndarray], radial_weight_power: int = 
     on (r_max, ∞); it is skipped when the boundary sample is negligible.
     """
     if isinstance(f, RadialFunction):
-        grid, values, rate = f.grid, f.values, f.tail_rate
+        grid, values = f.grid, f.values
     else:
         if grid is None:
             raise ValueError("grid required when passing raw samples")
         values = np.asarray(f)
-        rate = fit_tail_rate(grid, values)
     p = int(radial_weight_power)
     if p < 0:
         raise ValueError("weight power must be >= 0")
@@ -140,6 +139,7 @@ def quadrature(f: Union[RadialFunction, np.ndarray], radial_weight_power: int = 
     vmax = np.max(np.abs(values))
     if vmax == 0.0 or abs(f_end) < 1e-14 * vmax:
         return float(core)
+    rate = f.tail_rate if isinstance(f, RadialFunction) else fit_tail_rate(grid, values)
     if rate is None or rate >= -1e-3:
         raise TailError("integrand does not decay; tail correction unavailable")
     kappa = -rate

@@ -153,30 +153,40 @@ def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
     return ComplexField2D(field.L, out, field.t + dt)
 
 
+def _norms(field: ComplexField2D, ux: np.ndarray, uy: np.ndarray):
+    """(∫|u|², ∫|∇u|²) of a field and its gradient."""
+    h2 = field.h ** 2
+    return (float(np.sum(np.abs(field.values) ** 2) * h2),
+            float(np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2) * h2))
+
+
+def _invariants(field: ComplexField2D, stepper: Stepper, ux: np.ndarray, uy: np.ndarray):
+    """(mass, ∫|∇u|², energy, momentum) of a field and its gradient."""
+    u = field.values
+    h2 = field.h ** 2
+    mass, grad2 = _norms(field, ux, uy)
+    energy = 0.5 * grad2 - float(0.25 * np.sum(stepper.k * np.abs(u) ** 4) * h2)
+    mom = np.array([float(np.sum((ux * np.conj(u)).imag) * h2),
+                    float(np.sum((uy * np.conj(u)).imag) * h2)])
+    return mass, grad2, energy, mom
+
+
+def _scale(mass: float, grad2: float, grad_ref: float, mass_ref: float) -> float:
+    return float(np.sqrt(grad_ref * mass / mass_ref / grad2))
+
+
 def conserved(field: ComplexField2D, k_values, stepper: Optional[Stepper] = None):
     """(mass, energy, momentum): ∫|u|², ½∫|∇u|² - ¼∫k|u|⁴, Im∫∇u ū."""
     if stepper is None:
         stepper = Stepper(field.L, field.n, np.asarray(k_values, dtype=float))
-    u = field.values
-    h2 = field.h ** 2
-    ux, uy = stepper.gradient(u)
-    mass = float(np.sum(np.abs(u) ** 2) * h2)
-    energy = float(0.5 * np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2) * h2
-                   - 0.25 * np.sum(stepper.k * np.abs(u) ** 4) * h2)
-    mom = np.array([float(np.sum((ux * np.conj(u)).imag) * h2),
-                    float(np.sum((uy * np.conj(u)).imag) * h2)])
+    mass, _, energy, mom = _invariants(field, stepper, *stepper.gradient(field.values))
     return mass, energy, mom
 
 
 def lambda_proxy(field: ComplexField2D, stepper: Stepper, grad_ref: float,
                  mass_ref: float) -> float:
     """Scale estimate ||∇Q||·sqrt(mass ratio)/||∇u|| (refreshes the dt policy)."""
-    u = field.values
-    h2 = field.h ** 2
-    ux, uy = stepper.gradient(u)
-    grad2 = float(np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2) * h2)
-    mass = float(np.sum(np.abs(u) ** 2) * h2)
-    return float(np.sqrt(grad_ref * mass / mass_ref / grad2))
+    return _scale(*_norms(field, *stepper.gradient(field.values)), grad_ref, mass_ref)
 
 
 def pseudo_conformal_field(Q_of_r: Callable, C0: float, t: float,
@@ -243,11 +253,10 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
     snapshots = []
 
     def record_series():
-        mass, energy, mom = conserved(field, None, stepper)
-        lam_est = lambda_proxy(field, stepper, grad_ref, mass_ref)
-        ux, uy = stepper.gradient(field.values)
-        gn = float(np.sqrt(np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2) * field.h ** 2))
-        for key, val in zip(series, (field.t, mass, energy, mom[0], mom[1], gn, lam_est)):
+        mass, grad2, energy, mom = _invariants(field, stepper, *stepper.gradient(field.values))
+        lam_est = _scale(mass, grad2, grad_ref, mass_ref)
+        for key, val in zip(series, (field.t, mass, energy, mom[0], mom[1],
+                                     float(np.sqrt(grad2)), lam_est)):
             series[key].append(val)
 
     def emit_snapshot():
@@ -260,6 +269,7 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
     dt = config.c_dt * lam_est ** 2
     record_series()
     emit_snapshot()
+    recorded = snapped = True      # the current state is already emitted
     reason = "max_steps"
     for istep in range(config.max_steps):
         if config.lam_stop is not None and lam_est < config.lam_stop:
@@ -280,14 +290,16 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
         if (istep + 1) % config.dt_refresh_every == 0:
             lam_est = lambda_proxy(field, stepper, grad_ref, mass_ref)
             dt = config.c_dt * lam_est ** 2
-        if (istep + 1) % config.series_stride == 0:
+        recorded = (istep + 1) % config.series_stride == 0
+        if recorded:
             record_series()
-        if (istep + 1) % config.snapshot_stride == 0:
+        snapped = (istep + 1) % config.snapshot_stride == 0
+        if snapped:
             emit_snapshot()
-    else:
-        reason = "max_steps"
-    record_series()
-    emit_snapshot()
+    if not recorded:
+        record_series()
+    if not snapped:
+        emit_snapshot()
     return RunResult(series={k: np.array(v) for k, v in series.items()},
                      snapshots=snapshots, reason=reason, config=config)
 

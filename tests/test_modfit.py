@@ -104,6 +104,15 @@ def test_projected_perturbation_recovery(expansion, rng):
     assert diff < 1e-6
 
 
+def test_fit_grid_must_resolve_expansion_modes(expansion):
+    # the shared im/r term reads m from the FFT column, so aliased modes are refused
+    P = prof.ParamPoint(b=0.05, lam=0.1)
+    top = max(f.max_mode() for f in expansion.terms.values())
+    with pytest.raises(ValueError, match="n_theta"):
+        modfit.decompose(prof.physical_field(expansion, P, 0.0), _param_state(P, 0.0),
+                         expansion, grid=modfit.FitGrid(n_theta=2 * top))
+
+
 def test_phase_equivariance(expansion):
     P = prof.ParamPoint(b=0.04, lam=0.11)
     base = prof.physical_field(expansion, P, 0.5)
@@ -244,7 +253,7 @@ def test_coercivity_random_draws(expansion, model, lab, rng):
         ut = modfit.rescaled_perturbation(eps, grid, state, model, L, n)
         u = sim.ComplexField2D(L, wv + ut, 0.0)
         I = modfit.lyapunov_I(state, u, sim.ComplexField2D(L, wv, 0.0), 20.0, kv)
-        dr_eps, dth_eps = modfit.polar_gradient(eps, grid.r, grid.theta)
+        dr_eps, dth_eps = grid.gradient(eps)
         h1sq = grid.integral(np.abs(eps) ** 2 + np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2)
         ratios.append(P.lam ** 2 * I / h1sq)
     ratios = np.array(ratios)

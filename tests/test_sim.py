@@ -189,3 +189,19 @@ def test_snapshot_roundtrip(tmp_path, lab):
 def test_spectral_tail_small(profile_expansion):
     f = sim.init_from_profile(profile_expansion, 1.0, 0.0, -0.3, 6.0, 512)
     assert f.spectral_tail_fraction() < 1e-10
+
+
+def test_run_emits_final_state_once():
+    # the last step lands on both strides: the stop must not repeat that state
+    L, n = 8.0, 64
+    X, Y = _grid(L, n)
+    f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
+    st = sim.Stepper(L, n, np.ones((n, n)))
+    grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
+    cfg = sim.SimConfig(L=L, n=n, c_dt=0.01, t_start=-0.5, max_steps=8,
+                        series_stride=4, snapshot_stride=4)
+    res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
+    assert res.reason == "max_steps"
+    assert res.series["t"].size == 3
+    assert np.all(np.diff(res.series["t"]) > 0)
+    assert [s.t for s in res.snapshots] == list(res.series["t"])
