@@ -222,9 +222,7 @@ def cmd_simulate(cfg, out: Path) -> int:
     si = cfg.section("sim")
     L, n = float(g2["L"]), int(g2["n"])
     field0 = sim.init_from_profile(exp, exp.C0, 0.0, float(si["t_start"]), L, n)
-    x = -L + (2 * L / n) * np.arange(n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    k_vals = exp.model.k(np.stack([X, Y], axis=-1))
+    k_vals = exp.model.k(sim.box_points(L, n))
     cfg_run = sim.SimConfig(
         L=L, n=n, c_dt=float(si["c_dt"]), t_start=float(si["t_start"]),
         t_stop=si["t_stop"], lam_stop=si["lam_stop"], dealias=bool(si["dealias"]),
@@ -234,6 +232,9 @@ def cmd_simulate(cfg, out: Path) -> int:
         snapshot_stride=int(si["snapshot_stride"]))
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
+    # an earlier run into the same directory must not leave snapshots behind
+    for old in snap_dir.glob("snap_*.bin"):
+        old.unlink()
     counter = {"i": 0}
     snap_files = []
 
@@ -267,28 +268,25 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
     if not paths:
         raise FileNotFoundError(f"no snapshots under {snap_dir}")
     first = sim.read_snapshot(paths[0])
-    st0 = modeqs.existence_initial_state(first.t, exp.C0)
-    guess = st0
+    guess = modeqs.existence_initial_state(first.t, exp.C0)
+    pts = sim.box_points(first.L, first.n)
+    stepper = sim.Stepper(first.L, first.n, exp.model.k(pts))
     rows = []
-    k_cache = {}
     for path in paths:
         field = sim.read_snapshot(path)
+        if (field.L, field.n) != (first.L, first.n):
+            raise ValueError(f"{path.name}: box (L, n) = ({field.L}, {field.n}) differs from "
+                             f"({first.L}, {first.n}) of {paths[0].name}")
         try:
             dec = modfit.decompose(field, guess, exp, grid=grid)
         except modfit.NewtonDiverged:
             continue
         guess = dec.params
         p = dec.params
-        key = field.n
-        if key not in k_cache:
-            x = -field.L + field.h * np.arange(field.n)
-            X, Y = np.meshgrid(x, x, indexing="ij")
-            k_cache[key] = (exp.model.k(np.stack([X, Y], axis=-1)), X, Y)
-        k_vals, X, Y = k_cache[key]
         P = prof.ParamPoint(b=p.b, lam=p.lam, beta=p.beta.copy(), alpha=p.alpha.copy())
-        wv = prof.physical_field(exp, P, p.gamma)(np.stack([X, Y], axis=-1))
+        wv = prof.physical_field(exp, P, p.gamma)(pts)
         w_field = sim.ComplexField2D(field.L, wv, field.t)
-        I_val = modfit.lyapunov_I(p, field, w_field, A, k_vals)
+        I_val = modfit.lyapunov_I(p, field, w_field, A, stepper)
         vb = modfit.virial_boundary(dec, A, lab.moments.ymomQ)
         rows.append([field.t, p.b, p.lam, p.alpha[0], p.alpha[1], p.beta[0],
                      p.beta[1], p.gamma, dec.eps_l2, dec.eps_h1, p.b / p.lam,

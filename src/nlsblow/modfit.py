@@ -3,22 +3,30 @@
 The decomposition u(x) = k(α)^{-1/2} λ^{-1} (Q_P + ε)((x-α)/λ) e^{iγ} is fixed
 by seven scalar conditions pairing ε against the phase-dressed profile
 Q_P = Σ + iΘ and ρ e^{iφ}: translations, boosts, scaling, phase-curvature and
-phase directions.  A damped Newton iteration solves them in the seven
-parameters; the Jacobian is finite-differenced (the residuals are smooth in
-the parameters and each evaluation is cheap on the fixed polar fit grid).
+phase directions.  Each condition is ∫ a·ε₁ + b·ε₂ = 0 for one window pair
+(a, b) of ``condition_window_pairs``, the only place the windows are written.
+A damped Newton iteration solves them in the seven parameters; the Jacobian
+is finite-differenced (the residuals are smooth in the parameters and each
+evaluation is cheap on the fixed polar fit grid).  A simulation field is
+cubic-spline prefiltered once, when its ``FieldSampler`` is built, so each
+Newton evaluation only interpolates.
 """
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter
 
 from .fields import AngularField, PolarGrid
 from .modeqs import ModState
 from .profile import ParamPoint, ProfileExpansion
-from .sim import ComplexField2D, Stepper
+from .sim import ComplexField2D, Stepper, box_points
+
+TOL_FACTOR = 1e-9      # Newton tolerance on the conditions, times ∫Q²
+MAX_ITER = 40
+SPLINE_ORDER = 3       # interpolation of a simulation field on the fit grid
 
 
 class NewtonDiverged(RuntimeError):
@@ -120,11 +128,12 @@ class _ExpansionSampler:
 class FieldSampler:
     """Samples a simulation field (bicubic, periodic) or an exact evaluator."""
 
-    def __init__(self, u: Union[ComplexField2D, Callable], order: int = 3):
-        self.order = order
+    def __init__(self, u: Union[ComplexField2D, Callable]):
         if isinstance(u, ComplexField2D):
             self.field = u
             self.t = u.t
+            self.coeffs = spline_filter(u.values, SPLINE_ORDER, output=complex,
+                                        mode="grid-wrap")
         else:
             self.field = None
             self.call = u
@@ -135,10 +144,8 @@ class FieldSampler:
             return self.call(pts)
         f = self.field
         idx = (pts + f.L) / f.h
-        coords = [idx[..., 0], idx[..., 1]]
-        re = map_coordinates(f.values.real, coords, order=self.order, mode="grid-wrap")
-        im = map_coordinates(f.values.imag, coords, order=self.order, mode="grid-wrap")
-        return re + 1j * im
+        return map_coordinates(self.coeffs, [idx[..., 0], idx[..., 1]], order=SPLINE_ORDER,
+                               mode="grid-wrap", prefilter=False)
 
 
 # ----------------------------------------------------------------------
@@ -181,19 +188,28 @@ def _window_fields(sampler: _ExpansionSampler, grid: FitGrid, p: np.ndarray):
             "ct": ct, "st": st}
 
 
-def _condition_values(eps: np.ndarray, w: dict, grid: FitGrid) -> np.ndarray:
-    e1, e2 = eps.real, eps.imag
+def condition_window_pairs(dec_windows: dict, grid: FitGrid):
+    """The (ε₁, ε₂) window pairs of the 7 conditions plus the mass direction."""
+    w = dec_windows
     r = grid.r[:, None]
     S, T = w["QP"].real, w["QP"].imag
-    out = np.empty(7)
-    out[0] = grid.integral(e2 * w["gx"].real - e1 * w["gx"].imag)
-    out[1] = grid.integral(e2 * w["gy"].real - e1 * w["gy"].imag)
-    out[2] = grid.integral(e1 * r * w["ct"] * S + e2 * r * w["ct"] * T)
-    out[3] = grid.integral(e1 * r * w["st"] * S + e2 * r * w["st"] * T)
-    out[4] = grid.integral(-e1 * w["LamQP"].imag + e2 * w["LamQP"].real)
-    out[5] = grid.integral(e1 * r ** 2 * S + e2 * r ** 2 * T)
-    out[6] = grid.integral(-e1 * w["rho"].imag + e2 * w["rho"].real)
-    return out
+    pairs = [
+        (-w["gx"].imag, w["gx"].real),
+        (-w["gy"].imag, w["gy"].real),
+        (r * w["ct"] * S, r * w["ct"] * T),
+        (r * w["st"] * S, r * w["st"] * T),
+        (-w["LamQP"].imag, w["LamQP"].real),
+        (r ** 2 * S, r ** 2 * T),
+        (-w["rho"].imag, w["rho"].real),
+        (S, T),
+    ]
+    return pairs
+
+
+def _condition_values(eps: np.ndarray, w: dict, grid: FitGrid) -> np.ndarray:
+    """The seven orthogonality values ∫ a·ε₁ + b·ε₂, one per window pair."""
+    pairs = condition_window_pairs(w, grid)[:7]
+    return np.array([grid.integral(a * eps.real + b * eps.imag) for a, b in pairs])
 
 
 def _epsilon_at(p: np.ndarray, usample: FieldSampler, sampler: _ExpansionSampler,
@@ -212,19 +228,16 @@ def _epsilon_at(p: np.ndarray, usample: FieldSampler, sampler: _ExpansionSampler
 
 
 def decompose(u: Union[ComplexField2D, Callable], guess: ModState,
-              expansion: ProfileExpansion, grid: FitGrid = FitGrid(),
-              tol_factor: float = 1e-9, max_iter: int = 40,
-              interp_order: int = 3) -> Decomposition:
+              expansion: ProfileExpansion, grid: FitGrid = FitGrid()) -> Decomposition:
     """Newton solve of the seven orthogonality conditions in the parameters.
 
     The guess must be in the Newton basin (chain the previous snapshot's
     result along a run); raises NewtonDiverged otherwise.
     """
     sampler = _cached_sampler(expansion, grid)
-    usample = FieldSampler(u, order=interp_order)
+    usample = FieldSampler(u)
     model = expansion.model
-    massQ = expansion.lab.moments.massQ
-    tol = tol_factor * massQ
+    tol = TOL_FACTOR * expansion.lab.moments.massQ
 
     p = np.array([guess.b, guess.lam, guess.beta[0], guess.beta[1],
                   guess.alpha[0], guess.alpha[1], guess.gamma], dtype=float)
@@ -233,21 +246,21 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ModState,
         eps, w = _epsilon_at(pv, usample, sampler, grid, model)
         return _condition_values(eps, w, grid), eps, w
 
-    R, eps, w = residuals(p)
-    jac = None
-    for _ in range(max_iter):
-        if np.max(np.abs(R)) <= tol:
-            break
+    def jacobian(pv, Rv):
         jac = np.empty((7, 7))
         for j in range(7):
-            dp = 1e-7 * (1.0 + abs(p[j]))
-            pj = p.copy()
+            dp = 1e-7 * (1.0 + abs(pv[j]))
+            pj = pv.copy()
             pj[j] += dp
-            if j == 1 and pj[1] <= 0:
-                pj[1] = p[1] * 0.5
-                dp = pj[1] - p[1]
-            Rj, _, _ = residuals(pj)
-            jac[:, j] = (Rj - R) / dp
+            jac[:, j] = (residuals(pj)[0] - Rv) / dp
+        return jac
+
+    R, eps, w = residuals(p)
+    jac = None
+    for _ in range(MAX_ITER):
+        if np.max(np.abs(R)) <= tol:
+            break
+        jac = jacobian(p, R)
         try:
             step_vec = np.linalg.solve(jac, -R)
         except np.linalg.LinAlgError as err:
@@ -265,16 +278,10 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ModState,
             raise NewtonDiverged("line search failed; guess outside the basin")
     if np.max(np.abs(R)) > tol:
         raise NewtonDiverged(
-            f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} after {max_iter} iterations")
+            f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} after {MAX_ITER} iterations")
 
     if jac is None:
-        jac = np.empty((7, 7))
-        for j in range(7):
-            dp = 1e-7 * (1.0 + abs(p[j]))
-            pj = p.copy()
-            pj[j] += dp
-            Rj, _, _ = residuals(pj)
-            jac[:, j] = (Rj - R) / dp
+        jac = jacobian(p, R)
     cond = float(np.linalg.cond(jac))
 
     dr_eps, dth_eps = grid.gradient(eps)
@@ -340,25 +347,29 @@ def fit_rate(ts, lams, window_frac: float = 0.5) -> FitReport:
 # ----------------------------------------------------------------------
 
 def lyapunov_I(dec_params: ModState, u: ComplexField2D, w: ComplexField2D,
-               A: float, k_values: np.ndarray) -> float:
+               A: float, stepper: Stepper) -> float:
     """I = ½∫|∇ũ|² + ½∫|ũ|²/λ² - ∫k[F(w+ũ)-F(w)-F'(w)ũ] + boundary term.
 
     F(v) = |v|⁴/4; the boundary term is ½(b/λ) Im ∫ A∇φ((x-α)/(Aλ))·∇ũ ū.
+    ``stepper`` is a Stepper on the box of u, holding the k samples.
     """
     if A < 10:
         raise ValueError("A must be at least 10")
+    if (stepper.L, stepper.n) != (u.L, u.n):
+        raise ValueError(f"stepper box (L, n) = ({stepper.L}, {stepper.n}) differs from the "
+                         f"field's ({u.L}, {u.n})")
     lam, b, alpha = dec_params.lam, dec_params.b, dec_params.alpha
     ut = u.values - w.values
     h2 = u.h ** 2
-    st = Stepper(u.L, u.n, np.asarray(k_values, dtype=float))
-    ux, uy = st.gradient(ut)
+    ux, uy = stepper.gradient(ut)
     kin = 0.5 * float(np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2)) * h2
     low = 0.5 * float(np.sum(np.abs(ut) ** 2)) * h2 / lam ** 2
     wv = w.values
     F = lambda v: 0.25 * np.abs(v) ** 4
     nonlin = F(wv + ut) - F(wv) - (wv * np.abs(wv) ** 2 * np.conj(ut)).real
-    pot = float(np.sum(st.k * nonlin)) * h2
-    X, Y = u.meshes()
+    pot = float(np.sum(stepper.k * nonlin)) * h2
+    pts = box_points(u.L, u.n)
+    X, Y = pts[..., 0], pts[..., 1]
     zx, zy = (X - alpha[0]) / (A * lam), (Y - alpha[1]) / (A * lam)
     rz = np.hypot(zx, zy)
     psi = phi_prime(rz)
@@ -380,24 +391,6 @@ def virial_boundary(dec: Decomposition, A: float, ymomQ: float) -> float:
     psi = phi_prime(g.r / A)[:, None]
     term = 0.5 / lam * g.integral((A * psi * dr_eps * np.conj(dec.epsilon)).imag)
     return float(-(b / lam) * ymomQ / 4.0 + term)
-
-
-def condition_window_pairs(dec_windows: dict, grid: FitGrid):
-    """The (ε₁, ε₂) window pairs of the 7 conditions plus the mass direction."""
-    w = dec_windows
-    r = grid.r[:, None]
-    S, T = w["QP"].real, w["QP"].imag
-    pairs = [
-        (-w["gx"].imag, w["gx"].real),
-        (-w["gy"].imag, w["gy"].real),
-        (r * w["ct"] * S, r * w["ct"] * T),
-        (r * w["st"] * S, r * w["st"] * T),
-        (-w["LamQP"].imag, w["LamQP"].real),
-        (r ** 2 * S, r ** 2 * T),
-        (-w["rho"].imag, w["rho"].real),
-        (S, T),
-    ]
-    return pairs
 
 
 def constrained_random_eps(dec_windows: dict, grid: FitGrid, rng,
@@ -430,9 +423,8 @@ def constrained_random_eps(dec_windows: dict, grid: FitGrid, rng,
 def rescaled_perturbation(eps: np.ndarray, grid: FitGrid, params: ModState,
                           model, L: float, n: int) -> np.ndarray:
     """ũ(x) = k(α)^{-1/2} λ^{-1} ε((x-α)/λ) e^{iγ} sampled on the box."""
-    h = 2.0 * L / n
-    x = -L + h * np.arange(n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    pts = box_points(L, n)
+    X, Y = pts[..., 0], pts[..., 1]
     lam, alpha = params.lam, params.alpha
     rr = np.hypot(X - alpha[0], Y - alpha[1]) / lam
     tt = np.arctan2(Y - alpha[1], X - alpha[0])

@@ -22,6 +22,13 @@ class BlowupNaN(RuntimeError):
     """NaN detected during stepping (unstable dt or unresolved collapse)."""
 
 
+def box_points(L: float, n: int) -> np.ndarray:
+    """The (n, n, 2) nodes (x_i, x_j), x_j = -L + j·h with h = 2L/n, of the box."""
+    x = -L + (2.0 * L / n) * np.arange(n)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return np.stack([X, Y], axis=-1)
+
+
 @dataclass
 class ComplexField2D:
     """Complex field on the uniform periodic grid [-L, L)²."""
@@ -45,14 +52,6 @@ class ComplexField2D:
     @property
     def h(self) -> float:
         return 2.0 * self.L / self.n
-
-    def axes(self):
-        x = -self.L + self.h * np.arange(self.n)
-        return x, x
-
-    def meshes(self):
-        x, y = self.axes()
-        return np.meshgrid(x, y, indexing="ij")
 
     def spectral_tail_fraction(self) -> float:
         """Fraction of the spectrum's energy in the top third of wavenumbers."""
@@ -218,8 +217,8 @@ def init_from_profile(expansion, C0: float, gamma0: float, t1: float,
     if st.lam < 8.0 * h:
         raise ResolutionBreach(
             f"core scale λ = {st.lam:.4g} under 8 grid spacings (h = {h:.4g})")
-    x = -L + h * np.arange(n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
+    pts = box_points(L, n)
+    X, Y = pts[..., 0], pts[..., 1]
     r = np.hypot(X, Y) / st.lam
     theta = np.arctan2(Y, X)
     P = ParamPoint(b=st.b, lam=st.lam)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlsblow import sim
 from nlsblow.cli import main
 from nlsblow.config import ConfigError, parse_config
 
@@ -142,3 +143,40 @@ def test_simulate_then_analyze(tmp_path):
     t_series = [float(r.split(",")[0]) for r in series[1:]]
     assert t_first <= t_series[0] + 1e-12
     assert t_last >= t_series[-1] - 0.05
+
+
+SMALL_RUN = ("grid2d:\n  L: 4.0\n  n: 256\n"
+             "sim:\n  t_start: -0.3\n  t_stop: {t_stop}\n  snapshot_stride: 1\n"
+             "energy:\n  C0: 1.0\n"
+             "profile:\n  eta_star: 0.55\n")
+
+
+def _simulate_small(tmp_path, out, t_stop):
+    cfgfile = tmp_path / f"cfg_{t_stop}.yaml"
+    cfgfile.write_text(SMALL_RUN.format(t_stop=t_stop))
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 0
+    return cfgfile
+
+
+def test_simulate_replaces_earlier_snapshots(tmp_path):
+    out = tmp_path / "s"
+    _simulate_small(tmp_path, out, -0.28)
+    first = sorted((out / "snapshots").glob("snap_*.bin"))
+    _simulate_small(tmp_path, out, -0.29)
+    on_disk = sorted("snapshots/" + p.name for p in (out / "snapshots").glob("snap_*.bin"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = sorted(name for name in manifest["files"] if name.startswith("snapshots/"))
+    assert len(listed) < len(first)
+    assert on_disk == listed
+
+
+def test_analyze_rejects_snapshot_on_another_box(tmp_path):
+    out = tmp_path / "s"
+    cfgfile = _simulate_small(tmp_path, out, -0.29)
+    path = out / "snapshots" / "snap_000001.bin"
+    field = sim.read_snapshot(path)
+    sim.write_snapshot(path, sim.ComplexField2D(field.L, field.values[::2, ::2], field.t))
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 1
+    rec = json.loads((out / "error.json").read_text())
+    assert rec["error"] == "ValueError"
+    assert "snap_000001.bin" in rec["message"]

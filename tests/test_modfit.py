@@ -104,6 +104,64 @@ def test_projected_perturbation_recovery(expansion, rng):
     assert diff < 1e-6
 
 
+def test_field_sampler_matches_two_pass_interpolation(rng):
+    # reference: cubic spline of the real and imaginary parts, each prefiltered
+    from scipy.ndimage import map_coordinates
+
+    L, n = 3.0, 64
+    field = sim.ComplexField2D(L, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    pts = rng.uniform(-1.5 * L, 1.5 * L, size=(40, 30, 2))
+    idx = (pts + L) / field.h
+    coords = [idx[..., 0], idx[..., 1]]
+    ref = (map_coordinates(field.values.real, coords, order=3, mode="grid-wrap")
+           + 1j * map_coordinates(field.values.imag, coords, order=3, mode="grid-wrap"))
+    got = modfit.FieldSampler(field)(pts)
+    assert np.array_equal(got, ref)
+
+
+def test_roundtrip_sampled_on_box(expansion):
+    # the simulation path: the exact profile sampled on a periodic box, then
+    # fitted through the bicubic sampler; errors are interpolation-sized
+    P = prof.ParamPoint(b=0.06, lam=0.2, beta=np.array([0.004, -0.003]),
+                        alpha=np.array([0.01, 0.02]))
+    gamma = 0.37
+    L, n = 6.0, 256
+    u = sim.ComplexField2D(L, prof.physical_field(expansion, P, gamma)(sim.box_points(L, n)))
+    guess = ModState(b=0.055, lam=0.21, beta=np.array([0.003, -0.002]),
+                     alpha=np.array([0.012, 0.018]), gamma=0.35)
+    got = modfit.decompose(u, guess, expansion).params
+    assert abs(got.b - P.b) < 1e-5
+    assert abs(got.lam - P.lam) < 1e-5
+    assert np.max(np.abs(got.beta - P.beta)) < 1e-5
+    assert np.max(np.abs(got.alpha - P.alpha)) < 1e-5
+    assert abs((got.gamma - gamma + np.pi) % (2 * np.pi) - np.pi) < 1e-5
+
+
+def test_condition_values_match_explicit_integrals(expansion, rng):
+    grid = modfit.FitGrid()
+    sampler = modfit._cached_sampler(expansion, grid)
+    pvec = np.array([0.05, 0.1, 0.003, -0.002, 0.01, 0.02, 0.4])
+    w = modfit._window_fields(sampler, grid, pvec)
+    eps = (rng.normal(size=(grid.n_r, grid.n_theta))
+           + 1j * rng.normal(size=(grid.n_r, grid.n_theta))) * np.exp(-grid.r[:, None] ** 2 / 8)
+    # the seven conditions written out term by term
+    e1, e2 = eps.real, eps.imag
+    r = grid.r[:, None]
+    S, T = w["QP"].real, w["QP"].imag
+    ref = np.array([
+        grid.integral(e2 * w["gx"].real - e1 * w["gx"].imag),
+        grid.integral(e2 * w["gy"].real - e1 * w["gy"].imag),
+        grid.integral(e1 * r * w["ct"] * S + e2 * r * w["ct"] * T),
+        grid.integral(e1 * r * w["st"] * S + e2 * r * w["st"] * T),
+        grid.integral(-e1 * w["LamQP"].imag + e2 * w["LamQP"].real),
+        grid.integral(e1 * r ** 2 * S + e2 * r ** 2 * T),
+        grid.integral(-e1 * w["rho"].imag + e2 * w["rho"].real),
+    ])
+    got = modfit._condition_values(eps, w, grid)
+    assert np.all(np.abs(ref) > 1e-3)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
 def test_fit_grid_must_resolve_expansion_modes(expansion):
     # the shared im/r term reads m from the FFT column, so aliased modes are refused
     P = prof.ParamPoint(b=0.05, lam=0.1)
@@ -184,7 +242,7 @@ def test_lyapunov_zero_perturbation(expansion, model, lab):
     w = prof.physical_field(expansion, P, 0.0)(np.stack([X, Y], axis=-1))
     fw = sim.ComplexField2D(L, w, 0.0)
     kv = model.k(np.stack([X, Y], axis=-1))
-    val = modfit.lyapunov_I(_param_state(P, 0.0), fw, fw, 20.0, kv)
+    val = modfit.lyapunov_I(_param_state(P, 0.0), fw, fw, 20.0, sim.Stepper(L, n, kv))
     assert val == 0.0
 
 
@@ -201,7 +259,7 @@ def test_lyapunov_matches_term_oracle(expansion, model, lab):
     uv = wv * np.exp(1j * delta)
     kv = model.k(np.stack([X, Y], axis=-1))
     got = modfit.lyapunov_I(_param_state(P, 0.0), sim.ComplexField2D(L, uv, 0.0),
-                            sim.ComplexField2D(L, wv, 0.0), 20.0, kv)
+                            sim.ComplexField2D(L, wv, 0.0), 20.0, sim.Stepper(L, n, kv))
 
     ut = uv - wv
     kxf = 2 * np.pi * np.fft.fftfreq(n, d=h)
@@ -252,7 +310,8 @@ def test_coercivity_random_draws(expansion, model, lab, rng):
         eps = modfit.constrained_random_eps(w, grid, rng, amplitude=1e-3)
         ut = modfit.rescaled_perturbation(eps, grid, state, model, L, n)
         u = sim.ComplexField2D(L, wv + ut, 0.0)
-        I = modfit.lyapunov_I(state, u, sim.ComplexField2D(L, wv, 0.0), 20.0, kv)
+        I = modfit.lyapunov_I(state, u, sim.ComplexField2D(L, wv, 0.0), 20.0,
+                              sim.Stepper(L, n, kv))
         dr_eps, dth_eps = grid.gradient(eps)
         h1sq = grid.integral(np.abs(eps) ** 2 + np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2)
         ratios.append(P.lam ** 2 * I / h1sq)
