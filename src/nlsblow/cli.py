@@ -78,11 +78,17 @@ def _conformal_C0(cfg, model, lab) -> float:
     return float(en["C0"])
 
 
-def _expansion_from(cfg, lab):
+def _model_from(cfg):
+    """The config's k-model; its validation issues raise ConfigError."""
     model = cfg.model()
     issues = model.validate()
     if issues:
         raise ConfigError([f"kmodel: {msg}" for msg in issues])
+    return model
+
+
+def _expansion_from(cfg, lab):
+    model = _model_from(cfg)
     C0 = _conformal_C0(cfg, model, lab)
     return prof.build_expansion(model, C0, lab,
                                 eta_star=float(cfg.section("profile")["eta_star"]))
@@ -165,7 +171,7 @@ def cmd_profile(cfg, out: Path) -> int:
 
 def cmd_ode(cfg, out: Path) -> int:
     lab = _lab_from(cfg)
-    model = cfg.model()
+    model = _model_from(cfg)
     consts = prof.derive_constants(model, lab)
     C0 = _conformal_C0(cfg, model, lab)
     oc = cfg.section("ode")

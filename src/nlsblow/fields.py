@@ -4,6 +4,11 @@ An AngularField F(y) = Σ_m f_m(r) e^{imθ} keeps each f_m sampled on the
 shared radial grid.  Real fields carry conjugate-symmetric components
 f_{-m} = conj(f_m).  Mode products are exact convolutions in m; parameter-
 space calculus on the profile expansion never touches these radial arrays.
+Off the grid, a field is interpolated in r by the package's only CubicSpline:
+``spline`` builds it anew on each evaluation (nothing is cached), through
+all real and imaginary parts at once.  ``at`` is exactly 0 past
+r_max, evaluates the spline only at the points within r_max, AT_BLOCK points
+at a time, and sums the modes in comps order.
 
 A PolarGrid is the (r, θ) product grid on which every sampled polar field
 lives: r_j = j·h on [0, r_max] (n_r nodes, r_0 = 0) and θ_k = 2πk/n_θ.
@@ -29,6 +34,8 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .radial import RadialGrid, derivative, quadrature
+
+AT_BLOCK = 2 ** 15     # points per spline evaluation in AngularField.at
 
 
 def angular_modes(fn: Callable, max_deg: int) -> Dict[int, complex]:
@@ -109,12 +116,11 @@ class PolarGrid:
 class AngularField:
     """dict of mode -> complex radial samples, with pointwise-exact algebra."""
 
-    __slots__ = ("grid", "comps", "_splines")
+    __slots__ = ("grid", "comps")
 
     def __init__(self, grid: RadialGrid, comps: Dict[int, np.ndarray] = None):
         self.grid = grid
         self.comps = {}
-        self._splines = None
         if comps:
             for m, v in comps.items():
                 v = np.asarray(v, dtype=complex)
@@ -135,9 +141,6 @@ class AngularField:
         cs = angular_modes(fn, max_deg)
         rv = np.asarray(radial_values, dtype=complex)
         return cls(grid, {m: c * rv for m, c in cs.items()})
-
-    def copy(self) -> "AngularField":
-        return AngularField(self.grid, {m: v.copy() for m, v in self.comps.items()})
 
     # ---- algebra -------------------------------------------------------
 
@@ -169,9 +172,6 @@ class AngularField:
                 out[m] = out.get(m, 0.0) + va * vb
         return AngularField(self.grid, out)
 
-    def conj(self) -> "AngularField":
-        return AngularField(self.grid, {-m: np.conj(v) for m, v in self.comps.items()})
-
     def max_mode(self) -> int:
         return max((abs(m) for m in self.comps), default=0)
 
@@ -195,17 +195,24 @@ class AngularField:
             modes[:, m % polar.n_theta] += v
         return polar.samples(modes)
 
+    def spline(self) -> CubicSpline:
+        """One cubic spline in r through the columns [Re f_m …, Im f_m …], comps order."""
+        vals = np.array(list(self.comps.values())).reshape(len(self.comps), self.grid.n)
+        return CubicSpline(self.grid.nodes, np.concatenate([vals.real, vals.imag]).T)
+
     def at(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Evaluate at matched point arrays (spline in r, zero beyond r_max)."""
-        if self._splines is None:
-            self._splines = {m: (CubicSpline(self.grid.nodes, v.real),
-                                 CubicSpline(self.grid.nodes, v.imag))
-                             for m, v in self.comps.items()}
         r = np.asarray(r, dtype=float)
+        theta = np.broadcast_to(theta, r.shape)
         out = np.zeros(r.shape, dtype=complex)
-        inside = r <= self.grid.r_max
-        rc = np.clip(r, 0.0, self.grid.r_max)
-        for m, (sre, sim) in self._splines.items():
-            vals = sre(rc) + 1j * sim(rc)
-            out += np.where(inside, vals, 0.0) * np.exp(1j * m * np.asarray(theta))
+        inside = np.flatnonzero(r <= self.grid.r_max)
+        spl, nm = self.spline(), len(self.comps)
+        for start in range(0, inside.size, AT_BLOCK):
+            idx = inside[start:start + AT_BLOCK]
+            vals = spl(np.clip(r.flat[idx], 0.0, self.grid.r_max))
+            th = theta.flat[idx]
+            acc = np.zeros(idx.size, dtype=complex)
+            for j, m in enumerate(self.comps):
+                acc += (vals[:, j] + 1j * vals[:, nm + j]) * np.exp(1j * m * th)
+            out.flat[idx] = acc
         return out

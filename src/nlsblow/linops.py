@@ -21,6 +21,7 @@ from scipy.linalg import solve_banded
 from .radial import RadialGrid, RadialFunction, derivative, quadrature
 
 M_MAX_DEFAULT = 4
+SOLVABILITY_THRESHOLD = 1e-8   # largest relative kernel projection a source may have
 
 OpName = Literal["plus", "minus"]
 
@@ -37,12 +38,12 @@ class ModeError(ValueError):
     """Angular mode index exceeds the configured m_max."""
 
 
-def _d2_rows(n, h):
+def _d2_rows(h):
     """4th-order second-derivative band coefficients (interior)."""
     return np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
 
 
-def _d1_rows(n, h):
+def _d1_rows(h):
     return np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
 
 
@@ -57,8 +58,8 @@ def _lap_banded_cached(r_max: float, n: int, m: int):
     grid = RadialGrid(r_max, n)
     h = grid.h
     r = grid.nodes
-    c2 = _d2_rows(n, h)
-    c1 = _d1_rows(n, h)
+    c2 = _d2_rows(h)
+    c1 = _d1_rows(h)
     ab = np.zeros((5, n))  # diagonals: ab[0]=k=+2 ... ab[4]=k=-2 (solve_banded layout)
 
     def add(i, j, v):
@@ -85,10 +86,6 @@ def _lap_banded_cached(r_max: float, n: int, m: int):
     else:
         add(0, 0, 1.0)  # caller interprets row 0 as f(0)=0 constraint
     return ab
-
-
-def laplacian_banded(grid: RadialGrid, m: int) -> np.ndarray:
-    return _lap_banded_cached(grid.r_max, grid.n, m).copy()
 
 
 def _transpose_banded(ab: np.ndarray) -> np.ndarray:
@@ -119,7 +116,7 @@ def laplacian_matrix(grid: RadialGrid, m: int) -> sp.csr_matrix:
 
 def operator_banded(grid: RadialGrid, m: int, potential: np.ndarray) -> np.ndarray:
     """Banded form of -Δ_m + potential(r) (row 0: origin stencil / Dirichlet)."""
-    ab = -laplacian_banded(grid, m)
+    ab = -_lap_banded_cached(grid.r_max, grid.n, m)
     pot = np.broadcast_to(potential, (grid.n,))
     if m == 0:
         ab[2, :] += pot
@@ -243,12 +240,11 @@ class LinearizedOps:
         den = np.linalg.norm(values) + 1e-300
         return float(num / den)
 
-    def solve(self, op: OpName, gvalues: np.ndarray, m: int,
-              check: bool = True, threshold: float = 1e-8) -> np.ndarray:
+    def solve(self, op: OpName, gvalues: np.ndarray, m: int) -> np.ndarray:
         """Solve L±f = g at mode m; gauge f ⟂ kernel in the r dr pairing.
 
         Raises SolvabilityViolated when a kernel mode receives a source with
-        relative kernel projection above `threshold`.
+        relative kernel projection above SOLVABILITY_THRESHOLD.
         """
         self._check_mode(m)
         g = np.asarray(gvalues)
@@ -258,21 +254,20 @@ class LinearizedOps:
             scale = max(np.max(np.abs(g.real)), np.max(np.abs(g.imag)), 1e-300)
             out = np.zeros(g.shape, dtype=complex)
             if np.max(np.abs(g.real)) > 1e-13 * scale:
-                out += self.solve(op, g.real, m, check, threshold)
+                out += self.solve(op, g.real, m)
             if np.max(np.abs(g.imag)) > 1e-13 * scale:
-                out += 1j * self.solve(op, g.imag, m, check, threshold)
+                out += 1j * self.solve(op, g.imag, m)
             return out
         rhs = g.astype(float).copy()
         rhs[-1] = 0.0                   # Dirichlet
         if abs(m) >= 1:
             rhs[0] = 0.0                # origin constraint row
         if self.is_kernel_mode(op, m):
-            if check:
-                defect = self.solvability_defect(op, g, m)
-                if defect > threshold:
-                    raise SolvabilityViolated(
-                        f"source projection on kernel of L{op} (m={m}) is {defect:.2e} "
-                        f"(> {threshold:.0e}); check the source assembly")
+            defect = self.solvability_defect(op, g, m)
+            if defect > SOLVABILITY_THRESHOLD:
+                raise SolvabilityViolated(
+                    f"source projection on kernel of L{op} (m={m}) is {defect:.2e} "
+                    f"(> {SOLVABILITY_THRESHOLD:.0e}); check the source assembly")
             f = self._solve_kernel_mode(op, abs(m), rhs)
         else:
             ab = self._get_banded(op, abs(m))

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.ndimage import map_coordinates, spline_filter
 
 from .fields import AngularField, PolarGrid
 from .modeqs import ModState
-from .profile import ParamPoint, ProfileExpansion
+from .profile import ParamPoint, ProfileExpansion, modulated
 from .sim import ComplexField2D, Stepper, box_points
 
 TOL_FACTOR = 1e-9      # Newton tolerance on the conditions, times ∫Q²
@@ -80,6 +79,15 @@ def phi_second(r):
 FitGrid = PolarGrid
 
 
+def _radial_samples(f: AngularField, r: np.ndarray) -> dict:
+    """{m: (f_m(r), ∂_r f_m(r))}, both from the field's one spline."""
+    spl = f.spline()
+    v, dv = spl(r), spl.derivative()(r)
+    nm = len(f.comps)
+    return {m: (v[:, j] + 1j * v[:, nm + j], dv[:, j] + 1j * dv[:, nm + j])
+            for j, m in enumerate(f.comps)}
+
+
 class _ExpansionSampler:
     """Per-term mode samples of the expansion on the fixed fit radii."""
 
@@ -91,22 +99,11 @@ class _ExpansionSampler:
                              f"modes up to |m| = {top}; it must exceed {2 * top}")
         self.exp = expansion
         self.grid = grid
-        r = grid.r
         lab = expansion.lab
-        nodes = lab.grid.nodes
-        spl = CubicSpline(nodes, lab.Q.values)
-        self.q = spl(r)
-        self.dq = spl.derivative()(r)
-        rho_spl = CubicSpline(nodes, lab.rho.values)
-        self.rho = rho_spl(r)
-        self.samples = {}
-        for mono, f in expansion.terms.items():
-            per_mode = {}
-            for m, v in f.comps.items():
-                sre = CubicSpline(nodes, v.real)
-                sim_ = CubicSpline(nodes, v.imag)
-                per_mode[m] = (sre(r) + 1j * sim_(r), sre.derivative()(r) + 1j * sim_.derivative()(r))
-            self.samples[mono] = per_mode
+        q, dq = _radial_samples(AngularField.radial(lab.grid, lab.Q.values), grid.r)[0]
+        rho, _ = _radial_samples(AngularField.radial(lab.grid, lab.rho.values), grid.r)[0]
+        self.q, self.dq, self.rho = q.real, dq.real, rho.real
+        self.samples = {mono: _radial_samples(f, grid.r) for mono, f in expansion.terms.items()}
 
     def eval_with_grad(self, P: ParamPoint):
         """P_P values, ∂_r P_P and (1/r)∂_θ P_P on the fit grid."""
@@ -423,12 +420,7 @@ def constrained_random_eps(dec_windows: dict, grid: FitGrid, rng,
 def rescaled_perturbation(eps: np.ndarray, grid: FitGrid, params: ModState,
                           model, L: float, n: int) -> np.ndarray:
     """ũ(x) = k(α)^{-1/2} λ^{-1} ε((x-α)/λ) e^{iγ} sampled on the box."""
-    pts = box_points(L, n)
-    X, Y = pts[..., 0], pts[..., 1]
-    lam, alpha = params.lam, params.alpha
-    rr = np.hypot(X - alpha[0], Y - alpha[1]) / lam
-    tt = np.arctan2(Y - alpha[1], X - alpha[0])
     # spectral in θ, spline in r, zero beyond r_max
-    out = AngularField(grid.radial, dict(zip(grid.m, grid.modes(eps).T))).at(rr, tt)
-    kfac = float(model.k(alpha)) ** -0.5
-    return kfac / lam * out * np.exp(1j * params.gamma)
+    field = AngularField(grid.radial, dict(zip(grid.m, grid.modes(eps).T)))
+    return modulated(field.at, params.lam, params.alpha, params.gamma,
+                     float(model.k(params.alpha)), box_points(L, n))

@@ -12,6 +12,7 @@ numerical differentiation in parameter space ever happens.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -163,12 +164,12 @@ def energy_for_C0(C0: float, model: InhomogeneityModel, lab: Lab) -> float:
 # construction
 # ----------------------------------------------------------------------
 
-def _solve_field(lab: Lab, op: str, src: AngularField, check: bool = True) -> AngularField:
+def _solve_field(lab: Lab, op: str, src: AngularField) -> AngularField:
     out = {}
     for m, v in src.comps.items():
         if np.max(np.abs(v)) == 0.0:
             continue
-        out[m] = lab.ops.solve(op, v, abs(m), check=check)
+        out[m] = lab.ops.solve(op, v, abs(m))
     return AngularField(lab.grid, out)
 
 
@@ -339,8 +340,7 @@ class ProfileExpansion:
 
 
 def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
-                    eta_star: float = ETA_STAR_DEFAULT,
-                    solvability_threshold: float = 1e-8) -> ProfileExpansion:
+                    eta_star: float = ETA_STAR_DEFAULT) -> ProfileExpansion:
     """Construct T2, S3, T3, T4, S4 and the adjusted constants for this k and C0.
 
     Raises SolvabilityViolated if any elliptic system fails its kernel check,
@@ -359,7 +359,7 @@ def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
         terms[mono] = terms.get(mono, AngularField(g)) + add
 
     def solve(op, src):
-        return _solve_field(lab, op, src, check=True)
+        return _solve_field(lab, op, src)
 
     if model.is_flat:
         return ProfileExpansion(lab=lab, model=model, constants=consts, C0=C0,
@@ -465,16 +465,17 @@ def conformal_ray(lam: float, C0: float, beta_scale=(0.0, 0.0),
                       alpha=np.asarray(alpha_scale) * lam ** 2)
 
 
+def modulated(F, lam: float, alpha, gamma: float, k_alpha: float,
+              pts: np.ndarray) -> np.ndarray:
+    """The ansatz k(α)^{-1/2} λ^{-1} F(|x-α|/λ, arg(x-α)) e^{iγ} at points x = pts[..., :2]."""
+    pts = np.asarray(pts, dtype=float)
+    dx = pts[..., 0] - alpha[0]
+    dy = pts[..., 1] - alpha[1]
+    vals = F(np.hypot(dx, dy) / lam, np.arctan2(dy, dx))
+    return vals * np.exp(1j * gamma) / (np.sqrt(k_alpha) * lam)
+
+
 def physical_field(expansion: ProfileExpansion, P: ParamPoint, gamma: float):
     """u(x) = k(α)^{-1/2} λ^{-1} Q_P((x-α)/λ) e^{iγ} as a point evaluator."""
     k_alpha = float(expansion.model.k(P.alpha))
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        dx = pts[..., 0] - P.alpha[0]
-        dy = pts[..., 1] - P.alpha[1]
-        r = np.hypot(dx, dy) / P.lam
-        th = np.arctan2(dy, dx)
-        return expansion.eval_QP(P, r, th) * np.exp(1j * gamma) / (np.sqrt(k_alpha) * P.lam)
-
-    return evaluate
+    return partial(modulated, partial(expansion.eval_QP, P), P.lam, P.alpha, gamma, k_alpha)

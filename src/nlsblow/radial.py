@@ -67,12 +67,10 @@ class RadialFunction:
             self.tail_rate = fit_tail_rate(self.grid, self.values)
 
     def __call__(self, r):
-        from scipy.interpolate import CubicSpline
+        """Cubic spline in r, zero beyond r_max."""
+        from .fields import AngularField
 
-        spl = CubicSpline(self.grid.nodes, self.values)
-        r = np.asarray(r, dtype=float)
-        out = np.where(r <= self.grid.r_max, spl(np.clip(r, 0.0, self.grid.r_max)), 0.0)
-        return out
+        return AngularField.radial(self.grid, self.values).at(r, 0.0).real
 
 
 @dataclass(frozen=True)
@@ -90,11 +88,14 @@ class Moments:
                 raise ValueError(f"moment {name} must be positive")
 
 
-def fit_tail_rate(grid: RadialGrid, values: np.ndarray, decades: float = 1.0,
-                  floor_rel: float = 1e-9) -> float:
+TAIL_DECADES = 1.0     # width of the fit window of fit_tail_rate, in decades of |f|
+TAIL_FLOOR_REL = 1e-9  # the window's floor relative to max|f|
+
+
+def fit_tail_rate(grid: RadialGrid, values: np.ndarray) -> float:
     """Fit d(log|f|)/dr over the last clean decade of amplitude.
 
-    The window is the decade of |f| just above max(floor_rel*max|f|, |f(r_max)|),
+    The window is the decade of |f| just above max(TAIL_FLOOR_REL*max|f|, |f(r_max)|),
     which keeps the fit off the numerical noise floor of solved profiles.
     Returns 0.0 for profiles with no usable tail (e.g. all zeros).
     """
@@ -104,8 +105,8 @@ def fit_tail_rate(grid: RadialGrid, values: np.ndarray, decades: float = 1.0,
     vmax = v.max()
     if vmax == 0.0:
         return 0.0
-    tail_val = max(v[-1], vmax * floor_rel)
-    lo, hi = tail_val * (1.0 - 1e-12), tail_val * 10.0**decades
+    tail_val = max(v[-1], vmax * TAIL_FLOOR_REL)
+    lo, hi = tail_val * (1.0 - 1e-12), tail_val * 10.0**TAIL_DECADES
     mask = (v >= lo) & (v <= hi) & (grid.nodes > 0.25 * grid.r_max)
     if mask.sum() < 4:
         return 0.0

@@ -40,8 +40,8 @@ class ComplexField2D:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         n = self.values.shape[0]
-        if self.values.shape != (n, n) or n & (n - 1):
-            raise ValueError("values must be square with n a power of two")
+        if self.values.shape != (n, n) or n < 1 or n & (n - 1):
+            raise ValueError("values must be square with n a power of two >= 1")
         if not np.all(np.isfinite(self.values)):
             raise BlowupNaN("non-finite field samples")
 
@@ -199,34 +199,23 @@ def pseudo_conformal_field(Q_of_r: Callable, C0: float, t: float,
 
 
 def init_from_profile(expansion, C0: float, gamma0: float, t1: float,
-                      L: float, n: int, normalize_mass: bool = False) -> ComplexField2D:
+                      L: float, n: int) -> ComplexField2D:
     """Blow-up initial data u(t1,x) = (1/λ1)Q_P(x/λ1)e^{iγ1} on the box.
 
     The parameters follow the backwards-integration data b1 = -t1/C0²,
     λ1 = -t1/C0, α = β = 0, γ1 = γ0 - C0²/t1 (the k(α)^{1/2} prefactor is 1
-    at α = 0).  With normalize_mass the field is projected onto the exact
-    critical-mass sphere ∫|u|² = ∫Q², removing the O(λ1⁴) mass excess of the
-    truncated profile: the desk-scale surrogate of taking data ever closer
-    to the singularity, where that excess would vanish on its own.
+    at α = 0).
     """
     from .modeqs import existence_initial_state
-    from .profile import ParamPoint
+    from .profile import ParamPoint, physical_field
 
     st = existence_initial_state(t1, C0, gamma0)
     h = 2.0 * L / n
     if st.lam < 8.0 * h:
         raise ResolutionBreach(
             f"core scale λ = {st.lam:.4g} under 8 grid spacings (h = {h:.4g})")
-    pts = box_points(L, n)
-    X, Y = pts[..., 0], pts[..., 1]
-    r = np.hypot(X, Y) / st.lam
-    theta = np.arctan2(Y, X)
     P = ParamPoint(b=st.b, lam=st.lam)
-    vals = expansion.eval_QP(P, r, theta) * np.exp(1j * st.gamma) / st.lam
-    if normalize_mass:
-        mass = np.sum(np.abs(vals) ** 2) * h * h
-        vals = vals * np.sqrt(expansion.lab.moments.massQ / mass)
-    return ComplexField2D(L, vals, t1)
+    return ComplexField2D(L, physical_field(expansion, P, st.gamma)(box_points(L, n)), t1)
 
 
 @dataclass
@@ -251,12 +240,14 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
                               "grad_norm", "lambda_proxy")}
     snapshots = []
 
-    def record_series():
+    def record_series() -> float:
+        """Append the current state's row; returns its λ_est."""
         mass, grad2, energy, mom = _invariants(field, stepper, *stepper.gradient(field.values))
         lam_est = _scale(mass, grad2, grad_ref, mass_ref)
         for key, val in zip(series, (field.t, mass, energy, mom[0], mom[1],
                                      float(np.sqrt(grad2)), lam_est)):
             series[key].append(val)
+        return lam_est
 
     def emit_snapshot():
         if snapshot_sink is not None:
@@ -264,9 +255,10 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
         else:
             snapshots.append(field.copy())
 
-    lam_est = lambda_proxy(field, stepper, grad_ref, mass_ref)
+    # a series row's λ_est is lambda_proxy of the same state, so a dt refresh
+    # on a recorded step reuses it instead of taking a second gradient
+    lam_est = record_series()
     dt = config.c_dt * lam_est ** 2
-    record_series()
     emit_snapshot()
     recorded = snapped = True      # the current state is already emitted
     reason = "max_steps"
@@ -286,12 +278,11 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
         else:
             dt_step = dt
         field = step(field, dt_step, stepper)
-        if (istep + 1) % config.dt_refresh_every == 0:
-            lam_est = lambda_proxy(field, stepper, grad_ref, mass_ref)
-            dt = config.c_dt * lam_est ** 2
         recorded = (istep + 1) % config.series_stride == 0
-        if recorded:
-            record_series()
+        lam_row = record_series() if recorded else None
+        if (istep + 1) % config.dt_refresh_every == 0:
+            lam_est = lam_row if recorded else lambda_proxy(field, stepper, grad_ref, mass_ref)
+            dt = config.c_dt * lam_est ** 2
         snapped = (istep + 1) % config.snapshot_stride == 0
         if snapped:
             emit_snapshot()
@@ -315,7 +306,13 @@ def write_snapshot(path, field: ComplexField2D):
 
 
 def read_snapshot(path) -> ComplexField2D:
+    """Read a snapshot file; a bad header or payload raises ValueError naming it."""
     with open(path, "rb") as fh:
-        n, L, t = struct.unpack("<Qdd", fh.read(24))
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(int(n), int(n))
+        raw = fh.read()
+    n = struct.unpack_from("<Q", raw)[0] if len(raw) >= 24 else 0
+    if n < 1 or n & (n - 1) or len(raw) != 24 + 16 * n * n:
+        raise ValueError(f"{path}: {len(raw)} bytes with n = {n}; a snapshot has n a power "
+                         "of two >= 1 and 24 + 16·n² bytes")
+    _, L, t = struct.unpack_from("<Qdd", raw)
+    data = np.frombuffer(raw, dtype="<c16", offset=24).reshape(n, n)
     return ComplexField2D(float(L), data.copy(), float(t))

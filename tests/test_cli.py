@@ -93,6 +93,17 @@ def test_ode_cli_and_determinism(tmp_path):
                       "alpha1", "alpha2", "gamma", "b_over_lambda"]
 
 
+def test_ode_rejects_invalid_kmodel(tmp_path):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text("kmodel:\n  third: [2.0, 0.0, 0.0, 0.0]\n")
+    rc = main(["ode", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    rec = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert rec["error"] == "ConfigError"
+    assert any(v.startswith("kmodel: ") for v in rec["violations"])
+    assert not (tmp_path / "o" / "ode.json").exists()
+
+
 def test_appendix_b_cli(tmp_path):
     rc = main(["appendix-b", "--out", str(tmp_path / "ab")])
     assert rc == 0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from nlsblow.fields import AngularField, PolarGrid
-from nlsblow.radial import derivative
+from nlsblow.fields import AT_BLOCK, AngularField, PolarGrid
+from nlsblow.radial import RadialFunction, RadialGrid, derivative
 
 
 def _loop_gradient(vals, grid):
@@ -83,3 +83,44 @@ def test_integral_is_simpson_in_r_uniform_in_theta(rng):
     vals = rng.normal(size=(141, 12))
     expected = sum(simpson(vals[:, k] * grid.r, x=grid.r) for k in range(12)) * 2 * np.pi / 12
     assert grid.integral(vals) == pytest.approx(expected, rel=1e-13)
+
+
+def _loop_at(field, r, theta):
+    """Reference: one spline pair per mode, evaluated at every point."""
+    from scipy.interpolate import CubicSpline
+
+    nodes, r_max = field.grid.nodes, field.grid.r_max
+    out = np.zeros(r.shape, dtype=complex)
+    inside = r <= r_max
+    rc = np.clip(r, 0.0, r_max)
+    for m, v in field.comps.items():
+        sre, sim = CubicSpline(nodes, v.real), CubicSpline(nodes, v.imag)
+        out += np.where(inside, sre(rc) + 1j * sim(rc), 0.0) * np.exp(1j * m * theta)
+    return out
+
+
+def test_at_matches_per_mode_splines_bitwise(rng):
+    grid = RadialGrid(r_max=10.0, n=301)
+    modes = (0, 2, -1, 3, 1, -4)
+    field = AngularField(grid, {m: rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+                                for m in modes})
+    n_pts = 2 * AT_BLOCK + 123
+    r = rng.uniform(0.0, 13.0, size=n_pts)
+    r[:4] = (0.0, grid.r_max, np.nextafter(grid.r_max, 20.0), 12.5)
+    theta = rng.uniform(-np.pi, np.pi, size=n_pts)
+    got = field.at(r, theta)
+    ref = _loop_at(field, r, theta)
+    assert got.tobytes() == ref.tobytes()
+    assert np.all(got[r > grid.r_max] == 0.0)
+    square = field.at(r[:700].reshape(100, 7), theta[:700].reshape(100, 7))
+    assert square.tobytes() == ref[:700].reshape(100, 7).tobytes()
+
+
+def test_radial_function_is_the_field_spline(rng):
+    grid = RadialGrid(r_max=5.0, n=101)
+    f = RadialFunction(grid, np.exp(-grid.nodes) * (1.0 + 0.1 * rng.normal(size=grid.n)))
+    r = np.linspace(0.0, 6.0, 77)
+    from scipy.interpolate import CubicSpline
+
+    ref = np.where(r <= grid.r_max, CubicSpline(grid.nodes, f.values)(np.clip(r, 0.0, 5.0)), 0.0)
+    assert f(r).tobytes() == ref.tobytes()

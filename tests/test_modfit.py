@@ -104,6 +104,28 @@ def test_projected_perturbation_recovery(expansion, rng):
     assert diff < 1e-6
 
 
+def test_expansion_sampler_matches_per_mode_splines(expansion):
+    from scipy.interpolate import CubicSpline
+
+    grid = modfit.FitGrid()
+    sampler = modfit._ExpansionSampler(expansion, grid)
+    lab = expansion.lab
+    nodes, r = lab.grid.nodes, grid.r
+    q = CubicSpline(nodes, lab.Q.values)
+    assert sampler.q.tobytes() == q(r).tobytes()
+    assert sampler.dq.tobytes() == q.derivative()(r).tobytes()
+    assert sampler.rho.tobytes() == CubicSpline(nodes, lab.rho.values)(r).tobytes()
+    assert list(sampler.samples) == list(expansion.terms)
+    for mono, f in expansion.terms.items():
+        assert list(sampler.samples[mono]) == list(f.comps)
+        for m, v in f.comps.items():
+            sre, sim_ = CubicSpline(nodes, v.real), CubicSpline(nodes, v.imag)
+            val, dval = sampler.samples[mono][m]
+            assert val.tobytes() == (sre(r) + 1j * sim_(r)).tobytes()
+            ref_d = sre.derivative()(r) + 1j * sim_.derivative()(r)
+            assert dval.tobytes() == ref_d.tobytes()
+
+
 def test_field_sampler_matches_two_pass_interpolation(rng):
     # reference: cubic spline of the real and imaginary parts, each prefiltered
     from scipy.ndimage import map_coordinates

@@ -1,5 +1,7 @@
 """Split-step solver: exact solutions, conservation, ordering, I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,42 @@ def test_run_emits_final_state_once():
     assert res.series["t"].size == 3
     assert np.all(np.diff(res.series["t"]) > 0)
     assert [s.t for s in res.snapshots] == list(res.series["t"])
+
+
+def test_run_takes_one_gradient_per_recorded_state(monkeypatch):
+    # a dt refresh on a series step reuses the row's λ_est: steps 5, 10, 15, 20
+    # are recorded and 10, 20 are refreshes, so 1 + 4 gradients in all
+    L, n = 8.0, 64
+    X, Y = _grid(L, n)
+    f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
+    st = sim.Stepper(L, n, np.ones((n, n)))
+    grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
+    calls = []
+    gradient = sim.Stepper.gradient
+
+    def counting(self, u):
+        calls.append(1)
+        return gradient(self, u)
+
+    monkeypatch.setattr(sim.Stepper, "gradient", counting)
+    cfg = sim.SimConfig(L=L, n=n, c_dt=0.01, t_start=-0.5, max_steps=20,
+                        series_stride=5, dt_refresh_every=10, snapshot_stride=100)
+    res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
+    assert res.series["t"].size == 5
+    assert len(calls) == 5
+
+
+def test_read_snapshot_rejects_zero_n_header(tmp_path):
+    p = tmp_path / "zero.bin"
+    p.write_bytes(struct.pack("<Qdd", 0, 8.0, -0.5))
+    with pytest.raises(ValueError, match="zero.bin.*n = 0.*power of two"):
+        sim.read_snapshot(p)
+
+
+def test_read_snapshot_rejects_truncated_payload(tmp_path):
+    X, Y = _grid(8.0, 32)
+    p = tmp_path / "cut.bin"
+    sim.write_snapshot(p, sim.ComplexField2D(8.0, np.exp(-(X ** 2 + Y ** 2)) + 0j, -0.5))
+    p.write_bytes(p.read_bytes()[:-16])
+    with pytest.raises(ValueError, match="cut.bin.*n = 32.*24 \\+ 16·n²"):
+        sim.read_snapshot(p)
