@@ -71,7 +71,7 @@ def _lab_from(cfg):
     return get_lab(r_max=float(rg["r_max"]), n=int(rg["n"]))
 
 
-def _conformal_C0(cfg, model, lab) -> float:
+def _config_C0(cfg, model, lab) -> float:
     en = cfg.section("energy")
     if en["E0"] is not None:
         return prof.compute_C0(float(en["E0"]), model, lab)
@@ -89,7 +89,7 @@ def _model_from(cfg):
 
 def _expansion_from(cfg, lab):
     model = _model_from(cfg)
-    C0 = _conformal_C0(cfg, model, lab)
+    C0 = _config_C0(cfg, model, lab)
     return prof.build_expansion(model, C0, lab,
                                 eta_star=float(cfg.section("profile")["eta_star"]))
 
@@ -173,15 +173,13 @@ def cmd_ode(cfg, out: Path) -> int:
     lab = _lab_from(cfg)
     model = _model_from(cfg)
     consts = prof.derive_constants(model, lab)
-    C0 = _conformal_C0(cfg, model, lab)
+    C0 = _config_C0(cfg, model, lab)
     oc = cfg.section("ode")
     st = modeqs.existence_initial_state(float(oc["t1"]), C0)
     it = cfg.section("integrator")
     tr = modeqs.integrate(st, consts, s_span=(st.s, float(oc["s_end"])),
                           rtol=float(it["rtol"]), atol=float(it["atol"]),
-                          lam_min=float(it["lam_min"]), n_points=int(oc["n_points"]),
-                          include_beta4=bool(cfg.section("profile")["include_beta4"]),
-                          gamma_d1_sign=float(cfg.section("fit")["gamma_d1_sign"]))
+                          lam_min=float(it["lam_min"]), n_points=int(oc["n_points"]))
     header, rows = tr.csv_rows()
     write_csv(out / "trajectory.csv", header, rows)
     write_json(out / "ode.json", {"C0": C0, "status": tr.status,
@@ -278,6 +276,7 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
     pts = sim.box_points(first.L, first.n)
     stepper = sim.Stepper(first.L, first.n, exp.model.k(pts))
     rows = []
+    skipped = []
     for path in paths:
         field = sim.read_snapshot(path)
         if (field.L, field.n) != (first.L, first.n):
@@ -285,12 +284,12 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
                              f"({first.L}, {first.n}) of {paths[0].name}")
         try:
             dec = modfit.decompose(field, guess, exp, grid=grid)
-        except modfit.NewtonDiverged:
+        except modfit.NewtonDiverged as err:
+            skipped.append({"file": path.name, "reason": str(err)})
             continue
         guess = dec.params
         p = dec.params
-        P = prof.ParamPoint(b=p.b, lam=p.lam, beta=p.beta.copy(), alpha=p.alpha.copy())
-        wv = prof.physical_field(exp, P, p.gamma)(pts)
+        wv = prof.physical_field(exp, p)(pts)
         w_field = sim.ComplexField2D(field.L, wv, field.t)
         I_val = modfit.lyapunov_I(p, field, w_field, A, stepper)
         vb = modfit.virial_boundary(dec, A, lab.moments.ymomQ)
@@ -301,7 +300,7 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
               ["t", "b", "lambda", "alpha1", "alpha2", "beta1", "beta2", "gamma",
                "eps_L2", "eps_H1", "b_over_lambda", "I_value", "virial_boundary"],
               rows)
-    report = {"snapshots_fit": len(rows), "snapshots_total": len(paths)}
+    report = {"snapshots_fit": len(rows), "snapshots_total": len(paths), "skipped": skipped}
     if len(rows) >= 10:
         arr = np.array(rows)
         try:

@@ -31,8 +31,7 @@ DEFAULTS = {
     "radial_grid": {"r_max": 30.0, "n": 8192},
     "grid2d": {"L": 12.0, "n": 1024},
     "integrator": {"rtol": 1e-10, "atol": 1e-12, "lam_min": 1e-6},
-    "profile": {"eta_star": 0.3, "lam_scan": [0.01, 0.1, 7], "weight": 0.25,
-                "include_beta4": False},
+    "profile": {"eta_star": 0.3, "lam_scan": [0.01, 0.1, 7], "weight": 0.25},
     "sim": {
         "c_dt": 0.05,
         "t_start": -0.3,
@@ -44,12 +43,10 @@ DEFAULTS = {
         "series_stride": 5,
         "snapshot_stride": 50,
     },
-    "fit": {"r_max": 25.0, "n_r": 500, "n_theta": 64, "A": 20.0,
-            "gamma_d1_sign": -1.0},
+    "fit": {"r_max": 25.0, "n_r": 500, "n_theta": 64, "A": 20.0},
     "ode": {"t1": -0.3, "s_end": 1000.0, "n_points": 400},
     "appendix_b": {"varsig": [0.05, 0.125, 0.5], "s_values": [2.0, 5.0, 10.0, 20.0]},
     "seed": 0,
-    "out_dir": "out",
 }
 
 
@@ -165,8 +162,6 @@ def validate(data: dict) -> List[str]:
     ft = data["fit"]
     if ft["A"] < 10:
         v.append("fit.A: the virial cutoff radius must be at least 10")
-    if ft["gamma_d1_sign"] not in (-1.0, 1.0, -1, 1):
-        v.append("fit.gamma_d1_sign: must be +1 or -1")
 
     if not isinstance(data["seed"], int):
         v.append("seed: must be an integer")

@@ -87,14 +87,14 @@ class InhomogeneityModel:
         """k at points x of shape (..., 2)."""
         x = np.asarray(x, dtype=float)
         c = 1.0 - self.floor
-        if not np.any(self.hessian) and not np.any(self.third):
+        if self.is_flat:
             return np.ones(x.shape[:-1])
         return self.floor + c * np.exp(self._g(x) / c)
 
     def grad_k(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         c = 1.0 - self.floor
-        if not np.any(self.hessian) and not np.any(self.third):
+        if self.is_flat:
             return np.zeros(x.shape)
         s = np.linalg.norm(x, axis=-1)
         grad_g = np.einsum("ij,...j->...i", self.hessian, x)

@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .radial import RadialGrid, RadialFunction, Moments, quadrature, solve_ground_state, moments
-from .linops import LinearizedOps, M_MAX_DEFAULT
+from .linops import LinearizedOps
 
 DEFAULT_R_MAX = 30.0
 DEFAULT_N = 8192
@@ -45,8 +45,7 @@ class Lab:
 
 
 @lru_cache(maxsize=8)
-def get_lab(r_max: float = DEFAULT_R_MAX, n: int = DEFAULT_N,
-            m_max: int = M_MAX_DEFAULT, tol: float = 1e-10) -> Lab:
+def get_lab(r_max: float = DEFAULT_R_MAX, n: int = DEFAULT_N, tol: float = 1e-10) -> Lab:
     grid = RadialGrid(r_max, n)
     Q = solve_ground_state(grid, tol=tol)
-    return Lab(grid=grid, Q=Q, moments=moments(Q), ops=LinearizedOps(Q, m_max=m_max))
+    return Lab(grid=grid, Q=Q, moments=moments(Q), ops=LinearizedOps(Q))

@@ -15,12 +15,11 @@ from functools import lru_cache
 from typing import Literal
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from .radial import RadialGrid, RadialFunction, derivative, quadrature
 
-M_MAX_DEFAULT = 4
+M_MAX = 4                      # largest angular mode the operators accept
 SOLVABILITY_THRESHOLD = 1e-8   # largest relative kernel projection a source may have
 
 OpName = Literal["plus", "minus"]
@@ -35,7 +34,7 @@ class SolvabilityViolated(RuntimeError):
 
 
 class ModeError(ValueError):
-    """Angular mode index exceeds the configured m_max."""
+    """Angular mode index exceeds M_MAX."""
 
 
 def _d2_rows(h):
@@ -62,30 +61,37 @@ def _lap_banded_cached(r_max: float, n: int, m: int):
     c1 = _d1_rows(h)
     ab = np.zeros((5, n))  # diagonals: ab[0]=k=+2 ... ab[4]=k=-2 (solve_banded layout)
 
-    def add(i, j, v):
-        ab[2 + i - j, j] += v
-
-    s = (-1.0) ** m
-    for i in range(1, n - 1):
-        ri = r[i]
-        coefs = c2 + c1 / ri
-        for d, cc in zip((-2, -1, 0, 1, 2), coefs):
-            j = i + d
-            if j < 0:
-                add(i, -j, s * cc)      # parity ghost
-            elif j >= n:
-                pass                     # zero ghost beyond r_max
-            else:
-                add(i, j, cc)
-        add(i, i, -m * m / ri ** 2)
+    rows = np.arange(1, n - 1)
+    ri = r[rows]
+    for d in range(-2, 3):
+        cols = rows + d
+        keep = (cols >= 0) & (cols < n)          # zero ghosts beyond r_max
+        ab[2 - d, cols[keep]] = (c2[d + 2] + c1[d + 2] / ri)[keep]
+    # parity ghost f(-h) = (-1)^m f(h): row 1's k=-2 coefficient lands on its diagonal
+    ab[2, 1] += (-1.0) ** m * (c2[0] + c1[0] / r[1])
+    ab[2, rows] += -m * m / ri ** 2
     if m == 0:
         # Δf(0) = 2 f''(0) = (16 f1 - f2 - 15 f0) / (3 h²) to 4th order
-        add(0, 0, -15.0 / (3 * h * h))
-        add(0, 1, 16.0 / (3 * h * h))
-        add(0, 2, -1.0 / (3 * h * h))
+        ab[2, 0] = -15.0 / (3 * h * h)
+        ab[1, 1] = 16.0 / (3 * h * h)
+        ab[0, 2] = -1.0 / (3 * h * h)
     else:
-        add(0, 0, 1.0)  # caller interprets row 0 as f(0)=0 constraint
+        ab[2, 0] = 1.0  # caller interprets row 0 as f(0)=0 constraint
     return ab
+
+
+def banded_matvec(ab: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A @ f for A in solve_banded (2, 2) layout, ab[2 + i - j, j] = A[i, j].
+
+    The five diagonal products are summed in ascending column order, as a
+    CSR row product sums them, so the result is that of the sparse matrix.
+    """
+    n = ab.shape[1]
+    out = np.zeros(n, dtype=np.result_type(ab, f))
+    for k in range(-2, 3):            # column j = i + k
+        i0, i1 = max(0, -k), min(n, n - k)
+        out[i0:i1] += ab[2 - k, i0 + k:i1 + k] * f[i0 + k:i1 + k]
+    return out
 
 
 def _transpose_banded(ab: np.ndarray) -> np.ndarray:
@@ -95,23 +101,6 @@ def _transpose_banded(ab: np.ndarray) -> np.ndarray:
         i0, i1 = max(0, -k), min(n, n - k)
         abT[2 - k, i0 + k:i1 + k] = ab[2 + k, i0:i1]
     return abT
-
-
-def _banded_to_sparse(ab: np.ndarray) -> sp.csr_matrix:
-    n = ab.shape[1]
-    offsets = [2, 1, 0, -1, -2]
-    mats = [ab[2 - k, k:] if k >= 0 else ab[2 - k, :n + k] for k in offsets]
-    return sp.diags(mats, offsets, shape=(n, n), format="csr")
-
-
-@lru_cache(maxsize=64)
-def _lap_sparse_cached(r_max: float, n: int, m: int) -> sp.csr_matrix:
-    return _banded_to_sparse(_lap_banded_cached(r_max, n, m))
-
-
-def laplacian_matrix(grid: RadialGrid, m: int) -> sp.csr_matrix:
-    """Sparse Laplacian at harmonic m (row 0 is the origin/Dirichlet row)."""
-    return _lap_sparse_cached(grid.r_max, grid.n, m)
 
 
 def operator_banded(grid: RadialGrid, m: int, potential: np.ndarray) -> np.ndarray:
@@ -137,14 +126,12 @@ def operator_banded(grid: RadialGrid, m: int, potential: np.ndarray) -> np.ndarr
 class LinearizedOps:
     """L+ and L- on a fixed grid around a fixed ground state."""
 
-    def __init__(self, Q: RadialFunction, m_max: int = M_MAX_DEFAULT):
+    def __init__(self, Q: RadialFunction):
         self.Q = Q
         self.grid = Q.grid
-        self.m_max = m_max
         q2 = Q.values ** 2
         self._pot = {"plus": 1.0 - 3.0 * q2, "minus": 1.0 - q2}
         self._banded = {}
-        self._sparse = {}
         self._kernels = {}
         self.dQ = derivative(Q.values, self.grid, parity=+1)
 
@@ -156,16 +143,9 @@ class LinearizedOps:
             self._banded[key] = operator_banded(self.grid, m, self._pot[op])
         return self._banded[key]
 
-    def _get_sparse(self, op: OpName, m: int) -> sp.csr_matrix:
-        key = (op, m)
-        if key not in self._sparse:
-            ab = self._get_banded(op, m)
-            self._sparse[key] = _banded_to_sparse(ab)
-        return self._sparse[key]
-
     def _check_mode(self, m: int):
-        if abs(m) > self.m_max:
-            raise ModeError(f"|m|={abs(m)} exceeds m_max={self.m_max}")
+        if abs(m) > M_MAX:
+            raise ModeError(f"|m|={abs(m)} exceeds M_MAX={M_MAX}")
 
     def is_kernel_mode(self, op: OpName, m: int) -> bool:
         return (op == "plus" and abs(m) == 1) or (op == "minus" and m == 0)
@@ -214,14 +194,8 @@ class LinearizedOps:
         value at r=0 is set to 0 (all m>=1 fields vanish there).
         """
         self._check_mode(m)
-        A = self._get_sparse(op, abs(m))
-        vals = np.asarray(values)
-        if np.iscomplexobj(vals):
-            out = A @ vals.real + 1j * (A @ vals.imag)
-        else:
-            out = A @ vals
+        out = banded_matvec(self._get_banded(op, abs(m)), np.asarray(values))
         if abs(m) >= 1:
-            out = out.copy()
             out[0] = 0.0
         # Dirichlet row applied L to a decayed tail: report 0 there
         out[-1] = 0.0

@@ -4,18 +4,22 @@ The leading-order closed system for the parameters, in the rescaled time s
 (ds/dt = 1/λ²), is
 
     b_s = -b² + d0(α,α),   λ_s = -bλ,   α_s = 2βλ,
-    β_s = -bβ + c0(α)λ + β3λ³ [+ β4λ⁴],   γ_s = 1 + |β|² - d1(α,α),
+    β_s = -bβ + B(λ, α),   γ_s = 1 + |β|² - d1(α,α),
     t_s = λ²,
 
-with the quadratic forms d0, d1 and the maps c0, β3 taken from the profile
-constants.  The separate 2x2 system Z_s = [[0,-2],[ς/s²,0]] Z + F with its
-closed-form basis and variation-of-constants bound is the a-priori toolbox
-used to tame the polynomially growing null-space directions.
+with the quadratic forms d0, d1 taken from the profile constants.  The β
+forcing B(λ, α) = c0(α)λ + β3λ³ [+ β4λ⁴] is ``ProfileConstants.B`` itself;
+β4 enters only when the constants come from a built profile.  The state is
+``profile.ParamPoint``, in its vector layout [b, λ, β1, β2, α1, α2, γ, t].
+
+The separate 2x2 system Z_s = [[0,-2],[ς/s²,0]] Z + F with its closed-form
+basis and variation-of-constants bound is the a-priori toolbox used to tame
+the polynomially growing null-space directions.
 """
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
@@ -29,42 +33,14 @@ def quad(*args, **kwargs):
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         return scipy.integrate.quad(*args, **kwargs)
 
-from .profile import ProfileConstants
+from .profile import ParamPoint, ProfileConstants
 
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
 LAM_MIN_DEFAULT = 1e-6
 
 
-@dataclass
-class ModState:
-    """Modulation parameters with both clocks attached."""
-
-    b: float
-    lam: float
-    beta: np.ndarray = None
-    alpha: np.ndarray = None
-    gamma: float = 0.0
-    s: float = 0.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.beta = np.zeros(2) if self.beta is None else np.asarray(self.beta, dtype=float)
-        self.alpha = np.zeros(2) if self.alpha is None else np.asarray(self.alpha, dtype=float)
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.b, self.lam, self.beta[0], self.beta[1],
-                         self.alpha[0], self.alpha[1], self.gamma, self.t])
-
-    @classmethod
-    def from_vector(cls, v, s) -> "ModState":
-        return cls(b=v[0], lam=v[1], beta=v[2:4].copy(), alpha=v[4:6].copy(),
-                   gamma=v[6], s=s, t=v[7])
-
-
-def existence_initial_state(t1: float, C0: float, gamma0: float = 0.0) -> ModState:
+def existence_initial_state(t1: float, C0: float, gamma0: float = 0.0) -> ParamPoint:
     """The backwards-integration data: b = -t1/C0², λ = -t1/C0, α = β = 0.
 
     The rescaled clock starts at s1 = C0²/|t1| so that λ(s)·s -> C0 exactly
@@ -72,27 +48,22 @@ def existence_initial_state(t1: float, C0: float, gamma0: float = 0.0) -> ModSta
     """
     if t1 >= 0:
         raise ValueError("t1 must be negative (blow-up at t = 0)")
-    return ModState(b=-t1 / C0 ** 2, lam=-t1 / C0, gamma=gamma0 - C0 ** 2 / t1,
-                    s=C0 ** 2 / abs(t1), t=t1)
+    return ParamPoint(b=-t1 / C0 ** 2, lam=-t1 / C0, gamma=gamma0 - C0 ** 2 / t1,
+                      s=C0 ** 2 / abs(t1), t=t1)
 
 
-def modulation_rhs(vec: np.ndarray, constants: ProfileConstants,
-                   include_beta4: bool = False,
-                   gamma_d1_sign: float = -1.0) -> np.ndarray:
-    """Right side of the closed modulation system in s (state layout as ModState)."""
+def modulation_rhs(vec: np.ndarray, constants: ProfileConstants) -> np.ndarray:
+    """Right side of the closed modulation system in s (ParamPoint vector layout)."""
     b, lam = vec[0], vec[1]
     beta = vec[2:4]
     alpha = vec[4:6]
     c = constants
-    Bvec = lam * c.c0(alpha) + c.beta3 * lam ** 3
-    if include_beta4 and c.beta4 is not None:
-        Bvec = Bvec + c.beta4 * lam ** 4
     out = np.empty(8)
     out[0] = -b * b + c.d0(alpha)
     out[1] = -b * lam
-    out[2:4] = -b * beta + Bvec
+    out[2:4] = -b * beta + c.B(lam, alpha)
     out[4:6] = 2.0 * beta * lam
-    out[6] = 1.0 + beta @ beta + gamma_d1_sign * c.d1(alpha)
+    out[6] = 1.0 + beta @ beta - c.d1(alpha)
     out[7] = lam * lam
     return out
 
@@ -102,7 +73,7 @@ class Trajectory:
     """Dense modulation trajectory sampled on the rescaled-time grid s."""
 
     s: np.ndarray
-    states: np.ndarray          # (n, 8) rows in ModState vector layout
+    states: np.ndarray          # (n, 8) rows in ParamPoint vector layout
     status: str = "completed"
 
     @property
@@ -129,8 +100,8 @@ class Trajectory:
     def t(self):
         return self.states[:, 7]
 
-    def state(self, i: int) -> ModState:
-        return ModState.from_vector(self.states[i], self.s[i])
+    def state(self, i: int) -> ParamPoint:
+        return ParamPoint.from_vector(self.states[i], self.s[i])
 
     def csv_rows(self):
         header = ["s", "t", "b", "lambda", "beta1", "beta2",
@@ -147,23 +118,24 @@ class StepUnderflow(RuntimeError):
     """The integrator stalled approaching the λ -> 0 degeneracy."""
 
 
-def integrate(state0: ModState, constants: ProfileConstants, s_span=None,
+def integrate(state0: ParamPoint, constants: ProfileConstants, s_span=None,
               t_span=None, rtol: float = RTOL_DEFAULT, atol: float = ATOL_DEFAULT,
-              lam_min: float = LAM_MIN_DEFAULT, n_points: int = 400,
-              include_beta4: bool = False, gamma_d1_sign: float = -1.0) -> Trajectory:
+              lam_min: float = LAM_MIN_DEFAULT, n_points: int = 400) -> Trajectory:
     """Integrate the closed system in s (or in t with t_span), adaptively (RK45).
 
     Stops cleanly at λ = lam_min; forward and backward spans both work.
     """
+    if state0.lam <= 0:
+        raise ValueError("lambda must be positive")
     if (s_span is None) == (t_span is None):
         raise ValueError("provide exactly one of s_span, t_span")
     in_t = t_span is not None
 
     def rhs_s(s, v):
-        return modulation_rhs(v, constants, include_beta4, gamma_d1_sign)
+        return modulation_rhs(v, constants)
 
     def rhs_t(t, v):
-        return modulation_rhs(v, constants, include_beta4, gamma_d1_sign) / v[1] ** 2
+        return modulation_rhs(v, constants) / v[1] ** 2
 
     def hit_lam_min(x, v):
         return v[1] - lam_min
@@ -193,8 +165,6 @@ def integrate(state0: ModState, constants: ProfileConstants, s_span=None,
     if in_t:
         # recover s from the integrated clock: s = s0 + ∫ dt/λ²
         # (the state vector carries t; s is the independent variable otherwise)
-        s_vals = np.empty_like(xs)
-        s_vals[0] = state0.s
         from scipy.integrate import cumulative_trapezoid
 
         fine = np.linspace(span[0], x_end, 4 * xs.size)
@@ -222,7 +192,6 @@ class AppendixBSystem:
     dz_minus: Callable
     wronskian: float
     regime: str
-    forcing: Optional[Callable] = None
 
     def Z_plus(self, s):
         return np.stack([self.z_plus(s), -0.5 * self.dz_plus(s)])

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
 from .fields import AngularField, PolarGrid
-from .modeqs import ModState
 from .profile import ParamPoint, ProfileExpansion, modulated
 from .sim import ComplexField2D, Stepper, box_points
 
@@ -151,7 +150,7 @@ class FieldSampler:
 
 @dataclass
 class Decomposition:
-    params: ModState
+    params: ParamPoint
     epsilon: np.ndarray          # on the polar fit grid, rescaled variables
     fit_grid: FitGrid
     residuals: np.ndarray        # the 7 orthogonality values at the solution
@@ -161,25 +160,20 @@ class Decomposition:
     windows: dict = dc_field(default_factory=dict, repr=False)
 
 
-def _window_fields(sampler: _ExpansionSampler, grid: FitGrid, p: np.ndarray):
-    """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ and ρ1/ρ2 at parameters p."""
-    b, lam = p[0], p[1]
-    beta = p[2:4]
-    P = ParamPoint(b=b, lam=lam, beta=beta.copy(), alpha=p[4:6].copy())
-    r = grid.r
-    theta = grid.theta
+def _window_fields(sampler: _ExpansionSampler, grid: FitGrid, P: ParamPoint):
+    """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ and ρ1/ρ2 at parameters P."""
+    r = grid.r[:, None]
+    theta = grid.theta[None, :]
     Pv, dPr, dPth = sampler.eval_with_grad(P)
-    ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
-    phase = -b * r[:, None] ** 2 / 4.0 + r[:, None] * (beta[0] * ct + beta[1] * st)
-    eip = np.exp(1j * phase)
+    ct, st = np.cos(theta), np.sin(theta)
+    eip = np.exp(1j * P.phase(r, theta))
     QP = Pv * eip
-    u_r = -0.5 * b * r[:, None] + beta[0] * ct + beta[1] * st
-    u_th = -beta[0] * st + beta[1] * ct
+    u_r, u_th = P.phase_gradient(r, theta)
     grad_r = (dPr + 1j * Pv * u_r) * eip
     grad_th = (dPth + 1j * Pv * u_th) * eip
     gx = ct * grad_r - st * grad_th
     gy = st * grad_r + ct * grad_th
-    lam_qp = QP + r[:, None] * grad_r
+    lam_qp = QP + r * grad_r
     rho_c = sampler.rho[:, None] * eip
     return {"QP": QP, "gx": gx, "gy": gy, "LamQP": lam_qp, "rho": rho_c,
             "ct": ct, "st": st}
@@ -209,38 +203,41 @@ def _condition_values(eps: np.ndarray, w: dict, grid: FitGrid) -> np.ndarray:
     return np.array([grid.integral(a * eps.real + b * eps.imag) for a, b in pairs])
 
 
-def _epsilon_at(p: np.ndarray, usample: FieldSampler, sampler: _ExpansionSampler,
+def _epsilon_at(P: ParamPoint, usample: FieldSampler, sampler: _ExpansionSampler,
                 grid: FitGrid, model) -> np.ndarray:
-    b, lam = p[0], p[1]
-    alpha, gamma = p[4:6], p[6]
     r = grid.r[:, None]
     ct = np.cos(grid.theta)[None, :]
     st = np.sin(grid.theta)[None, :]
-    pts = np.stack([alpha[0] + lam * r * ct, alpha[1] + lam * r * st], axis=-1)
+    pts = np.stack([P.alpha[0] + P.lam * r * ct, P.alpha[1] + P.lam * r * st], axis=-1)
     uvals = usample(pts)
-    k_alpha = float(model.k(alpha))
-    w = _window_fields(sampler, grid, p)
-    eps = np.sqrt(k_alpha) * lam * uvals * np.exp(-1j * gamma) - w["QP"]
+    k_alpha = float(model.k(P.alpha))
+    w = _window_fields(sampler, grid, P)
+    eps = np.sqrt(k_alpha) * P.lam * uvals * np.exp(-1j * P.gamma) - w["QP"]
     return eps, w
 
 
-def decompose(u: Union[ComplexField2D, Callable], guess: ModState,
+def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
               expansion: ProfileExpansion, grid: FitGrid = FitGrid()) -> Decomposition:
     """Newton solve of the seven orthogonality conditions in the parameters.
 
-    The guess must be in the Newton basin (chain the previous snapshot's
-    result along a run); raises NewtonDiverged otherwise.
+    The Newton unknowns are the first seven entries of ``guess.to_vector()``;
+    the clock t is the field's.  The guess must be in the Newton basin (chain
+    the previous snapshot's result along a run); raises NewtonDiverged otherwise.
     """
+    if guess.lam <= 0:
+        raise ValueError("lambda must be positive")
     sampler = _cached_sampler(expansion, grid)
     usample = FieldSampler(u)
     model = expansion.model
     tol = TOL_FACTOR * expansion.lab.moments.massQ
 
-    p = np.array([guess.b, guess.lam, guess.beta[0], guess.beta[1],
-                  guess.alpha[0], guess.alpha[1], guess.gamma], dtype=float)
+    def point(pv) -> ParamPoint:
+        return ParamPoint.from_vector(np.append(pv, usample.t))
+
+    p = guess.to_vector()[:7]
 
     def residuals(pv):
-        eps, w = _epsilon_at(pv, usample, sampler, grid, model)
+        eps, w = _epsilon_at(point(pv), usample, sampler, grid, model)
         return _condition_values(eps, w, grid), eps, w
 
     def jacobian(pv, Rv):
@@ -284,9 +281,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ModState,
     dr_eps, dth_eps = grid.gradient(eps)
     l2 = np.sqrt(grid.integral(np.abs(eps) ** 2))
     h1 = np.sqrt(l2 ** 2 + grid.integral(np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2))
-    state = ModState(b=p[0], lam=p[1], beta=p[2:4].copy(), alpha=p[4:6].copy(),
-                     gamma=p[6], s=0.0, t=usample.t)
-    return Decomposition(params=state, epsilon=eps, fit_grid=grid, residuals=R,
+    return Decomposition(params=point(p), epsilon=eps, fit_grid=grid, residuals=R,
                          jacobian_cond=cond, eps_l2=float(l2), eps_h1=float(h1),
                          windows=w)
 
@@ -343,7 +338,7 @@ def fit_rate(ts, lams, window_frac: float = 0.5) -> FitReport:
 # diagnostics: the mixed energy/Morawetz functional and the virial boundary
 # ----------------------------------------------------------------------
 
-def lyapunov_I(dec_params: ModState, u: ComplexField2D, w: ComplexField2D,
+def lyapunov_I(dec_params: ParamPoint, u: ComplexField2D, w: ComplexField2D,
                A: float, stepper: Stepper) -> float:
     """I = ½∫|∇ũ|² + ½∫|ũ|²/λ² - ∫k[F(w+ũ)-F(w)-F'(w)ũ] + boundary term.
 
@@ -417,7 +412,7 @@ def constrained_random_eps(dec_windows: dict, grid: FitGrid, rng,
     return eps * (amplitude / scale)
 
 
-def rescaled_perturbation(eps: np.ndarray, grid: FitGrid, params: ModState,
+def rescaled_perturbation(eps: np.ndarray, grid: FitGrid, params: ParamPoint,
                           model, L: float, n: int) -> np.ndarray:
     """ũ(x) = k(α)^{-1/2} λ^{-1} ε((x-α)/λ) e^{iγ} sampled on the box."""
     # spectral in θ, spline in r, zero beyond r_max

@@ -9,6 +9,13 @@ the pseudo-conformal law survives because (y_j y_l Q³, ΛQ) = 0.
 Monomials in the parameters are dict keys; products and parameter
 derivatives of the expansion are exact operations on that map, so no
 numerical differentiation in parameter space ever happens.
+
+``ParamPoint`` is the one modulation state of the package: the profile, the
+modulation ODE (``modeqs``), the orthogonality fit (``modfit``) and the CLI
+all pass it.  It carries (b, λ, β, α, γ) with both clocks s and t, its
+vector layout is [b, λ, β1, β2, α1, α2, γ, t] (``to_vector``; s is the ODE's
+independent variable, so it rides beside the vector), and it owns the
+conformal phase -b|y|²/4 + β·y and that phase's gradient.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -21,6 +28,7 @@ from .fields import AngularField, PolarGrid, angular_modes
 from .kmodel import InhomogeneityModel
 from .lab import Lab
 from .linops import SolvabilityViolated  # noqa: F401  (re-exported)
+from .linops import _lap_banded_cached, banded_matvec
 from .radial import quadrature
 
 Monomial = Tuple[int, int, int, int, int, int]   # powers of (b, λ, β1, β2, α1, α2)
@@ -34,18 +42,32 @@ class EnergyConditionViolated(ValueError):
 
 @dataclass
 class ParamPoint:
-    """The modulation parameter vector P = (b, λ, β, α)."""
+    """The modulation state P = (b, λ, β, α), the phase γ and the clocks s, t."""
 
     b: float
     lam: float
     beta: np.ndarray = None
     alpha: np.ndarray = None
+    gamma: float = 0.0
+    s: float = 0.0
+    t: float = 0.0
 
     def __post_init__(self):
         self.beta = np.zeros(2) if self.beta is None else np.asarray(self.beta, dtype=float)
         self.alpha = np.zeros(2) if self.alpha is None else np.asarray(self.alpha, dtype=float)
+        # λ = 0 is admitted: the profile is evaluated at P = 0
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
+
+    def to_vector(self) -> np.ndarray:
+        """[b, λ, β1, β2, α1, α2, γ, t]."""
+        return np.array([self.b, self.lam, self.beta[0], self.beta[1],
+                         self.alpha[0], self.alpha[1], self.gamma, self.t])
+
+    @classmethod
+    def from_vector(cls, v, s: float = 0.0) -> "ParamPoint":
+        return cls(b=v[0], lam=v[1], beta=v[2:4].copy(), alpha=v[4:6].copy(),
+                   gamma=v[6], s=s, t=v[7])
 
     @property
     def size(self) -> float:
@@ -55,6 +77,18 @@ class ParamPoint:
     def check_small(self, eta_star: float = ETA_STAR_DEFAULT):
         if self.size > eta_star:
             raise ValueError(f"|P| = {self.size:.3f} exceeds the smallness radius {eta_star}")
+
+    def phase(self, r, theta) -> np.ndarray:
+        """The conformal phase -b|y|²/4 + β·y at polar points (r, θ)."""
+        r = np.asarray(r)
+        return (-self.b * r ** 2 / 4.0
+                + r * (self.beta[0] * np.cos(theta) + self.beta[1] * np.sin(theta)))
+
+    def phase_gradient(self, r, theta):
+        """Polar components of ∇phase: u_r = -(b/2) r + β·ê_r, u_θ = β·ê_θ."""
+        ct, st = np.cos(theta), np.sin(theta)
+        return (-0.5 * self.b * r + self.beta[0] * ct + self.beta[1] * st,
+                -self.beta[0] * st + self.beta[1] * ct)
 
 
 @dataclass
@@ -67,7 +101,6 @@ class ProfileConstants:
     d1_form: np.ndarray
     a1: float
     beta4: Optional[np.ndarray] = None
-    conformal_C0: Optional[float] = None
 
     def c0(self, alpha) -> np.ndarray:
         return self.c0_map @ np.asarray(alpha)
@@ -81,7 +114,7 @@ class ProfileConstants:
         return float(a @ self.d1_form @ a)
 
     def B(self, lam: float, alpha) -> np.ndarray:
-        """The momentum-law forcing λ c0(α) + β3 λ³ + β4 λ⁴."""
+        """The momentum-law forcing λ c0(α) + β3 λ³ (+ β4 λ⁴ once the profile set β4)."""
         out = lam * self.c0(alpha) + self.beta3 * lam ** 3
         if self.beta4 is not None:
             out = out + self.beta4 * lam ** 4
@@ -174,12 +207,9 @@ def _solve_field(lab: Lab, op: str, src: AngularField) -> AngularField:
 
 
 def _lap_field(lab: Lab, f: AngularField) -> AngularField:
-    from .linops import laplacian_matrix
-
     out = {}
     for m, v in f.comps.items():
-        A = laplacian_matrix(lab.grid, abs(m))
-        w = A @ v.real + 1j * (A @ v.imag)
+        w = banded_matvec(_lap_banded_cached(lab.grid.r_max, lab.grid.n, abs(m)), v)
         if abs(m) >= 1:
             w[0] = 0.0      # matrix row 0 is the f(0)=0 constraint; Δ vanishes there
         out[m] = w
@@ -239,19 +269,13 @@ class ProfileExpansion:
 
     # -- evaluation -------------------------------------------------------
 
-    def phase(self, P: ParamPoint, r, theta) -> np.ndarray:
-        """The conformal phase -b|y|²/4 + β·y."""
-        r = np.asarray(r)
-        return (-P.b * r ** 2 / 4.0
-                + r * (P.beta[0] * np.cos(theta) + P.beta[1] * np.sin(theta)))
-
     def eval_P(self, P: ParamPoint, r, theta) -> np.ndarray:
         """The conformal-frame profile P_P at matched polar point arrays."""
         return self.combined(P).at(r, theta)
 
     def eval_QP(self, P: ParamPoint, r, theta) -> np.ndarray:
         """Q_P = P_P · e^{i(-b|y|²/4 + β·y)} (Σ = Re, Θ = Im)."""
-        return self.eval_P(P, r, theta) * np.exp(1j * self.phase(P, r, theta))
+        return self.eval_P(P, r, theta) * np.exp(1j * P.phase(r, theta))
 
     def mass(self, P: ParamPoint) -> float:
         """∫|Q_P|², exact in the mode algebra (equals ∫Q² + O(P⁴))."""
@@ -271,10 +295,7 @@ class ProfileExpansion:
         r = polar.r[:, None]
         vals = self.combined(P).on_native(polar)
         dr, dth = polar.gradient(vals)
-        ct, st = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
-        # polar components of ∇phase: u_r = -(b/2) r + β·ê_r, u_θ = β·ê_θ
-        u_r = -0.5 * P.b * r + P.beta[0] * ct + P.beta[1] * st
-        u_th = -P.beta[0] * st + P.beta[1] * ct
+        u_r, u_th = P.phase_gradient(r, polar.theta[None, :])
         grad2 = np.abs(dr + 1j * vals * u_r) ** 2 + np.abs(dth + 1j * vals * u_th) ** 2
         kin = 0.5 * polar.integral(grad2)
         kappa, _ = self._kappa(P, polar)
@@ -446,7 +467,6 @@ def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
         mono[4 + j] = 1
         put(tuple(mono), Xj, imag=True)
 
-    consts.conformal_C0 = C0
     return ProfileExpansion(lab=lab, model=model, constants=consts, C0=C0,
                             terms=terms, eta_star=eta_star)
 
@@ -475,7 +495,7 @@ def modulated(F, lam: float, alpha, gamma: float, k_alpha: float,
     return vals * np.exp(1j * gamma) / (np.sqrt(k_alpha) * lam)
 
 
-def physical_field(expansion: ProfileExpansion, P: ParamPoint, gamma: float):
+def physical_field(expansion: ProfileExpansion, P: ParamPoint):
     """u(x) = k(α)^{-1/2} λ^{-1} Q_P((x-α)/λ) e^{iγ} as a point evaluator."""
     k_alpha = float(expansion.model.k(P.alpha))
-    return partial(modulated, partial(expansion.eval_QP, P), P.lam, P.alpha, gamma, k_alpha)
+    return partial(modulated, partial(expansion.eval_QP, P), P.lam, P.alpha, P.gamma, k_alpha)

@@ -267,11 +267,11 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
     q = np.maximum(q, 0.0)
     q[-1] = 0.0
 
-    lap = linops.laplacian_matrix(grid, m=0)
+    lap = linops._lap_banded_cached(grid.r_max, grid.n, 0)
     from scipy.linalg import solve_banded
 
     def residual(qv):
-        res = -(lap @ qv) + qv - qv ** 3
+        res = -linops.banded_matvec(lap, qv) + qv - qv ** 3
         res[-1] = qv[-1]         # Dirichlet row
         return res
 

@@ -207,15 +207,14 @@ def init_from_profile(expansion, C0: float, gamma0: float, t1: float,
     at α = 0).
     """
     from .modeqs import existence_initial_state
-    from .profile import ParamPoint, physical_field
+    from .profile import physical_field
 
     st = existence_initial_state(t1, C0, gamma0)
     h = 2.0 * L / n
     if st.lam < 8.0 * h:
         raise ResolutionBreach(
             f"core scale λ = {st.lam:.4g} under 8 grid spacings (h = {h:.4g})")
-    P = ParamPoint(b=st.b, lam=st.lam)
-    return ComplexField2D(L, physical_field(expansion, P, st.gamma)(box_points(L, n)), t1)
+    return ComplexField2D(L, physical_field(expansion, st)(box_points(L, n)), t1)
 
 
 @dataclass

@@ -50,6 +50,25 @@ def test_unknown_key_is_path_addressed():
     assert any(v.startswith("sim.timestep") for v in err.value.violations)
 
 
+@pytest.mark.parametrize("text, path", [
+    ("profile:\n  include_beta4: true\n", "profile.include_beta4"),
+    ("fit:\n  gamma_d1_sign: -1.0\n", "fit.gamma_d1_sign"),
+    ("out_dir: out\n", "out_dir"),
+])
+def test_removed_keys_are_unknown(text, path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert f"{path}: unknown key" in err.value.violations
+
+
+def test_ode_rejects_removed_key(tmp_path):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text("profile:\n  include_beta4: true\n")
+    rc = main(["ode", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+
 def test_verify_cli(tmp_path):
     rc = main(["verify", "--out", str(tmp_path / "v")])
     assert rc == 0
@@ -191,3 +210,25 @@ def test_analyze_rejects_snapshot_on_another_box(tmp_path):
     rec = json.loads((out / "error.json").read_text())
     assert rec["error"] == "ValueError"
     assert "snap_000001.bin" in rec["message"]
+
+
+def test_analyze_records_skipped_snapshot(tmp_path, monkeypatch):
+    from nlsblow import modfit
+
+    out = tmp_path / "s"
+    cfgfile = _simulate_small(tmp_path, out, -0.29)
+    real = modfit.decompose
+    calls = []
+
+    def diverge_on_second(field, *args, **kwargs):
+        calls.append(field.t)
+        if len(calls) == 2:
+            raise modfit.NewtonDiverged("line search failed; guess outside the basin")
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(modfit, "decompose", diverge_on_second)
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    report = json.loads((out / "analyze.json").read_text())
+    assert report["skipped"] == [{"file": "snap_000001.bin",
+                                  "reason": "line search failed; guess outside the basin"}]
+    assert report["snapshots_fit"] == report["snapshots_total"] - 1 == len(calls) - 1

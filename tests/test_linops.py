@@ -115,3 +115,62 @@ def test_cancellation(lab):
     y2q4 = quadrature(RadialFunction(lab.grid, q ** 4), 2)
     direct = lab.ops.cancellation_moment(0, 0) + lab.ops.cancellation_moment(1, 1)
     assert abs(direct - (y2q4 - y2q4)) / scale < 1e-8
+
+
+def _laplacian_row_loop(r_max, n, m):
+    """The per-row construction of the banded Laplacian, kept as the reference."""
+    from nlsblow.linops import _d1_rows, _d2_rows
+    from nlsblow.radial import RadialGrid
+
+    grid = RadialGrid(r_max, n)
+    h, r = grid.h, grid.nodes
+    c2, c1 = _d2_rows(h), _d1_rows(h)
+    ab = np.zeros((5, n))
+
+    def add(i, j, v):
+        ab[2 + i - j, j] += v
+
+    s = (-1.0) ** m
+    for i in range(1, n - 1):
+        coefs = c2 + c1 / r[i]
+        for d, cc in zip((-2, -1, 0, 1, 2), coefs):
+            j = i + d
+            if j < 0:
+                add(i, -j, s * cc)
+            elif j < n:
+                add(i, j, cc)
+        add(i, i, -m * m / r[i] ** 2)
+    if m == 0:
+        add(0, 0, -15.0 / (3 * h * h))
+        add(0, 1, 16.0 / (3 * h * h))
+        add(0, 2, -1.0 / (3 * h * h))
+    else:
+        add(0, 0, 1.0)
+    return ab
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_laplacian_bands_match_row_loop(m):
+    from nlsblow.linops import _lap_banded_cached
+
+    got = _lap_banded_cached(20.0, 2048, m)
+    assert got.tobytes() == _laplacian_row_loop(20.0, 2048, m).tobytes()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_banded_matvec_matches_sparse_product(lab_small, rng, m):
+    # the CSR row product sums its diagonals in ascending column order too
+    import scipy.sparse as sp
+
+    from nlsblow.linops import _lap_banded_cached, banded_matvec, operator_banded
+
+    g = lab_small.grid
+    n = g.n
+    f = rng.normal(size=n)
+    fc = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for ab in (_lap_banded_cached(g.r_max, n, m),
+               operator_banded(g, m, 1.0 - 3.0 * lab_small.Q.values ** 2)):
+        A = sp.diags([ab[2 - k, k:] if k >= 0 else ab[2 - k, :n + k] for k in (2, 1, 0, -1, -2)],
+                     [2, 1, 0, -1, -2], shape=(n, n), format="csr")
+        assert banded_matvec(ab, f).tobytes() == (A @ f).tobytes()
+        assert banded_matvec(ab, fc).tobytes() == (A @ fc).tobytes()

@@ -10,9 +10,7 @@ from nlsblow.kmodel import InhomogeneityModel
 @pytest.fixture(scope="module")
 def consts(lab):
     model = InhomogeneityModel(hessian=-0.2 * np.eye(2))
-    c = prof.derive_constants(model, lab)
-    c.conformal_C0 = 1.0
-    return c
+    return prof.derive_constants(model, lab)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +25,7 @@ RTOL = modeqs.RTOL_DEFAULT
 
 def test_homogeneous_closed_form(consts_zero):
     # b(1) = 1, α = β = 0, d0 ≡ 0: b(s) = 1/s, λ(s) = λ(1)/s exactly
-    st = modeqs.ModState(b=1.0, lam=0.7, s=1.0)
+    st = prof.ParamPoint(b=1.0, lam=0.7, s=1.0)
     tr = modeqs.integrate(st, consts_zero, s_span=(1.0, 200.0))
     assert np.max(np.abs(tr.b - 1.0 / tr.s)) <= 10 * RTOL
     assert np.max(np.abs(tr.lam - 0.7 / tr.s)) <= 10 * RTOL
@@ -35,20 +33,26 @@ def test_homogeneous_closed_form(consts_zero):
 
 def test_conserved_quantities_homogeneous(consts_zero):
     # with α = β = 0 and d0 = 0, b·s and λ·s are exact integrals
-    st = modeqs.ModState(b=0.5, lam=0.5, s=2.0)
+    st = prof.ParamPoint(b=0.5, lam=0.5, s=2.0)
     tr = modeqs.integrate(st, consts_zero, s_span=(2.0, 500.0))
     bs = tr.b * (tr.s + (1.0 / st.b - st.s))
     assert np.max(np.abs(bs - 1.0)) < 100 * RTOL
 
 
 def test_backward_forward_roundtrip(consts):
-    st = modeqs.ModState(b=1e-3, lam=1e-3, beta=np.array([1e-5, -2e-5]),
+    st = prof.ParamPoint(b=1e-3, lam=1e-3, beta=np.array([1e-5, -2e-5]),
                          alpha=np.array([2e-5, 1e-5]), s=10.0)
     back = modeqs.integrate(st, consts, s_span=(10.0, 1000.0))
     end = back.state(-1)
     fwd = modeqs.integrate(end, consts, s_span=(end.s, 10.0))
     v0, v1 = st.to_vector(), fwd.state(-1).to_vector()
     assert np.max(np.abs(v0 - v1)) <= 100 * RTOL * max(1.0, np.max(np.abs(v0)))
+
+
+def test_integrate_rejects_zero_lambda(consts):
+    st = prof.ParamPoint(b=0.1, lam=0.0, s=1.0)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        modeqs.integrate(st, consts, s_span=(1.0, 2.0))
 
 
 def test_d0_sign(consts, rng):
@@ -69,7 +73,7 @@ def test_existence_data_stays_on_ray(consts):
 
 
 def test_clock_consistency(consts):
-    st = modeqs.ModState(b=0.02, lam=0.02, s=50.0, t=-2.0)
+    st = prof.ParamPoint(b=0.02, lam=0.02, s=50.0, t=-2.0)
     tr = modeqs.integrate(st, consts, s_span=(50.0, 800.0))
     # the two clocks: s vs t through ds/dt = 1/λ²
     from scipy.integrate import cumulative_trapezoid

@@ -1,11 +1,12 @@
 """Decomposition round-trips, rate fitting, and the diagnostic functionals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nlsblow import modfit, profile as prof, sim
 from nlsblow.kmodel import InhomogeneityModel
-from nlsblow.modeqs import ModState
 
 
 @pytest.fixture(scope="module")
@@ -18,18 +19,13 @@ def expansion(lab, model):
     return prof.build_expansion(model, C0=1.0, lab=lab)
 
 
-def _param_state(P: prof.ParamPoint, gamma: float) -> ModState:
-    return ModState(b=P.b, lam=P.lam, beta=P.beta.copy(), alpha=P.alpha.copy(),
-                    gamma=gamma)
-
-
 def test_roundtrip_exact_profile(expansion):
-    P = prof.ParamPoint(b=0.06, lam=0.09, beta=np.array([0.004, -0.003]),
-                        alpha=np.array([0.01, 0.02]))
     gamma = 0.37
-    u = prof.physical_field(expansion, P, gamma)
-    guess = ModState(b=0.055, lam=0.095, beta=np.array([0.003, -0.002]),
-                     alpha=np.array([0.012, 0.018]), gamma=0.35)
+    P = prof.ParamPoint(b=0.06, lam=0.09, beta=np.array([0.004, -0.003]),
+                        alpha=np.array([0.01, 0.02]), gamma=gamma)
+    u = prof.physical_field(expansion, P)
+    guess = prof.ParamPoint(b=0.055, lam=0.095, beta=np.array([0.003, -0.002]),
+                            alpha=np.array([0.012, 0.018]), gamma=0.35)
     dec = modfit.decompose(u, guess, expansion)
     got = dec.params
     assert abs(got.b - P.b) < 1e-8
@@ -50,25 +46,22 @@ def test_roundtrip_many_random(expansion, rng):
                             alpha=rng.normal(scale=0.01, size=2))
         if P.size > 0.15:
             continue
-        gamma = rng.uniform(0, 2 * np.pi)
-        u = prof.physical_field(expansion, P, gamma)
-        guess = _param_state(P, gamma)
-        guess.b += 0.003
-        guess.lam *= 1.03
+        P.gamma = rng.uniform(0, 2 * np.pi)
+        u = prof.physical_field(expansion, P)
+        guess = replace(P, b=P.b + 0.003, lam=P.lam * 1.03)
         dec = modfit.decompose(u, guess, expansion)
         assert abs(dec.params.lam - P.lam) < 1e-8
         assert abs(dec.params.b - P.b) < 1e-8
 
 
 def test_projected_perturbation_recovery(expansion, rng):
-    P = prof.ParamPoint(b=0.05, lam=0.1)
     gamma = 0.2
+    P = prof.ParamPoint(b=0.05, lam=0.1, gamma=gamma)
     grid = modfit.FitGrid()
     sampler = modfit._cached_sampler(expansion, grid)
-    pvec = np.array([P.b, P.lam, 0.0, 0.0, 0.0, 0.0, gamma])
-    w = modfit._window_fields(sampler, grid, pvec)
+    w = modfit._window_fields(sampler, grid, P)
     eps = modfit.constrained_random_eps(w, grid, rng, amplitude=1e-3)
-    base = prof.physical_field(expansion, P, gamma)
+    base = prof.physical_field(expansion, P)
 
     # build the perturbed field as a callable directly in rescaled variables
     from scipy.interpolate import CubicSpline
@@ -94,8 +87,7 @@ def test_projected_perturbation_recovery(expansion, rng):
         th = np.arctan2(dy, dx)
         return base(pts) + eps_at(r, th) * np.exp(1j * gamma) / P.lam
 
-    guess = _param_state(P, gamma)
-    guess.lam *= 1.01
+    guess = replace(P, lam=P.lam * 1.01)
     dec = modfit.decompose(u_pert, guess, expansion)
     assert abs(dec.params.lam - P.lam) < 1e-6
     assert abs(dec.params.b - P.b) < 1e-6
@@ -144,13 +136,13 @@ def test_field_sampler_matches_two_pass_interpolation(rng):
 def test_roundtrip_sampled_on_box(expansion):
     # the simulation path: the exact profile sampled on a periodic box, then
     # fitted through the bicubic sampler; errors are interpolation-sized
-    P = prof.ParamPoint(b=0.06, lam=0.2, beta=np.array([0.004, -0.003]),
-                        alpha=np.array([0.01, 0.02]))
     gamma = 0.37
+    P = prof.ParamPoint(b=0.06, lam=0.2, beta=np.array([0.004, -0.003]),
+                        alpha=np.array([0.01, 0.02]), gamma=gamma)
     L, n = 6.0, 256
-    u = sim.ComplexField2D(L, prof.physical_field(expansion, P, gamma)(sim.box_points(L, n)))
-    guess = ModState(b=0.055, lam=0.21, beta=np.array([0.003, -0.002]),
-                     alpha=np.array([0.012, 0.018]), gamma=0.35)
+    u = sim.ComplexField2D(L, prof.physical_field(expansion, P)(sim.box_points(L, n)))
+    guess = prof.ParamPoint(b=0.055, lam=0.21, beta=np.array([0.003, -0.002]),
+                            alpha=np.array([0.012, 0.018]), gamma=0.35)
     got = modfit.decompose(u, guess, expansion).params
     assert abs(got.b - P.b) < 1e-5
     assert abs(got.lam - P.lam) < 1e-5
@@ -162,8 +154,8 @@ def test_roundtrip_sampled_on_box(expansion):
 def test_condition_values_match_explicit_integrals(expansion, rng):
     grid = modfit.FitGrid()
     sampler = modfit._cached_sampler(expansion, grid)
-    pvec = np.array([0.05, 0.1, 0.003, -0.002, 0.01, 0.02, 0.4])
-    w = modfit._window_fields(sampler, grid, pvec)
+    P = prof.ParamPoint(b=0.05, lam=0.1, beta=[0.003, -0.002], alpha=[0.01, 0.02], gamma=0.4)
+    w = modfit._window_fields(sampler, grid, P)
     eps = (rng.normal(size=(grid.n_r, grid.n_theta))
            + 1j * rng.normal(size=(grid.n_r, grid.n_theta))) * np.exp(-grid.r[:, None] ** 2 / 8)
     # the seven conditions written out term by term
@@ -189,20 +181,27 @@ def test_fit_grid_must_resolve_expansion_modes(expansion):
     P = prof.ParamPoint(b=0.05, lam=0.1)
     top = max(f.max_mode() for f in expansion.terms.values())
     with pytest.raises(ValueError, match="n_theta"):
-        modfit.decompose(prof.physical_field(expansion, P, 0.0), _param_state(P, 0.0),
+        modfit.decompose(prof.physical_field(expansion, P), P,
                          expansion, grid=modfit.FitGrid(n_theta=2 * top))
 
 
+def test_decompose_rejects_zero_lambda(expansion):
+    P = prof.ParamPoint(b=0.05, lam=0.1)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        modfit.decompose(prof.physical_field(expansion, P), prof.ParamPoint(b=0.05, lam=0.0),
+                         expansion)
+
+
 def test_phase_equivariance(expansion):
-    P = prof.ParamPoint(b=0.04, lam=0.11)
-    base = prof.physical_field(expansion, P, 0.5)
+    P = prof.ParamPoint(b=0.04, lam=0.11, gamma=0.5)
+    base = prof.physical_field(expansion, P)
     theta_shift = 1.1
 
     def shifted(pts):
         return base(pts) * np.exp(1j * theta_shift)
 
-    dec0 = modfit.decompose(base, _param_state(P, 0.5), expansion)
-    dec1 = modfit.decompose(shifted, _param_state(P, 0.5 + theta_shift), expansion)
+    dec0 = modfit.decompose(base, P, expansion)
+    dec1 = modfit.decompose(shifted, replace(P, gamma=0.5 + theta_shift), expansion)
     assert abs(dec0.params.lam - dec1.params.lam) < 1e-9
     d = (dec1.params.gamma - dec0.params.gamma - theta_shift) % (2 * np.pi)
     assert min(d, 2 * np.pi - d) < 1e-8
@@ -261,10 +260,10 @@ def test_lyapunov_zero_perturbation(expansion, model, lab):
     h = 2 * L / n
     x = -L + h * np.arange(n)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    w = prof.physical_field(expansion, P, 0.0)(np.stack([X, Y], axis=-1))
+    w = prof.physical_field(expansion, P)(np.stack([X, Y], axis=-1))
     fw = sim.ComplexField2D(L, w, 0.0)
     kv = model.k(np.stack([X, Y], axis=-1))
-    val = modfit.lyapunov_I(_param_state(P, 0.0), fw, fw, 20.0, sim.Stepper(L, n, kv))
+    val = modfit.lyapunov_I(P, fw, fw, 20.0, sim.Stepper(L, n, kv))
     assert val == 0.0
 
 
@@ -276,11 +275,11 @@ def test_lyapunov_matches_term_oracle(expansion, model, lab):
     h = 2 * L / n
     x = -L + h * np.arange(n)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    wv = prof.physical_field(expansion, P, 0.0)(np.stack([X, Y], axis=-1))
+    wv = prof.physical_field(expansion, P)(np.stack([X, Y], axis=-1))
     delta = 1e-3
     uv = wv * np.exp(1j * delta)
     kv = model.k(np.stack([X, Y], axis=-1))
-    got = modfit.lyapunov_I(_param_state(P, 0.0), sim.ComplexField2D(L, uv, 0.0),
+    got = modfit.lyapunov_I(P, sim.ComplexField2D(L, uv, 0.0),
                             sim.ComplexField2D(L, wv, 0.0), 20.0, sim.Stepper(L, n, kv))
 
     ut = uv - wv
@@ -306,7 +305,7 @@ def test_lyapunov_matches_term_oracle(expansion, model, lab):
 def test_virial_boundary_zero_eps(expansion, lab):
     grid = modfit.FitGrid()
     dec = modfit.Decomposition(
-        params=ModState(b=0.05, lam=0.1), epsilon=np.zeros((grid.n_r, grid.n_theta), dtype=complex),
+        params=prof.ParamPoint(b=0.05, lam=0.1), epsilon=np.zeros((grid.n_r, grid.n_theta), dtype=complex),
         fit_grid=grid, residuals=np.zeros(7), jacobian_cond=1.0, eps_l2=0.0, eps_h1=0.0)
     val = modfit.virial_boundary(dec, 20.0, lab.moments.ymomQ)
     assert val == pytest.approx(-(0.05 / 0.1) * lab.moments.ymomQ / 4.0, rel=1e-12)
@@ -315,24 +314,21 @@ def test_virial_boundary_zero_eps(expansion, lab):
 def test_coercivity_random_draws(expansion, model, lab, rng):
     # a light version of the acceptance criterion: 12 draws, single fitted c
     P = prof.ParamPoint(b=0.1, lam=0.1)
-    gamma = 0.0
     grid = modfit.FitGrid()
     sampler = modfit._cached_sampler(expansion, grid)
-    pvec = np.array([P.b, P.lam, 0, 0, 0, 0, gamma], dtype=float)
-    w = modfit._window_fields(sampler, grid, pvec)
+    w = modfit._window_fields(sampler, grid, P)
     L, n = 4.0, 256
     h = 2 * L / n
     x = -L + h * np.arange(n)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    wv = prof.physical_field(expansion, P, gamma)(np.stack([X, Y], axis=-1))
+    wv = prof.physical_field(expansion, P)(np.stack([X, Y], axis=-1))
     kv = model.k(np.stack([X, Y], axis=-1))
-    state = _param_state(P, gamma)
     ratios = []
     for _ in range(12):
         eps = modfit.constrained_random_eps(w, grid, rng, amplitude=1e-3)
-        ut = modfit.rescaled_perturbation(eps, grid, state, model, L, n)
+        ut = modfit.rescaled_perturbation(eps, grid, P, model, L, n)
         u = sim.ComplexField2D(L, wv + ut, 0.0)
-        I = modfit.lyapunov_I(state, u, sim.ComplexField2D(L, wv, 0.0), 20.0,
+        I = modfit.lyapunov_I(P, u, sim.ComplexField2D(L, wv, 0.0), 20.0,
                               sim.Stepper(L, n, kv))
         dr_eps, dth_eps = grid.gradient(eps)
         h1sq = grid.integral(np.abs(eps) ** 2 + np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2)

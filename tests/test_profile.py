@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsblow import profile as prof
 from nlsblow.fields import AngularField
 from nlsblow.kmodel import InhomogeneityModel, HessianNotNegative, homogeneous_model
-from nlsblow.linops import SolvabilityViolated
+from nlsblow.linops import M_MAX, SolvabilityViolated
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ def test_a1_cross_check_random_hessians(lab, seed):
 def test_monomial_degree_bookkeeping(expansion):
     for mono, f in expansion.terms.items():
         assert sum(mono) in (2, 3, 4)
-        assert f.max_mode() <= expansion.lab.ops.m_max
+        assert f.max_mode() <= M_MAX
 
 
 def test_T2_T3_orthogonal_to_Q(lab, expansion):
@@ -209,3 +210,64 @@ def test_constants_rezero_kernel_projections(lab, model, expansion):
                                         lambda cx, sx, v=c0_ej: v[0] * cx + v[1] * sx, 1)
         defect = lab.ops.solvability_defect("plus", src.comps[1], 1)
         assert defect < 1e-8
+
+
+def test_param_point_vector_layout():
+    P = prof.ParamPoint(b=0.1, lam=0.2, beta=[0.3, 0.4], alpha=[0.5, 0.6], gamma=0.7,
+                        s=8.0, t=-0.9)
+    v = P.to_vector()
+    assert v.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, -0.9]
+    back = prof.ParamPoint.from_vector(v, s=P.s)
+    assert back.to_vector().tolist() == v.tolist() and back.s == 8.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        prof.ParamPoint(b=0.0, lam=-1e-3)
+
+
+def test_phase_gradient_is_gradient_of_phase(rng):
+    P = prof.ParamPoint(b=0.3, lam=0.1, beta=[0.2, -0.5])
+    r = rng.uniform(0.5, 3.0, size=20)
+    th = rng.uniform(0.0, 2 * np.pi, size=20)
+    u_r, u_th = P.phase_gradient(r, th)
+    h = 1e-6
+    d_r = (P.phase(r + h, th) - P.phase(r - h, th)) / (2 * h)
+    d_th = (P.phase(r, th + h) - P.phase(r, th - h)) / (2 * h * r)
+    assert np.max(np.abs(u_r - d_r)) < 1e-8
+    assert np.max(np.abs(u_th - d_th)) < 1e-8
+
+
+def _rotation(phi: float) -> np.ndarray:
+    return np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+
+def _rotated(model: InhomogeneityModel, R: np.ndarray) -> InhomogeneityModel:
+    """k∘Rᵀ: the same inhomogeneity turned by the rotation R."""
+    third = np.einsum("ia,jb,lc,abc->ijl", R, R, R, model.third)
+    return InhomogeneityModel(hessian=R @ model.hessian @ R.T, third=third, floor=model.floor)
+
+
+eigenvalue = st.floats(-0.3, -0.05)
+third_entry = st.floats(-0.05, 0.05, allow_subnormal=False)
+angle = st.floats(0.0, 2 * np.pi)
+
+
+@settings(deadline=None, max_examples=40)
+@given(e1=eigenvalue, e2=eigenvalue, h_angle=angle,
+       third=st.lists(third_entry, min_size=8, max_size=8), k1=st.floats(0.1, 0.9), phi=angle)
+def test_constants_rotate_with_k(lab, e1, e2, h_angle, third, k1, phi):
+    # k turned by R: the forms become R·M·Rᵀ, β3 becomes R·β3, a1 is a scalar
+    U, R = _rotation(h_angle), _rotation(phi)
+    model = InhomogeneityModel(hessian=U @ np.diag([e1, e2]) @ U.T,
+                               third=np.reshape(third, (2, 2, 2)), floor=k1)
+    base = prof.derive_constants(model, lab)
+    turned = prof.derive_constants(_rotated(model, R), lab)
+
+    def close(got, want, scale):
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+    for name in ("c0_map", "d0_form", "d1_form"):
+        want = R @ getattr(base, name) @ R.T
+        close(getattr(turned, name), want, np.max(np.abs(want)))
+    # β3 is linear in T; components that cancel are held to the scale T sets
+    b3_scale = max(np.max(np.abs(base.beta3)), 1e-4 * np.max(np.abs(model.third)))
+    close(turned.beta3, R @ base.beta3, b3_scale)
+    close(turned.a1, base.a1, abs(base.a1))
