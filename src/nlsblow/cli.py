@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import modeqs, modfit, profile as prof, sim
-from .config import ConfigError, load_config, validate
+from .config import ConfigError, load_config
+from .fields import PolarGrid
 from .lab import get_lab
 
 
@@ -225,11 +226,11 @@ def cmd_simulate(cfg, out: Path) -> int:
     g2 = cfg.section("grid2d")
     si = cfg.section("sim")
     L, n = float(g2["L"]), int(g2["n"])
-    field0 = sim.init_from_profile(exp, exp.C0, 0.0, float(si["t_start"]), L, n)
+    field0 = sim.init_from_profile(exp, 0.0, float(si["t_start"]), L, n)
     k_vals = exp.model.k(sim.box_points(L, n))
     cfg_run = sim.SimConfig(
-        L=L, n=n, c_dt=float(si["c_dt"]), t_start=float(si["t_start"]),
-        t_stop=si["t_stop"], lam_stop=si["lam_stop"], dealias=bool(si["dealias"]),
+        L=L, n=n, c_dt=float(si["c_dt"]), t_stop=si["t_stop"],
+        lam_stop=si["lam_stop"], dealias=bool(si["dealias"]),
         splitting_order=int(si["splitting_order"]),
         dt_refresh_every=int(si["dt_refresh_every"]),
         series_stride=int(si["series_stride"]),
@@ -264,8 +265,8 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
     lab = _lab_from(cfg)
     exp = _expansion_from(cfg, lab)
     ft = cfg.section("fit")
-    grid = modfit.FitGrid(r_max=float(ft["r_max"]), n_r=int(ft["n_r"]),
-                          n_theta=int(ft["n_theta"]))
+    grid = PolarGrid(r_max=float(ft["r_max"]), n_r=int(ft["n_r"]),
+                     n_theta=int(ft["n_theta"]))
     A = float(ft["A"])
     snap_dir = Path(snapshots_dir) if snapshots_dir else out / "snapshots"
     paths = sorted(snap_dir.glob("snap_*.bin"))
@@ -336,46 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None,
                        help="output directory (default: $NLSBLOW_OUT/<command> or ./out)")
-        if name == "profile":
-            p.add_argument("--hxx", type=float, default=None)
-            p.add_argument("--hxy", type=float, default=None)
-            p.add_argument("--hyy", type=float, default=None)
-            p.add_argument("--third", type=float, nargs=4, default=None,
-                           metavar=("T111", "T112", "T122", "T222"))
-            p.add_argument("--k1", type=float, default=None)
-            p.add_argument("--lam-scan", type=float, nargs=3, default=None,
-                           metavar=("MIN", "MAX", "COUNT"))
         if name == "analyze":
             p.add_argument("--snapshots", default=None,
                            help="snapshot directory (default: <out>/snapshots)")
     return parser
-
-
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg.data["seed"] = int(args.seed)
-    if getattr(args, "hxx", None) is not None or getattr(args, "hyy", None) is not None \
-            or getattr(args, "hxy", None) is not None:
-        H = cfg.hessian()
-        if args.hxx is not None:
-            H[0, 0] = args.hxx
-        if args.hyy is not None:
-            H[1, 1] = args.hyy
-        if args.hxy is not None:
-            H[0, 1] = H[1, 0] = args.hxy
-        cfg.data["kmodel"]["hessian"] = H.tolist()
-    if getattr(args, "third", None) is not None:
-        cfg.data["kmodel"]["third"] = list(args.third)
-    if getattr(args, "k1", None) is not None:
-        cfg.data["kmodel"]["k1"] = args.k1
-    if getattr(args, "lam_scan", None) is not None:
-        cfg.data["profile"]["lam_scan"] = list(args.lam_scan)
-    issues = validate(cfg.data)
-    if issues:
-        raise ConfigError(issues)
 
 
 def main(argv=None) -> int:
@@ -385,7 +352,6 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
         if args.command == "analyze":
             return COMMANDS[args.command](cfg, out, snapshots_dir=args.snapshots)
         return COMMANDS[args.command](cfg, out)

@@ -5,12 +5,14 @@ The leading-order closed system for the parameters, in the rescaled time s
 
     b_s = -b² + d0(α,α),   λ_s = -bλ,   α_s = 2βλ,
     β_s = -bβ + B(λ, α),   γ_s = 1 + |β|² - d1(α,α),
-    t_s = λ²,
+    s_s = 1,               t_s = λ²,
 
 with the quadratic forms d0, d1 taken from the profile constants.  The β
 forcing B(λ, α) = c0(α)λ + β3λ³ [+ β4λ⁴] is ``ProfileConstants.B`` itself;
 β4 enters only when the constants come from a built profile.  The state is
-``profile.ParamPoint``, in its vector layout [b, λ, β1, β2, α1, α2, γ, t].
+``profile.ParamPoint``, in its vector layout [b, λ, β1, β2, α1, α2, γ, s, t]:
+both clocks are integrated states, and either one can be the independent
+variable of ``integrate``.
 
 The separate 2x2 system Z_s = [[0,-2],[ς/s²,0]] Z + F with its closed-form
 basis and variation-of-constants bound is the a-priori toolbox used to tame
@@ -58,22 +60,22 @@ def modulation_rhs(vec: np.ndarray, constants: ProfileConstants) -> np.ndarray:
     beta = vec[2:4]
     alpha = vec[4:6]
     c = constants
-    out = np.empty(8)
+    out = np.empty(9)
     out[0] = -b * b + c.d0(alpha)
     out[1] = -b * lam
     out[2:4] = -b * beta + c.B(lam, alpha)
     out[4:6] = 2.0 * beta * lam
     out[6] = 1.0 + beta @ beta - c.d1(alpha)
-    out[7] = lam * lam
+    out[7] = 1.0
+    out[8] = lam * lam
     return out
 
 
 @dataclass
 class Trajectory:
-    """Dense modulation trajectory sampled on the rescaled-time grid s."""
+    """Dense modulation trajectory, one ParamPoint vector per row."""
 
-    s: np.ndarray
-    states: np.ndarray          # (n, 8) rows in ParamPoint vector layout
+    states: np.ndarray          # (n, 9) rows in ParamPoint vector layout
     status: str = "completed"
 
     @property
@@ -97,20 +99,21 @@ class Trajectory:
         return self.states[:, 6]
 
     @property
-    def t(self):
+    def s(self):
         return self.states[:, 7]
 
+    @property
+    def t(self):
+        return self.states[:, 8]
+
     def state(self, i: int) -> ParamPoint:
-        return ParamPoint.from_vector(self.states[i], self.s[i])
+        return ParamPoint.from_vector(self.states[i])
 
     def csv_rows(self):
         header = ["s", "t", "b", "lambda", "beta1", "beta2",
                   "alpha1", "alpha2", "gamma", "b_over_lambda"]
-        rows = []
-        for i in range(self.s.size):
-            v = self.states[i]
-            rows.append([self.s[i], v[7], v[0], v[1], v[2], v[3], v[4], v[5],
-                         v[6], v[0] / v[1]])
+        rows = [[v[7], v[8], v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[0] / v[1]]
+                for v in self.states]
         return header, rows
 
 
@@ -123,57 +126,42 @@ def integrate(state0: ParamPoint, constants: ProfileConstants, s_span=None,
               lam_min: float = LAM_MIN_DEFAULT, n_points: int = 400) -> Trajectory:
     """Integrate the closed system in s (or in t with t_span), adaptively (RK45).
 
-    Stops cleanly at λ = lam_min; forward and backward spans both work.
+    The independent variable is one of the two clocks, and the right side is
+    the s system divided by that clock's own rate (1 for s, λ² for t), so
+    both clocks come out as integrated states.  The span is (start, end) and
+    starts at the state's own clock.  Stops cleanly at λ = lam_min; forward
+    and backward spans both work.
     """
     if state0.lam <= 0:
         raise ValueError("lambda must be positive")
     if (s_span is None) == (t_span is None):
         raise ValueError("provide exactly one of s_span, t_span")
-    in_t = t_span is not None
+    # the clock's entry of the ParamPoint vector
+    name, span, clock = ("s", s_span, 7) if t_span is None else ("t", t_span, 8)
+    span = np.asarray(span, dtype=float)
+    if span.shape != (2,):
+        raise ValueError(f"{name}_span must be two numbers (start, end), got {span.tolist()}")
+    v0 = state0.to_vector()
+    if abs(span[0] - v0[clock]) > 1e-12 * max(1.0, abs(span[0])):
+        raise ValueError(f"{name}_span must start at the state's own {name}")
 
-    def rhs_s(s, v):
-        return modulation_rhs(v, constants)
-
-    def rhs_t(t, v):
-        return modulation_rhs(v, constants) / v[1] ** 2
+    def rhs(x, v):
+        f = modulation_rhs(v, constants)
+        return f / f[clock]
 
     def hit_lam_min(x, v):
         return v[1] - lam_min
 
     hit_lam_min.terminal = True
 
-    if in_t:
-        span = (state0.t, t_span[1]) if len(t_span) == 1 else tuple(t_span)
-        fun, x0 = rhs_t, span[0]
-        if abs(x0 - state0.t) > 1e-12 * max(1.0, abs(x0)):
-            raise ValueError("t_span must start at the state's own t")
-    else:
-        span = tuple(s_span)
-        fun = rhs_s
-        if abs(span[0] - state0.s) > 1e-12 * max(1.0, abs(span[0])):
-            raise ValueError("s_span must start at the state's own s")
-
     xs = np.linspace(span[0], span[1], n_points)
-    sol = solve_ivp(fun, span, state0.to_vector(), method="RK45", rtol=rtol,
-                    atol=atol, dense_output=True, events=hit_lam_min)
+    sol = solve_ivp(rhs, span, v0, method="RK45", rtol=rtol, atol=atol,
+                    dense_output=True, events=hit_lam_min)
     if sol.status == -1:
         raise StepUnderflow(sol.message)
-    x_end = sol.t[-1]
-    xs = xs[(xs - span[0]) * np.sign(span[1] - span[0])
-            <= (x_end - span[0]) * np.sign(span[1] - span[0]) + 1e-300]
-    states = sol.sol(xs).T
-    if in_t:
-        # recover s from the integrated clock: s = s0 + ∫ dt/λ²
-        # (the state vector carries t; s is the independent variable otherwise)
-        from scipy.integrate import cumulative_trapezoid
-
-        fine = np.linspace(span[0], x_end, 4 * xs.size)
-        lam_f = sol.sol(fine)[1]
-        s_fine = state0.s + cumulative_trapezoid(1.0 / lam_f ** 2, fine, initial=0.0)
-        s_vals = np.interp(xs, fine, s_fine)
-        return Trajectory(s=s_vals, states=states,
-                          status="lam_min" if sol.t_events[0].size else "completed")
-    return Trajectory(s=xs, states=states,
+    direction = np.sign(span[1] - span[0])
+    xs = xs[(xs - span[0]) * direction <= (sol.t[-1] - span[0]) * direction + 1e-300]
+    return Trajectory(states=sol.sol(xs).T,
                       status="lam_min" if sol.t_events[0].size else "completed")
 
 

@@ -75,9 +75,6 @@ def phi_second(r):
 # fit grid and samplers
 # ----------------------------------------------------------------------
 
-FitGrid = PolarGrid
-
-
 def _radial_samples(f: AngularField, r: np.ndarray) -> dict:
     """{m: (f_m(r), ∂_r f_m(r))}, both from the field's one spline."""
     spl = f.spline()
@@ -90,7 +87,7 @@ def _radial_samples(f: AngularField, r: np.ndarray) -> dict:
 class _ExpansionSampler:
     """Per-term mode samples of the expansion on the fixed fit radii."""
 
-    def __init__(self, expansion: ProfileExpansion, grid: FitGrid):
+    def __init__(self, expansion: ProfileExpansion, grid: PolarGrid):
         # the im/r term reads m off the FFT column, which aliases once 2|m| >= n_θ
         top = max((f.max_mode() for f in expansion.terms.values()), default=0)
         if 2 * top >= grid.n_theta:
@@ -152,7 +149,7 @@ class FieldSampler:
 class Decomposition:
     params: ParamPoint
     epsilon: np.ndarray          # on the polar fit grid, rescaled variables
-    fit_grid: FitGrid
+    fit_grid: PolarGrid
     residuals: np.ndarray        # the 7 orthogonality values at the solution
     jacobian_cond: float
     eps_l2: float
@@ -160,7 +157,7 @@ class Decomposition:
     windows: dict = dc_field(default_factory=dict, repr=False)
 
 
-def _window_fields(sampler: _ExpansionSampler, grid: FitGrid, P: ParamPoint):
+def _window_fields(sampler: _ExpansionSampler, grid: PolarGrid, P: ParamPoint):
     """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ and ρ1/ρ2 at parameters P."""
     r = grid.r[:, None]
     theta = grid.theta[None, :]
@@ -179,7 +176,7 @@ def _window_fields(sampler: _ExpansionSampler, grid: FitGrid, P: ParamPoint):
             "ct": ct, "st": st}
 
 
-def condition_window_pairs(dec_windows: dict, grid: FitGrid):
+def condition_window_pairs(dec_windows: dict, grid: PolarGrid):
     """The (ε₁, ε₂) window pairs of the 7 conditions plus the mass direction."""
     w = dec_windows
     r = grid.r[:, None]
@@ -197,14 +194,14 @@ def condition_window_pairs(dec_windows: dict, grid: FitGrid):
     return pairs
 
 
-def _condition_values(eps: np.ndarray, w: dict, grid: FitGrid) -> np.ndarray:
+def _condition_values(eps: np.ndarray, w: dict, grid: PolarGrid) -> np.ndarray:
     """The seven orthogonality values ∫ a·ε₁ + b·ε₂, one per window pair."""
     pairs = condition_window_pairs(w, grid)[:7]
     return np.array([grid.integral(a * eps.real + b * eps.imag) for a, b in pairs])
 
 
 def _epsilon_at(P: ParamPoint, usample: FieldSampler, sampler: _ExpansionSampler,
-                grid: FitGrid, model) -> np.ndarray:
+                grid: PolarGrid, model) -> np.ndarray:
     r = grid.r[:, None]
     ct = np.cos(grid.theta)[None, :]
     st = np.sin(grid.theta)[None, :]
@@ -217,12 +214,13 @@ def _epsilon_at(P: ParamPoint, usample: FieldSampler, sampler: _ExpansionSampler
 
 
 def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
-              expansion: ProfileExpansion, grid: FitGrid = FitGrid()) -> Decomposition:
+              expansion: ProfileExpansion, grid: PolarGrid = PolarGrid()) -> Decomposition:
     """Newton solve of the seven orthogonality conditions in the parameters.
 
     The Newton unknowns are the first seven entries of ``guess.to_vector()``;
-    the clock t is the field's.  The guess must be in the Newton basin (chain
-    the previous snapshot's result along a run); raises NewtonDiverged otherwise.
+    the clock t is the field's, and s is 0 (a snapshot has no rescaled
+    clock).  The guess must be in the Newton basin (chain the previous
+    snapshot's result along a run); raises NewtonDiverged otherwise.
     """
     if guess.lam <= 0:
         raise ValueError("lambda must be positive")
@@ -232,7 +230,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
     tol = TOL_FACTOR * expansion.lab.moments.massQ
 
     def point(pv) -> ParamPoint:
-        return ParamPoint.from_vector(np.append(pv, usample.t))
+        return ParamPoint.from_vector(np.append(pv, (0.0, usample.t)))
 
     p = guess.to_vector()[:7]
 
@@ -289,7 +287,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
 _SAMPLER_CACHE = {}
 
 
-def _cached_sampler(expansion: ProfileExpansion, grid: FitGrid) -> _ExpansionSampler:
+def _cached_sampler(expansion: ProfileExpansion, grid: PolarGrid) -> _ExpansionSampler:
     key = (id(expansion), grid)
     if key not in _SAMPLER_CACHE:
         if len(_SAMPLER_CACHE) > 8:
@@ -385,7 +383,7 @@ def virial_boundary(dec: Decomposition, A: float, ymomQ: float) -> float:
     return float(-(b / lam) * ymomQ / 4.0 + term)
 
 
-def constrained_random_eps(dec_windows: dict, grid: FitGrid, rng,
+def constrained_random_eps(dec_windows: dict, grid: PolarGrid, rng,
                            amplitude: float = 1e-3, n_bumps: int = 6) -> np.ndarray:
     """A random smooth ε satisfying the 7 conditions and the mass direction."""
     r = grid.r[:, None]
@@ -412,7 +410,7 @@ def constrained_random_eps(dec_windows: dict, grid: FitGrid, rng,
     return eps * (amplitude / scale)
 
 
-def rescaled_perturbation(eps: np.ndarray, grid: FitGrid, params: ParamPoint,
+def rescaled_perturbation(eps: np.ndarray, grid: PolarGrid, params: ParamPoint,
                           model, L: float, n: int) -> np.ndarray:
     """ũ(x) = k(α)^{-1/2} λ^{-1} ε((x-α)/λ) e^{iγ} sampled on the box."""
     # spectral in θ, spline in r, zero beyond r_max

@@ -13,9 +13,9 @@ numerical differentiation in parameter space ever happens.
 ``ParamPoint`` is the one modulation state of the package: the profile, the
 modulation ODE (``modeqs``), the orthogonality fit (``modfit``) and the CLI
 all pass it.  It carries (b, λ, β, α, γ) with both clocks s and t, its
-vector layout is [b, λ, β1, β2, α1, α2, γ, t] (``to_vector``; s is the ODE's
-independent variable, so it rides beside the vector), and it owns the
-conformal phase -b|y|²/4 + β·y and that phase's gradient.
+vector layout is [b, λ, β1, β2, α1, α2, γ, s, t] (``to_vector``; the
+modulation ODE integrates both clocks as states), and it owns the conformal
+phase -b|y|²/4 + β·y and that phase's gradient.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -27,7 +27,6 @@ import numpy as np
 from .fields import AngularField, PolarGrid, angular_modes
 from .kmodel import InhomogeneityModel
 from .lab import Lab
-from .linops import SolvabilityViolated  # noqa: F401  (re-exported)
 from .linops import _lap_banded_cached, banded_matvec
 from .radial import quadrature
 
@@ -60,14 +59,14 @@ class ParamPoint:
             raise ValueError("lambda must be nonnegative")
 
     def to_vector(self) -> np.ndarray:
-        """[b, λ, β1, β2, α1, α2, γ, t]."""
+        """[b, λ, β1, β2, α1, α2, γ, s, t]."""
         return np.array([self.b, self.lam, self.beta[0], self.beta[1],
-                         self.alpha[0], self.alpha[1], self.gamma, self.t])
+                         self.alpha[0], self.alpha[1], self.gamma, self.s, self.t])
 
     @classmethod
-    def from_vector(cls, v, s: float = 0.0) -> "ParamPoint":
+    def from_vector(cls, v) -> "ParamPoint":
         return cls(b=v[0], lam=v[1], beta=v[2:4].copy(), alpha=v[4:6].copy(),
-                   gamma=v[6], s=s, t=v[7])
+                   gamma=v[6], s=v[7], t=v[8])
 
     @property
     def size(self) -> float:

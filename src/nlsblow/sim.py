@@ -43,7 +43,7 @@ class ComplexField2D:
         if self.values.shape != (n, n) or n < 1 or n & (n - 1):
             raise ValueError("values must be square with n a power of two >= 1")
         if not np.all(np.isfinite(self.values)):
-            raise BlowupNaN("non-finite field samples")
+            raise BlowupNaN(f"non-finite field samples at t = {self.t:.6g}")
 
     @property
     def n(self) -> int:
@@ -72,7 +72,6 @@ class SimConfig:
     L: float = 12.0
     n: int = 1024
     c_dt: float = 0.05
-    t_start: float = -0.5
     t_stop: Optional[float] = None
     lam_stop: Optional[float] = None
     dealias: bool = True
@@ -145,11 +144,8 @@ class Stepper:
 
 
 def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
-    """One splitting step; aborts on NaN."""
-    out = stepper.step_values(field.values, dt)
-    if not np.all(np.isfinite(out)):
-        raise BlowupNaN(f"NaN after step at t = {field.t:.6g}")
-    return ComplexField2D(field.L, out, field.t + dt)
+    """One splitting step; the new field's NaN scan aborts it."""
+    return ComplexField2D(field.L, stepper.step_values(field.values, dt), field.t + dt)
 
 
 def _norms(field: ComplexField2D, ux: np.ndarray, uy: np.ndarray):
@@ -198,18 +194,18 @@ def pseudo_conformal_field(Q_of_r: Callable, C0: float, t: float,
     return amp * np.exp(1j * (r ** 2 / (4.0 * t) - C0 ** 2 / t))
 
 
-def init_from_profile(expansion, C0: float, gamma0: float, t1: float,
-                      L: float, n: int) -> ComplexField2D:
+def init_from_profile(expansion, gamma0: float, t1: float, L: float,
+                      n: int) -> ComplexField2D:
     """Blow-up initial data u(t1,x) = (1/λ1)Q_P(x/λ1)e^{iγ1} on the box.
 
     The parameters follow the backwards-integration data b1 = -t1/C0²,
-    λ1 = -t1/C0, α = β = 0, γ1 = γ0 - C0²/t1 (the k(α)^{1/2} prefactor is 1
-    at α = 0).
+    λ1 = -t1/C0, α = β = 0, γ1 = γ0 - C0²/t1 with the expansion's own C0
+    (the k(α)^{1/2} prefactor is 1 at α = 0).
     """
     from .modeqs import existence_initial_state
     from .profile import physical_field
 
-    st = existence_initial_state(t1, C0, gamma0)
+    st = existence_initial_state(t1, expansion.C0, gamma0)
     h = 2.0 * L / n
     if st.lam < 8.0 * h:
         raise ResolutionBreach(

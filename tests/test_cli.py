@@ -134,9 +134,11 @@ def test_appendix_b_cli(tmp_path):
 
 
 def test_profile_cli_flags(tmp_path):
-    rc = main(["profile", "--out", str(tmp_path / "p"), "--hxx", "-0.3",
-               "--hyy", "-0.25", "--hxy", "0.02", "--k1", "0.6",
-               "--lam-scan", "0.02", "0.1", "4"])
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text(
+        "kmodel:\n  hessian: [[-0.3, 0.02], [0.02, -0.25]]\n  k1: 0.6\n"
+        "profile:\n  lam_scan: [0.02, 0.1, 4]\n")
+    rc = main(["profile", "--config", str(cfgfile), "--out", str(tmp_path / "p")])
     assert rc == 0
     consts = json.loads((tmp_path / "p" / "constants.json").read_text())
     assert consts["a1"] > 0

@@ -89,6 +89,26 @@ def test_integration_in_t(consts):
     tr = modeqs.integrate(st, consts, t_span=(st.t, -0.05))
     # λ(t) = -t/C0 exactly on the ray
     assert np.max(np.abs(tr.lam + tr.t / C0)) < 1e-8
+    # s is an integrated state: s = C0²/|t| exactly on the ray (T = 0)
+    assert np.max(np.abs(tr.s * np.abs(tr.t) / C0 ** 2 - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("C0, t1", [(1.0, -0.3), (1.3, -0.4), (0.8, -0.2)])
+def test_cross_clock_roundtrip(consts, C0, t1):
+    # forward in t, back in s to the start s: both clocks come back with the rest
+    st = modeqs.existence_initial_state(t1=t1, C0=C0)
+    fwd = modeqs.integrate(st, consts, t_span=(st.t, -0.05))
+    end = fwd.state(-1)
+    back = modeqs.integrate(end, consts, s_span=(end.s, st.s))
+    v0, v1 = st.to_vector(), back.state(-1).to_vector()
+    assert np.max(np.abs(v0 - v1)) <= 100 * RTOL * max(1.0, np.max(np.abs(v0)))
+
+
+@pytest.mark.parametrize("span", [(-0.05,), (-0.3, -0.2, -0.05), ()])
+def test_integrate_rejects_bad_span(consts, span):
+    st = modeqs.existence_initial_state(t1=-0.3, C0=1.0)
+    with pytest.raises(ValueError, match="t_span must be two numbers"):
+        modeqs.integrate(st, consts, t_span=span)
 
 
 def test_lam_min_stop(consts):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlsblow import modfit, profile as prof, sim
+from nlsblow.fields import PolarGrid
 from nlsblow.kmodel import InhomogeneityModel
 
 
@@ -57,7 +58,7 @@ def test_roundtrip_many_random(expansion, rng):
 def test_projected_perturbation_recovery(expansion, rng):
     gamma = 0.2
     P = prof.ParamPoint(b=0.05, lam=0.1, gamma=gamma)
-    grid = modfit.FitGrid()
+    grid = PolarGrid()
     sampler = modfit._cached_sampler(expansion, grid)
     w = modfit._window_fields(sampler, grid, P)
     eps = modfit.constrained_random_eps(w, grid, rng, amplitude=1e-3)
@@ -99,7 +100,7 @@ def test_projected_perturbation_recovery(expansion, rng):
 def test_expansion_sampler_matches_per_mode_splines(expansion):
     from scipy.interpolate import CubicSpline
 
-    grid = modfit.FitGrid()
+    grid = PolarGrid()
     sampler = modfit._ExpansionSampler(expansion, grid)
     lab = expansion.lab
     nodes, r = lab.grid.nodes, grid.r
@@ -152,7 +153,7 @@ def test_roundtrip_sampled_on_box(expansion):
 
 
 def test_condition_values_match_explicit_integrals(expansion, rng):
-    grid = modfit.FitGrid()
+    grid = PolarGrid()
     sampler = modfit._cached_sampler(expansion, grid)
     P = prof.ParamPoint(b=0.05, lam=0.1, beta=[0.003, -0.002], alpha=[0.01, 0.02], gamma=0.4)
     w = modfit._window_fields(sampler, grid, P)
@@ -182,7 +183,7 @@ def test_fit_grid_must_resolve_expansion_modes(expansion):
     top = max(f.max_mode() for f in expansion.terms.values())
     with pytest.raises(ValueError, match="n_theta"):
         modfit.decompose(prof.physical_field(expansion, P), P,
-                         expansion, grid=modfit.FitGrid(n_theta=2 * top))
+                         expansion, grid=PolarGrid(n_theta=2 * top))
 
 
 def test_decompose_rejects_zero_lambda(expansion):
@@ -303,7 +304,7 @@ def test_lyapunov_matches_term_oracle(expansion, model, lab):
 
 
 def test_virial_boundary_zero_eps(expansion, lab):
-    grid = modfit.FitGrid()
+    grid = PolarGrid()
     dec = modfit.Decomposition(
         params=prof.ParamPoint(b=0.05, lam=0.1), epsilon=np.zeros((grid.n_r, grid.n_theta), dtype=complex),
         fit_grid=grid, residuals=np.zeros(7), jacobian_cond=1.0, eps_l2=0.0, eps_h1=0.0)
@@ -314,7 +315,7 @@ def test_virial_boundary_zero_eps(expansion, lab):
 def test_coercivity_random_draws(expansion, model, lab, rng):
     # a light version of the acceptance criterion: 12 draws, single fitted c
     P = prof.ParamPoint(b=0.1, lam=0.1)
-    grid = modfit.FitGrid()
+    grid = PolarGrid()
     sampler = modfit._cached_sampler(expansion, grid)
     w = modfit._window_fields(sampler, grid, P)
     L, n = 4.0, 256

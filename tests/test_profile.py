@@ -216,9 +216,9 @@ def test_param_point_vector_layout():
     P = prof.ParamPoint(b=0.1, lam=0.2, beta=[0.3, 0.4], alpha=[0.5, 0.6], gamma=0.7,
                         s=8.0, t=-0.9)
     v = P.to_vector()
-    assert v.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, -0.9]
-    back = prof.ParamPoint.from_vector(v, s=P.s)
-    assert back.to_vector().tolist() == v.tolist() and back.s == 8.0
+    assert v.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 8.0, -0.9]
+    back = prof.ParamPoint.from_vector(v)
+    assert back.to_vector().tolist() == v.tolist() and back.s == 8.0 and back.t == -0.9
     with pytest.raises(ValueError, match="nonnegative"):
         prof.ParamPoint(b=0.0, lam=-1e-3)
 

@@ -22,6 +22,16 @@ def test_field_invariants():
         sim.ComplexField2D(8.0, np.full((64, 64), np.nan, dtype=complex))
 
 
+def test_step_raises_blowup_nan_naming_t():
+    # NaN k samples poison the nonlinear phase: the stepped field's scan aborts
+    L, n = 8.0, 16
+    X, Y = _grid(L, n)
+    f = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2)) + 0j, -0.25)
+    st = sim.Stepper(L, n, np.full((n, n), np.nan))
+    with pytest.raises(sim.BlowupNaN, match=r"at t = -0\.249$"):
+        sim.step(f, 0.001, st)
+
+
 def test_free_gaussian_linear_regime():
     # amplitude 1e-6: the cubic term is negligible, compare to the exact
     # free evolution (1+4iat)^{-1} exp(-a|x|²/(1+4iat))
@@ -119,7 +129,7 @@ def test_init_from_profile_mass(lab, profile_expansion):
     L, n = 12.0, 1024
     devs = {}
     for t1 in (-0.4, -0.2):
-        f = sim.init_from_profile(profile_expansion, 1.0, 0.0, t1, L, n)
+        f = sim.init_from_profile(profile_expansion, 0.0, t1, L, n)
         mass = np.sum(np.abs(f.values) ** 2) * f.h ** 2
         lam = -t1 / 1.0
         devs[t1] = abs(mass - lab.moments.massQ)
@@ -130,14 +140,14 @@ def test_init_from_profile_mass(lab, profile_expansion):
 
 
 def test_init_phase_equivariance(profile_expansion):
-    a = sim.init_from_profile(profile_expansion, 1.0, 0.0, -0.3, 6.0, 512)
-    b = sim.init_from_profile(profile_expansion, 1.0, 0.75, -0.3, 6.0, 512)
+    a = sim.init_from_profile(profile_expansion, 0.0, -0.3, 6.0, 512)
+    b = sim.init_from_profile(profile_expansion, 0.75, -0.3, 6.0, 512)
     assert np.allclose(b.values, a.values * np.exp(0.75j), atol=1e-12)
 
 
 def test_init_resolution_guard(profile_expansion):
     with pytest.raises(sim.ResolutionBreach):
-        sim.init_from_profile(profile_expansion, 1.0, 0.0, -0.05, 12.0, 128)
+        sim.init_from_profile(profile_expansion, 0.0, -0.05, 12.0, 128)
 
 
 def test_momentum_zero_even_data(lab, profile_expansion):
@@ -145,7 +155,7 @@ def test_momentum_zero_even_data(lab, profile_expansion):
     L, n = 6.0, 512
     X, Y = _grid(L, n)
     kv = model.k(np.stack([X, Y], axis=-1))
-    f = sim.init_from_profile(profile_expansion, 1.0, 0.0, -0.3, L, n)
+    f = sim.init_from_profile(profile_expansion, 0.0, -0.3, L, n)
     st = sim.Stepper(L, n, kv)
     mass0, _, _ = sim.conserved(f, None, st)
     for _ in range(60):
@@ -158,8 +168,8 @@ def test_momentum_zero_even_data(lab, profile_expansion):
 def test_run_termination_and_strides(lab, profile_expansion):
     L, n = 6.0, 512
     X, Y = _grid(L, n)
-    f0 = sim.init_from_profile(profile_expansion, 1.0, 0.0, -0.3, L, n)
-    cfg = sim.SimConfig(L=L, n=n, c_dt=0.02, t_start=-0.3, lam_stop=0.2,
+    f0 = sim.init_from_profile(profile_expansion, 0.0, -0.3, L, n)
+    cfg = sim.SimConfig(L=L, n=n, c_dt=0.02, lam_stop=0.2,
                         series_stride=4, snapshot_stride=16)
     res = sim.run(cfg, f0, np.ones((n, n)), lab.moments.gradQ, lab.moments.massQ)
     assert res.reason == "lam_stop"
@@ -189,7 +199,7 @@ def test_snapshot_roundtrip(tmp_path, lab):
 
 
 def test_spectral_tail_small(profile_expansion):
-    f = sim.init_from_profile(profile_expansion, 1.0, 0.0, -0.3, 6.0, 512)
+    f = sim.init_from_profile(profile_expansion, 0.0, -0.3, 6.0, 512)
     assert f.spectral_tail_fraction() < 1e-10
 
 
@@ -200,7 +210,7 @@ def test_run_emits_final_state_once():
     f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
     st = sim.Stepper(L, n, np.ones((n, n)))
     grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
-    cfg = sim.SimConfig(L=L, n=n, c_dt=0.01, t_start=-0.5, max_steps=8,
+    cfg = sim.SimConfig(L=L, n=n, c_dt=0.01, max_steps=8,
                         series_stride=4, snapshot_stride=4)
     res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
     assert res.reason == "max_steps"
@@ -225,7 +235,7 @@ def test_run_takes_one_gradient_per_recorded_state(monkeypatch):
         return gradient(self, u)
 
     monkeypatch.setattr(sim.Stepper, "gradient", counting)
-    cfg = sim.SimConfig(L=L, n=n, c_dt=0.01, t_start=-0.5, max_steps=20,
+    cfg = sim.SimConfig(L=L, n=n, c_dt=0.01, max_steps=20,
                         series_stride=5, dt_refresh_every=10, snapshot_stride=100)
     res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
     assert res.series["t"].size == 5
