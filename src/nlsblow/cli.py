@@ -20,6 +20,7 @@ from . import modeqs, modfit, profile as prof, sim
 from .config import ConfigError, load_config
 from .fields import PolarGrid
 from .lab import get_lab
+from .radial import fit_tail_rate
 
 
 def _fmt(x) -> str:
@@ -108,7 +109,7 @@ def cmd_ground_state(cfg, out: Path) -> int:
         "quarticQ": m.quarticQ,
         "ymomQ": m.ymomQ,
         "gradQ": m.gradQ,
-        "tail_rate": lab.Q.tail_rate,
+        "tail_rate": fit_tail_rate(lab.grid, lab.Q.values),
         "grid": {"r_max": lab.grid.r_max, "n": lab.grid.n},
     }
     write_json(out / "ground_state.json", report)
@@ -200,11 +201,11 @@ def cmd_appendix_b(cfg, out: Path) -> int:
         def F(s):
             return (s ** -3.0, 0.0)
 
-        Z = modeqs.decaying_solution(system, F, s_vals)
+        bound = modeqs.bound_report(system, F, s_vals)
+        Z = bound["Z"]
         flow = modeqs.integrate_linear_system(system, F, s_vals[-1], s_vals[0], Z[:, -1])
         Z_ode = flow(s_vals)
         agree = float(np.max(np.abs(Z - Z_ode)))
-        bound = modeqs.bound_report(system, F, s_vals)
         report[str(varsig)] = {
             "regime": system.regime,
             "wronskian": system.wronskian,
@@ -229,7 +230,7 @@ def cmd_simulate(cfg, out: Path) -> int:
     field0 = sim.init_from_profile(exp, 0.0, float(si["t_start"]), L, n)
     k_vals = exp.model.k(sim.box_points(L, n))
     cfg_run = sim.SimConfig(
-        L=L, n=n, c_dt=float(si["c_dt"]), t_stop=si["t_stop"],
+        c_dt=float(si["c_dt"]), t_stop=si["t_stop"],
         lam_stop=si["lam_stop"], dealias=bool(si["dealias"]),
         splitting_order=int(si["splitting_order"]),
         dt_refresh_every=int(si["dt_refresh_every"]),

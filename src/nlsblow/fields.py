@@ -177,7 +177,7 @@ class AngularField:
 
     def norm(self) -> float:
         """L²(R²) norm via the mode-orthogonality 2π Σ_m ∫ |f_m|² r dr."""
-        return float(np.sqrt(sum(quadrature(np.abs(v) ** 2, grid=self.grid, tail=False)
+        return float(np.sqrt(sum(quadrature(np.abs(v) ** 2, self.grid)
                                  for v in self.comps.values())))
 
     # ---- evaluation -----------------------------------------------------

@@ -10,11 +10,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .fields import PolarGrid
 from .radial import RadialGrid, RadialFunction, Moments, quadrature, solve_ground_state, moments
 from .linops import LinearizedOps
 
 DEFAULT_R_MAX = 30.0
 DEFAULT_N = 8192
+N_THETA = 64           # angles of Lab.polar
 
 
 @dataclass
@@ -33,15 +35,20 @@ class Lab:
         return self.ops.dQ
 
     @property
+    def polar(self) -> PolarGrid:
+        """The one polar grid of the profile's fields: this radial grid × N_THETA angles."""
+        return PolarGrid(self.grid.r_max, self.grid.n, N_THETA)
+
+    @property
     def rho_Q(self) -> float:
         """(ρ, Q) -- nondegenerate, equals ||yQ||²/2."""
-        return quadrature(self.rho.values * self.Q.values, grid=self.grid, tail=False)
+        return quadrature(self.rho.values * self.Q.values, self.grid)
 
     @property
     def y2Q_rho(self) -> float:
         """(|y|²Q, ρ)."""
         r = self.grid.nodes
-        return quadrature(r ** 2 * self.Q.values * self.rho.values, grid=self.grid, tail=False)
+        return quadrature(r ** 2 * self.Q.values * self.rho.values, self.grid)
 
 
 @lru_cache(maxsize=8)

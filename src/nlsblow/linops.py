@@ -279,7 +279,7 @@ class LinearizedOps:
         r = self.grid.nodes
         q = self.Q.values
         lam_q = q + r * self.dQ
-        radial = quadrature(r ** 2 * q ** 3 * lam_q, grid=self.grid, tail=False)
+        radial = quadrature(r ** 2 * q ** 3 * lam_q, self.grid)
         return float(ang * radial)
 
     def identity_residuals(self) -> dict:
@@ -309,4 +309,4 @@ class LinearizedOps:
 
 def norm2d(values: np.ndarray, grid: RadialGrid) -> float:
     """L²(R²) norm of a single-harmonic radial part (measure 2π r dr)."""
-    return float(np.sqrt(quadrature(np.abs(np.asarray(values)) ** 2, grid=grid, tail=False)))
+    return float(np.sqrt(quadrature(np.abs(np.asarray(values)) ** 2, grid)))

@@ -119,7 +119,11 @@ class _ExpansionSampler:
 
 
 class FieldSampler:
-    """Samples a simulation field (bicubic, periodic) or an exact evaluator."""
+    """Samples a simulation field (bicubic) or an exact evaluator.
+
+    A simulation field reads 0 outside the box [-L, L]², so a fit disk that
+    leaves the box does not see the field's periodic image.
+    """
 
     def __init__(self, u: Union[ComplexField2D, Callable]):
         if isinstance(u, ComplexField2D):
@@ -137,8 +141,10 @@ class FieldSampler:
             return self.call(pts)
         f = self.field
         idx = (pts + f.L) / f.h
-        return map_coordinates(self.coeffs, [idx[..., 0], idx[..., 1]], order=SPLINE_ORDER,
+        vals = map_coordinates(self.coeffs, [idx[..., 0], idx[..., 1]], order=SPLINE_ORDER,
                                mode="grid-wrap", prefilter=False)
+        vals[np.any(np.abs(pts) > f.L, axis=-1)] = 0.0
+        return vals
 
 
 # ----------------------------------------------------------------------

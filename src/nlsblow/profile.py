@@ -124,7 +124,7 @@ def hessian_quartic_integral(model: InhomogeneityModel, lab: Lab) -> float:
     """∫ ∇²k(0)(y,y) Q⁴ dy (negative for a negative-definite Hessian)."""
     r = lab.grid.nodes
     c0 = angular_modes(model.hess_form, 2).get(0, 0.0)
-    radial = quadrature(r ** 2 * lab.Q.values ** 4, grid=lab.grid, tail=False)
+    radial = quadrature(r ** 2 * lab.Q.values ** 4, lab.grid)
     return float(np.real(c0) * radial)
 
 
@@ -137,7 +137,7 @@ def derive_constants(model: InhomogeneityModel, lab: Lab) -> ProfileConstants:
 
     r = lab.grid.nodes
     q4 = lab.Q.values ** 4
-    rad3 = quadrature(r ** 2 * q4, grid=lab.grid, tail=False)
+    rad3 = quadrature(r ** 2 * q4, lab.grid)
     beta3 = np.zeros(2)
     for j in range(2):
         cj = angular_modes(lambda cx, sx, j=j: model.third_form(cx, sx, e=j), 2).get(0, 0.0)
@@ -150,7 +150,7 @@ def derive_constants(model: InhomogeneityModel, lab: Lab) -> ProfileConstants:
                             d1_form=d1_form, a1=a1)
 
 
-def a1_projection(model: InhomogeneityModel, lab: Lab, ntheta: int = 64) -> float:
+def a1_projection(model: InhomogeneityModel, lab: Lab) -> float:
     """a1 from its defining kernel projection (the independent route).
 
     Solves L+(T2⁰) = (1/2)∇²k(0)(y,y)Q³ and evaluates the projection
@@ -165,7 +165,7 @@ def a1_projection(model: InhomogeneityModel, lab: Lab, ntheta: int = 64) -> floa
     src = AngularField.from_angular(g, 0.5 * r ** 2 * q ** 3, model.hess_form, 2)
     T20 = _solve_field(lab, "plus", src)
 
-    polar = PolarGrid(g.r_max, g.n, ntheta)
+    polar = lab.polar
     ct, st = np.cos(polar.theta), np.sin(polar.theta)
     T20v = T20.on_native(polar).real
     hyy = r[:, None] ** 2 * model.hess_form(ct, st)[None, :]
@@ -288,9 +288,9 @@ class ProfileExpansion:
         k_alpha = float(self.model.k(P.alpha))
         return self.model.k(x) / k_alpha, k_alpha
 
-    def energy(self, P: ParamPoint, ntheta: int = 64) -> float:
+    def energy(self, P: ParamPoint) -> float:
         """Ẽ(Q_P) = (1/2)∫|∇Q_P|² - (1/4)∫ (k(λy+α)/k(α)) |Q_P|⁴."""
-        polar = PolarGrid(self.lab.grid.r_max, self.lab.grid.n, ntheta)
+        polar = self.lab.polar
         r = polar.r[:, None]
         vals = self.combined(P).on_native(polar)
         dr, dth = polar.gradient(vals)
@@ -310,7 +310,7 @@ class ProfileExpansion:
 
     # -- the self-similar equation residual --------------------------------
 
-    def residual(self, P: ParamPoint, weight: float = 0.25, ntheta: int = 64) -> dict:
+    def residual(self, P: ParamPoint, weight: float = 0.25) -> dict:
         """Weighted norms of the mismatch in the conformal-frame profile equation.
 
         The equation is evaluated with the constructed forcing B in place of
@@ -319,7 +319,7 @@ class ProfileExpansion:
         evaluator (not its Taylor polynomial).
         """
         P.check_small(self.eta_star)
-        polar = PolarGrid(self.lab.grid.r_max, self.lab.grid.n, ntheta)
+        polar = self.lab.polar
         psi = self._mismatch(P, polar)
         w2 = np.exp(2.0 * weight * polar.r)[:, None]
         l2 = np.sqrt(polar.integral(np.abs(psi) ** 2 * w2))
@@ -472,7 +472,7 @@ def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
 
 def field_pair(a: AngularField, b: AngularField) -> float:
     """Real L²(R²) pairing 2π Σ_m ∫ a_m conj(b_m) r dr."""
-    return float(sum(quadrature((v * np.conj(b.comps[m])).real, grid=a.grid, tail=False)
+    return float(sum(quadrature((v * np.conj(b.comps[m])).real, a.grid)
                      for m, v in a.comps.items() if m in b.comps))
 
 

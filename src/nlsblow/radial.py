@@ -5,24 +5,18 @@ Q is the positive radial solution of ΔQ - Q + Q^3 = 0 in R^2, i.e.
     Q'' + Q'/r - Q + Q^3 = 0,   Q'(0) = 0,   Q(r) -> 0,
 
 obtained by shooting+bisection on Q(0) followed by a collocation-Newton
-polish on the full grid.  All integrals carry the 2D measure 2π r dr, with
-an analytic exponential tail correction beyond r_max.
+polish on the full grid.  All integrals carry the 2D measure 2π r dr and
+stop at r_max, where the Dirichlet row keeps Q(r_max) = 0.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp, simpson
-from scipy.special import gammaincc, gamma as gamma_fn
 
 
 class BracketError(RuntimeError):
     """Shooting bisection failed to bracket the ground state amplitude."""
-
-
-class TailError(ValueError):
-    """Tail correction requested for a non-decaying integrand."""
 
 
 @dataclass(frozen=True)
@@ -47,15 +41,10 @@ class RadialGrid:
 
 @dataclass
 class RadialFunction:
-    """Sampled radial profile with fitted exponential decay exponent.
-
-    tail_rate is the slope of log|f| over the last decade of amplitude;
-    well-localized profiles have tail_rate < 0 (about -1 for Q).
-    """
+    """Sampled radial profile on a RadialGrid."""
 
     grid: RadialGrid
     values: np.ndarray
-    tail_rate: Optional[float] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
@@ -63,8 +52,6 @@ class RadialFunction:
             raise ValueError("values length must match grid")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite values in radial profile")
-        if self.tail_rate is None:
-            self.tail_rate = fit_tail_rate(self.grid, self.values)
 
     def __call__(self, r):
         """Cubic spline in r, zero beyond r_max."""
@@ -93,15 +80,14 @@ TAIL_FLOOR_REL = 1e-9  # the window's floor relative to max|f|
 
 
 def fit_tail_rate(grid: RadialGrid, values: np.ndarray) -> float:
-    """Fit d(log|f|)/dr over the last clean decade of amplitude.
+    """Fit d(log|f|)/dr over the last clean decade of amplitude (about -1 for Q).
 
-    The window is the decade of |f| just above max(TAIL_FLOOR_REL*max|f|, |f(r_max)|),
+    A diagnostic of how well a profile has decayed; no integral uses it.  The
+    window is the decade of |f| just above max(TAIL_FLOOR_REL*max|f|, |f(r_max)|),
     which keeps the fit off the numerical noise floor of solved profiles.
     Returns 0.0 for profiles with no usable tail (e.g. all zeros).
     """
-    v = np.abs(np.asarray(values, dtype=float))
-    if np.iscomplexobj(values):
-        v = np.abs(values)
+    v = np.abs(np.asarray(values))
     vmax = v.max()
     if vmax == 0.0:
         return 0.0
@@ -115,39 +101,13 @@ def fit_tail_rate(grid: RadialGrid, values: np.ndarray) -> float:
     return float(coef[0])
 
 
-def quadrature(f: Union[RadialFunction, np.ndarray], radial_weight_power: int = 0,
-               grid: Optional[RadialGrid] = None, tail: bool = True) -> float:
-    """2π ∫ f(r) r^(p+1) dr by composite Simpson plus an exponential tail term.
-
-    The tail term integrates f(r_max)·exp(tail_rate·(r - r_max)) analytically
-    on (r_max, ∞); it is skipped when the boundary sample is negligible.
-    """
-    if isinstance(f, RadialFunction):
-        grid, values = f.grid, f.values
-    else:
-        if grid is None:
-            raise ValueError("grid required when passing raw samples")
-        values = np.asarray(f)
+def quadrature(values: np.ndarray, grid: RadialGrid, radial_weight_power: int = 0) -> float:
+    """2π ∫_0^r_max f(r) r^(p+1) dr by composite Simpson on the grid's nodes."""
     p = int(radial_weight_power)
     if p < 0:
         raise ValueError("weight power must be >= 0")
     r = grid.nodes
-    core = 2.0 * np.pi * simpson(values * r ** (p + 1), x=r)
-
-    if not tail:
-        return float(core)
-    f_end = values[-1]
-    vmax = np.max(np.abs(values))
-    if vmax == 0.0 or abs(f_end) < 1e-14 * vmax:
-        return float(core)
-    rate = f.tail_rate if isinstance(f, RadialFunction) else fit_tail_rate(grid, values)
-    if rate is None or rate >= -1e-3:
-        raise TailError("integrand does not decay; tail correction unavailable")
-    kappa = -rate
-    R = grid.r_max
-    # ∫_R^∞ u^(p+1) e^{-κ(u-R)} du = e^{κR} κ^{-(p+2)} Γ(p+2, κR)
-    tail_int = np.exp(kappa * R) * kappa ** (-(p + 2)) * gammaincc(p + 2, kappa * R) * gamma_fn(p + 2)
-    return float(core + 2.0 * np.pi * f_end * tail_int)
+    return float(2.0 * np.pi * simpson(np.asarray(values) * r ** (p + 1), x=r))
 
 
 # ----------------------------------------------------------------------
@@ -301,11 +261,11 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
 
 def moments(Q: RadialFunction) -> Moments:
     """Mass, quartic, y-moment and gradient integrals of the ground state."""
-    q = Q.values
-    dq = derivative(q, Q.grid, parity=+1)
+    q, g = Q.values, Q.grid
+    dq = derivative(q, g, parity=+1)
     return Moments(
-        massQ=quadrature(RadialFunction(Q.grid, q * q), 0),
-        quarticQ=quadrature(RadialFunction(Q.grid, q ** 4), 0),
-        ymomQ=quadrature(RadialFunction(Q.grid, q * q), 2),
-        gradQ=quadrature(RadialFunction(Q.grid, dq * dq), 0),
+        massQ=quadrature(q * q, g),
+        quarticQ=quadrature(q ** 4, g),
+        ymomQ=quadrature(q * q, g, 2),
+        gradQ=quadrature(dq * dq, g),
     )

@@ -53,24 +53,14 @@ class ComplexField2D:
     def h(self) -> float:
         return 2.0 * self.L / self.n
 
-    def spectral_tail_fraction(self) -> float:
-        """Fraction of the spectrum's energy in the top third of wavenumbers."""
-        u_hat = _fft.fft2(self.values)
-        kx = np.fft.fftfreq(self.n)
-        mask = (np.abs(kx[:, None]) > 1.0 / 3.0) | (np.abs(kx[None, :]) > 1.0 / 3.0)
-        total = np.sum(np.abs(u_hat) ** 2)
-        return float(np.sum(np.abs(u_hat[mask]) ** 2) / (total + 1e-300))
-
     def copy(self) -> "ComplexField2D":
         return ComplexField2D(self.L, self.values.copy(), self.t)
 
 
 @dataclass
 class SimConfig:
-    """Grid, step policy and termination rules for one run."""
+    """Step policy and termination rules for one run (the box is the field's)."""
 
-    L: float = 12.0
-    n: int = 1024
     c_dt: float = 0.05
     t_stop: Optional[float] = None
     lam_stop: Optional[float] = None
@@ -84,8 +74,6 @@ class SimConfig:
     def __post_init__(self):
         if self.splitting_order not in (2, 4):
             raise ValueError("splitting_order must be 2 or 4")
-        if self.lam_stop is not None and self.lam_stop <= 4.0 * (2.0 * self.L / self.n):
-            raise ValueError("lam_stop must exceed 4 grid spacings")
 
 
 class Stepper:
@@ -141,6 +129,11 @@ class Stepper:
         ux = _fft.ifft2(1j * self.kx * u_hat)
         uy = _fft.ifft2(1j * self.ky * u_hat)
         return ux, uy
+
+    def spectral_tail_fraction(self, u: np.ndarray) -> float:
+        """Fraction of u's spectral energy in the dealiased top third of wavenumbers."""
+        power = np.abs(_fft.fft2(u)) ** 2
+        return float(np.sum(power[self._dealias_mask]) / (np.sum(power) + 1e-300))
 
 
 def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
@@ -225,10 +218,14 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
         mass_ref: float, snapshot_sink: Optional[Callable] = None) -> RunResult:
     """Advance with the adaptive dt policy, recording series and snapshots.
 
-    Snapshot emission is synchronous (single writer, bounded by construction);
-    a custom sink may stream fields to disk instead of keeping them in memory.
+    The box (L, n) is field0's.  Snapshot emission is synchronous (single
+    writer, bounded by construction); a custom sink may stream fields to disk
+    instead of keeping them in memory.
     """
-    stepper = Stepper(config.L, config.n, np.asarray(k_values, dtype=float),
+    if config.lam_stop is not None and config.lam_stop <= 4.0 * field0.h:
+        raise ValueError(f"lam_stop = {config.lam_stop:.4g} must exceed 4 grid spacings "
+                         f"(4h = {4.0 * field0.h:.4g})")
+    stepper = Stepper(field0.L, field0.n, np.asarray(k_values, dtype=float),
                       dealias=config.dealias, splitting_order=config.splitting_order)
     field = field0.copy()
     series = {k: [] for k in ("t", "mass", "energy", "momentum_x", "momentum_y",

@@ -78,6 +78,17 @@ def test_verify_cli(tmp_path):
     assert "verify.json" in manifest["files"]
 
 
+def test_ground_state_cli(tmp_path, lab):
+    rc = main(["ground-state", "--out", str(tmp_path / "g")])
+    assert rc == 0
+    report = json.loads((tmp_path / "g" / "ground_state.json").read_text())
+    assert -1.2 < report["tail_rate"] < -0.8
+    for name in ("massQ", "quarticQ", "ymomQ", "gradQ"):
+        assert report[name] == getattr(lab.moments, name)
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == ["ground_state.csv", "ground_state.json"]
+
+
 def test_config_error_produces_record(tmp_path):
     cfgfile = tmp_path / "bad.yaml"
     cfgfile.write_text("kmodel:\n  k1: 2.0\n")

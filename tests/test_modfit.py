@@ -130,8 +130,19 @@ def test_field_sampler_matches_two_pass_interpolation(rng):
     coords = [idx[..., 0], idx[..., 1]]
     ref = (map_coordinates(field.values.real, coords, order=3, mode="grid-wrap")
            + 1j * map_coordinates(field.values.imag, coords, order=3, mode="grid-wrap"))
+    ref[np.any(np.abs(pts) > L, axis=-1)] = 0.0
     got = modfit.FieldSampler(field)(pts)
     assert np.array_equal(got, ref)
+
+
+def test_field_sampler_reads_zero_outside_box():
+    # a fit disk wider than the box must not read the field's periodic image
+    L, n = 3.0, 32
+    sampler = modfit.FieldSampler(sim.ComplexField2D(L, np.ones((n, n), dtype=complex)))
+    pts = np.array([[0.0, 0.0], [L, -L], [1.2 * L, 0.0], [0.0, -2.5 * L], [-1.01 * L, 1.01 * L]])
+    got = sampler(pts)
+    assert np.allclose(got[:2], 1.0, rtol=0.0, atol=1e-12)
+    assert np.array_equal(got[2:], np.zeros(3))
 
 
 def test_roundtrip_sampled_on_box(expansion):

@@ -5,9 +5,8 @@ import pytest
 
 from nlsblow.radial import (
     RadialGrid,
-    RadialFunction,
     BracketError,
-    TailError,
+    fit_tail_rate,
     quadrature,
     derivative,
     moments,
@@ -34,7 +33,7 @@ def test_ground_state_shape(lab):
     assert q[0] > 0
     assert np.all(np.diff(q[:-1]) < 0)
     assert abs(q[-1]) <= 1e-8 * q.max()
-    assert -1.2 < lab.Q.tail_rate < -0.8
+    assert -1.2 < fit_tail_rate(lab.grid, q) < -0.8
 
 
 def test_pohozaev_suite(lab):
@@ -48,25 +47,7 @@ def test_pohozaev_suite(lab):
 
 def test_quadrature_exponential_exact():
     g = RadialGrid(40.0, 16384)
-    f = RadialFunction(g, np.exp(-g.nodes))
-    assert quadrature(f, 0) == pytest.approx(2 * np.pi, rel=1e-10)
-
-
-def test_quadrature_tail_correction_matters():
-    g = RadialGrid(18.0, 2048)
-    f = RadialFunction(g, np.exp(-0.5 * g.nodes))
-    exact = 2 * np.pi / 0.25
-    with_tail = quadrature(f, 0, tail=True)
-    without = quadrature(f, 0, tail=False)
-    assert abs(with_tail - exact) < abs(without - exact) / 50
-    assert with_tail == pytest.approx(exact, rel=1e-6)
-
-
-def test_quadrature_rejects_nondecaying():
-    g = RadialGrid(20.0, 1024)
-    f = RadialFunction(g, np.ones(g.n))
-    with pytest.raises(TailError):
-        quadrature(f, 0, tail=True)
+    assert quadrature(np.exp(-g.nodes), g) == pytest.approx(2 * np.pi, rel=1e-10)
 
 
 def test_ymom_richardson(lab):
@@ -86,7 +67,7 @@ def test_y2Q_LambdaQ_identity(lab):
     r = lab.grid.nodes
     q = lab.Q.values
     lam_q = q + r * lab.dQ
-    val = quadrature(RadialFunction(lab.grid, r ** 2 * q * lam_q), 0)
+    val = quadrature(r ** 2 * q * lam_q, lab.grid)
     assert val == pytest.approx(-lab.moments.ymomQ, rel=1e-8)
 
 

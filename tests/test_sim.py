@@ -169,7 +169,7 @@ def test_run_termination_and_strides(lab, profile_expansion):
     L, n = 6.0, 512
     X, Y = _grid(L, n)
     f0 = sim.init_from_profile(profile_expansion, 0.0, -0.3, L, n)
-    cfg = sim.SimConfig(L=L, n=n, c_dt=0.02, lam_stop=0.2,
+    cfg = sim.SimConfig(c_dt=0.02, lam_stop=0.2,
                         series_stride=4, snapshot_stride=16)
     res = sim.run(cfg, f0, np.ones((n, n)), lab.moments.gradQ, lab.moments.massQ)
     assert res.reason == "lam_stop"
@@ -181,8 +181,12 @@ def test_run_termination_and_strides(lab, profile_expansion):
 
 
 def test_lam_stop_validation():
-    with pytest.raises(ValueError):
-        sim.SimConfig(L=12.0, n=128, lam_stop=0.1)   # 4h = 0.75 > 0.1
+    # the floor is the field's own 4h = 0.75 > 0.1; run refuses before any step
+    L, n = 12.0, 128
+    X, Y = _grid(L, n)
+    f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
+    with pytest.raises(ValueError, match="lam_stop"):
+        sim.run(sim.SimConfig(lam_stop=0.1), f0, np.ones((n, n)), grad_ref=1.0, mass_ref=1.0)
 
 
 def test_snapshot_roundtrip(tmp_path, lab):
@@ -200,7 +204,7 @@ def test_snapshot_roundtrip(tmp_path, lab):
 
 def test_spectral_tail_small(profile_expansion):
     f = sim.init_from_profile(profile_expansion, 0.0, -0.3, 6.0, 512)
-    assert f.spectral_tail_fraction() < 1e-10
+    assert sim.Stepper(f.L, f.n, 1.0).spectral_tail_fraction(f.values) < 1e-10
 
 
 def test_run_emits_final_state_once():
@@ -210,7 +214,7 @@ def test_run_emits_final_state_once():
     f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
     st = sim.Stepper(L, n, np.ones((n, n)))
     grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
-    cfg = sim.SimConfig(L=L, n=n, c_dt=0.01, max_steps=8,
+    cfg = sim.SimConfig(c_dt=0.01, max_steps=8,
                         series_stride=4, snapshot_stride=4)
     res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
     assert res.reason == "max_steps"
@@ -235,7 +239,7 @@ def test_run_takes_one_gradient_per_recorded_state(monkeypatch):
         return gradient(self, u)
 
     monkeypatch.setattr(sim.Stepper, "gradient", counting)
-    cfg = sim.SimConfig(L=L, n=n, c_dt=0.01, max_steps=20,
+    cfg = sim.SimConfig(c_dt=0.01, max_steps=20,
                         series_stride=5, dt_refresh_every=10, snapshot_stride=100)
     res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
     assert res.series["t"].size == 5
