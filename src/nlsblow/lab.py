@@ -51,8 +51,13 @@ class Lab:
         return quadrature(r ** 2 * self.Q.values * self.rho.values, self.grid)
 
 
-@lru_cache(maxsize=8)
 def get_lab(r_max: float = DEFAULT_R_MAX, n: int = DEFAULT_N, tol: float = 1e-10) -> Lab:
+    """The lab on (r_max, n, tol), built once per process however it is called."""
+    return _build_lab(float(r_max), int(n), float(tol))
+
+
+@lru_cache(maxsize=8)
+def _build_lab(r_max: float, n: int, tol: float) -> Lab:
     grid = RadialGrid(r_max, n)
     Q = solve_ground_state(grid, tol=tol)
     return Lab(grid=grid, Q=Q, moments=moments(Q), ops=LinearizedOps(Q))

@@ -201,52 +201,60 @@ class LinearizedOps:
         out[-1] = 0.0
         return out
 
-    def solvability_defect(self, op: OpName, values: np.ndarray, m: int) -> float:
-        """Relative size of the source component along the kernel of (op, m).
+    def solvability_defect(self, op: OpName, values: np.ndarray, m: int,
+                           scale: float = 0.0) -> float:
+        """Size of the source component along the kernel of (op, m).
 
         Uses the left null vector of the discrete operator, so a defect of
-        zero means the banded system is consistent to machine precision.
+        zero means the banded system is consistent to machine precision.  The
+        projection is divided by max(‖values‖, scale): `scale` is the size the
+        source's roundoff is relative to, when that exceeds the source itself.
         """
         if not self.is_kernel_mode(op, m):
             return 0.0
+        den = max(vector_norm(values), scale)
+        if den == 0.0:
+            return 0.0
         w = self.kernel_vector(op, m, side="left")
-        num = abs(np.dot(w, values))
-        den = np.linalg.norm(values) + 1e-300
-        return float(num / den)
+        return float(abs(np.dot(w, values)) / den)
 
-    def solve(self, op: OpName, gvalues: np.ndarray, m: int) -> np.ndarray:
+    def solve(self, op: OpName, gvalues: np.ndarray, m: int, scale: float = 0.0) -> np.ndarray:
         """Solve L±f = g at mode m; gauge f ⟂ kernel in the r dr pairing.
 
-        Raises SolvabilityViolated when a kernel mode receives a source with
-        relative kernel projection above SOLVABILITY_THRESHOLD.
+        Raises SolvabilityViolated when a kernel mode receives a source whose
+        `solvability_defect` (with `scale`) exceeds SOLVABILITY_THRESHOLD.  A
+        complex source is measured once, as a whole: a part that is small next
+        to the other carries the other's roundoff, so its own relative defect
+        has no meaning.
         """
         self._check_mode(m)
         g = np.asarray(gvalues)
-        if np.iscomplexobj(g):
-            # parts at roundoff level relative to the other are dropped: the
-            # defect of pure noise is an O(1) ratio with no meaning
-            scale = max(np.max(np.abs(g.real)), np.max(np.abs(g.imag)), 1e-300)
-            out = np.zeros(g.shape, dtype=complex)
-            if np.max(np.abs(g.real)) > 1e-13 * scale:
-                out += self.solve(op, g.real, m)
-            if np.max(np.abs(g.imag)) > 1e-13 * scale:
-                out += 1j * self.solve(op, g.imag, m)
-            return out
+        if self.is_kernel_mode(op, m):
+            defect = self.solvability_defect(op, g, m, scale)
+            if defect > SOLVABILITY_THRESHOLD:
+                raise SolvabilityViolated(
+                    f"source projection on kernel of L{op} (m={m}) is {defect:.2e} "
+                    f"(> {SOLVABILITY_THRESHOLD:.0e}); check the source assembly")
+        if not np.iscomplexobj(g):
+            return self._solve_real(op, g, m)
+        # parts at roundoff level relative to the other are dropped
+        top = max(np.max(np.abs(g.real)), np.max(np.abs(g.imag)), 1e-300)
+        out = np.zeros(g.shape, dtype=complex)
+        if np.max(np.abs(g.real)) > 1e-13 * top:
+            out += self._solve_real(op, g.real, m)
+        if np.max(np.abs(g.imag)) > 1e-13 * top:
+            out += 1j * self._solve_real(op, g.imag, m)
+        return out
+
+    def _solve_real(self, op: OpName, g: np.ndarray, m: int) -> np.ndarray:
+        """L±f = g for a real source whose solvability is already checked."""
         rhs = g.astype(float).copy()
         rhs[-1] = 0.0                   # Dirichlet
         if abs(m) >= 1:
             rhs[0] = 0.0                # origin constraint row
         if self.is_kernel_mode(op, m):
-            defect = self.solvability_defect(op, g, m)
-            if defect > SOLVABILITY_THRESHOLD:
-                raise SolvabilityViolated(
-                    f"source projection on kernel of L{op} (m={m}) is {defect:.2e} "
-                    f"(> {SOLVABILITY_THRESHOLD:.0e}); check the source assembly")
-            f = self._solve_kernel_mode(op, abs(m), rhs)
-        else:
-            ab = self._get_banded(op, abs(m))
-            f = solve_banded((2, 2), ab, rhs)
-        return f
+            return self._solve_kernel_mode(op, abs(m), rhs)
+        return solve_banded((2, 2), self._get_banded(op, abs(m)), rhs)
 
     def _solve_kernel_mode(self, op: OpName, m: int, rhs: np.ndarray) -> np.ndarray:
         """Deflated banded solve on a kernel mode.
@@ -305,6 +313,13 @@ class LinearizedOps:
             "Lplus_DeltaQ": rel(self.apply("plus", lap_q, 0) - 6 * dq ** 2 * q, 6 * dq ** 2 * q),
         }
         return out
+
+
+def vector_norm(values: np.ndarray) -> float:
+    """Euclidean norm of samples, scaled by their largest magnitude so it cannot underflow."""
+    mag = np.abs(np.asarray(values))
+    top = np.max(mag)
+    return 0.0 if top == 0.0 else float(top * np.linalg.norm(mag / top))
 
 
 def norm2d(values: np.ndarray, grid: RadialGrid) -> float:

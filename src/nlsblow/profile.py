@@ -27,7 +27,7 @@ import numpy as np
 from .fields import AngularField, PolarGrid, angular_modes
 from .kmodel import InhomogeneityModel
 from .lab import Lab
-from .linops import _lap_banded_cached, banded_matvec
+from .linops import _lap_banded_cached, banded_matvec, vector_norm
 from .radial import quadrature
 
 Monomial = Tuple[int, int, int, int, int, int]   # powers of (b, λ, β1, β2, α1, α2)
@@ -197,11 +197,14 @@ def energy_for_C0(C0: float, model: InhomogeneityModel, lab: Lab) -> float:
 # ----------------------------------------------------------------------
 
 def _solve_field(lab: Lab, op: str, src: AngularField) -> AngularField:
+    # each mode carries the roundoff of the θ-FFT that built the whole source,
+    # so a mode's kernel defect is measured against the largest mode
+    scale = max(vector_norm(v) for v in src.comps.values()) if src.comps else 0.0
     out = {}
     for m, v in src.comps.items():
         if np.max(np.abs(v)) == 0.0:
             continue
-        out[m] = lab.ops.solve(op, v, abs(m))
+        out[m] = lab.ops.solve(op, v, abs(m), scale)
     return AngularField(lab.grid, out)
 
 

@@ -1,9 +1,17 @@
 """Split-step spectral solver for i u_t = -Δu - k(x)|u|²u on a periodic box.
 
-Strang splitting: a half-step of the exact nonlinear phase rotation
-e^{i(dt/2) k(x)|u|²}, a full spectral linear step e^{i dt Δ}, and another
-half nonlinear step.  Mass is conserved to roundoff by construction; the
-time step follows the collapsing scale through dt = c_dt · λ_est².
+A step of length dt composes Strang steps N(c/2)·L(c)·N(c/2) with lengths
+c = w·dt: the weights are (1,) for Strang and the triple jump (g1, g2, g1)
+for order 4.  N(τ)u = u·e^{iτk|u|²} is the exact nonlinear flow and
+L(τ) = e^{iτΔ} the spectral linear flow.  N keeps |u| pointwise, so
+N(a)·N(b) = N(a + b) and adjacent nonlinear sub-steps merge ("first same as
+last"): a Strang step costs one nonlinear sub-step, a triple jump three.
+`Stepper.step_values` therefore returns the state with its last nonlinear
+half-step still pending, as a carry that the next step's first sub-step
+absorbs.  `step` closes the state at once; `run` closes it only where a
+series row, a dt refresh or a snapshot reads it, and after the last step.
+Mass is conserved to roundoff by construction; the time step follows the
+collapsing scale through dt = c_dt · λ_est².
 """
 
 import struct
@@ -76,6 +84,14 @@ class SimConfig:
             raise ValueError("splitting_order must be 2 or 4")
 
 
+def _phase(theta: np.ndarray) -> np.ndarray:
+    """e^{iθ} of a real array, as cos θ + i sin θ written into one buffer."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 class Stepper:
     """Precomputed spectral machinery for one (L, n, k) combination."""
 
@@ -92,42 +108,59 @@ class Stepper:
         self.ky = freq[None, :]
         self.k2 = self.kx ** 2 + self.ky ** 2
         self.dealias = dealias
-        self.order = splitting_order
         f = np.fft.fftfreq(n)
         self._dealias_mask = (np.abs(f[:, None]) > 1.0 / 3.0) | (np.abs(f[None, :]) > 1.0 / 3.0)
+        if splitting_order == 2:
+            self._weights = (1.0,)
+        else:
+            g1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+            self._weights = (g1, 1.0 - 2.0 * g1, g1)
         self._prop_cache = {}
 
-    def _propagator(self, dt: float) -> np.ndarray:
-        key = float(dt)
-        if key not in self._prop_cache:
-            if len(self._prop_cache) > 8:
-                self._prop_cache.clear()
-            prop = np.exp(-1j * dt * self.k2)
+    def _propagator(self, tau: float) -> np.ndarray:
+        """e^{-iτ|k|²}, dealiased, computed once per sub-step length τ."""
+        prop = self._prop_cache.get(tau)
+        if prop is None:
+            prop = _phase(-tau * self.k2)
             if self.dealias:
-                prop = prop.copy()
                 prop[self._dealias_mask] = 0.0
-            self._prop_cache[key] = prop
-        return self._prop_cache[key]
+            self._prop_cache[tau] = prop
+        return prop
 
-    def _strang(self, u: np.ndarray, dt: float) -> np.ndarray:
-        u = u * np.exp(0.5j * dt * self.k * np.abs(u) ** 2)
-        u = _fft.ifft2(_fft.fft2(u) * self._propagator(dt))
-        u = u * np.exp(0.5j * dt * self.k * np.abs(u) ** 2)
-        return u
+    def nonlinear(self, u: np.ndarray, tau: float) -> np.ndarray:
+        """N(τ)u = u·e^{iτk|u|²}, in a new array."""
+        theta = u.real * u.real
+        theta += u.imag * u.imag
+        theta *= self.k
+        theta *= tau
+        out = _phase(theta)
+        out *= u
+        return out
 
-    def step_values(self, u: np.ndarray, dt: float) -> np.ndarray:
-        if self.order == 2:
-            return self._strang(u, dt)
-        g1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-        g2 = 1.0 - 2.0 * g1
-        u = self._strang(u, g1 * dt)
-        u = self._strang(u, g2 * dt)
-        return self._strang(u, g1 * dt)
+    def linear(self, u: np.ndarray, tau: float) -> np.ndarray:
+        """L(τ)u = e^{iτΔ}u through one fft2/ifft2 pair; overwrites u."""
+        u_hat = _fft.fft2(u, overwrite_x=True)
+        u_hat *= self._propagator(tau)
+        return _fft.ifft2(u_hat, overwrite_x=True)
+
+    def step_values(self, u: np.ndarray, dt: float, carry: float = 0.0):
+        """One step from u, whose nonlinear sub-step of length carry is pending.
+
+        Returns (v, carry'): the state after the step is N(carry')v.  The
+        propagator cache keeps only this step's sub-step lengths, because dt
+        changes at every refresh and an old dt never returns.
+        """
+        taus = [w * dt for w in self._weights]
+        self._prop_cache = {tau: p for tau, p in self._prop_cache.items() if tau in taus}
+        for tau in taus:
+            u = self.linear(self.nonlinear(u, carry + 0.5 * tau), tau)
+            carry = 0.5 * tau
+        return u, carry
 
     def gradient(self, u: np.ndarray):
         u_hat = _fft.fft2(u)
-        ux = _fft.ifft2(1j * self.kx * u_hat)
-        uy = _fft.ifft2(1j * self.ky * u_hat)
+        ux = _fft.ifft2(1j * self.kx * u_hat, overwrite_x=True)
+        uy = _fft.ifft2(1j * self.ky * u_hat, overwrite_x=True)
         return ux, uy
 
     def spectral_tail_fraction(self, u: np.ndarray) -> float:
@@ -137,8 +170,9 @@ class Stepper:
 
 
 def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
-    """One splitting step; the new field's NaN scan aborts it."""
-    return ComplexField2D(field.L, stepper.step_values(field.values, dt), field.t + dt)
+    """One closed splitting step; the new field's NaN scan aborts it."""
+    u, carry = stepper.step_values(field.values, dt)
+    return ComplexField2D(field.L, stepper.nonlinear(u, carry), field.t + dt)
 
 
 def _norms(field: ComplexField2D, ux: np.ndarray, uy: np.ndarray):
@@ -227,10 +261,14 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
                          f"(4h = {4.0 * field0.h:.4g})")
     stepper = Stepper(field0.L, field0.n, np.asarray(k_values, dtype=float),
                       dealias=config.dealias, splitting_order=config.splitting_order)
-    field = field0.copy()
+    field = field0.copy()          # the last closed state
+    state, carry = field, 0.0      # the stepped state: the current one is N(carry)·state
     series = {k: [] for k in ("t", "mass", "energy", "momentum_x", "momentum_y",
                               "grad_norm", "lambda_proxy")}
     snapshots = []
+
+    def close() -> ComplexField2D:
+        return ComplexField2D(state.L, stepper.nonlinear(state.values, carry), state.t)
 
     def record_series() -> float:
         """Append the current state's row; returns its λ_est."""
@@ -252,32 +290,39 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
     lam_est = record_series()
     dt = config.c_dt * lam_est ** 2
     emit_snapshot()
-    recorded = snapped = True      # the current state is already emitted
+    recorded = snapped = closed = True      # the current state is already emitted
     reason = "max_steps"
     for istep in range(config.max_steps):
         if config.lam_stop is not None and lam_est < config.lam_stop:
             reason = "lam_stop"
             break
-        if lam_est < 4.0 * field.h:
+        if lam_est < 4.0 * state.h:
             raise ResolutionBreach(
-                f"λ_est = {lam_est:.4g} fell under 4 grid spacings at t = {field.t:.6g}")
+                f"λ_est = {lam_est:.4g} fell under 4 grid spacings at t = {state.t:.6g}")
         if config.t_stop is not None:
-            remaining = config.t_stop - field.t
+            remaining = config.t_stop - state.t
             if remaining <= 1e-14 * max(1.0, abs(config.t_stop)):
                 reason = "t_stop"
                 break
             dt_step = min(dt, remaining)
         else:
             dt_step = dt
-        field = step(field, dt_step, stepper)
+        u, carry = stepper.step_values(state.values, dt_step, carry)
+        state = ComplexField2D(state.L, u, state.t + dt_step)      # scans for NaN
         recorded = (istep + 1) % config.series_stride == 0
+        refresh = (istep + 1) % config.dt_refresh_every == 0
+        snapped = (istep + 1) % config.snapshot_stride == 0
+        closed = recorded or refresh or snapped
+        if closed:
+            field = close()
         lam_row = record_series() if recorded else None
-        if (istep + 1) % config.dt_refresh_every == 0:
+        if refresh:
             lam_est = lam_row if recorded else lambda_proxy(field, stepper, grad_ref, mass_ref)
             dt = config.c_dt * lam_est ** 2
-        snapped = (istep + 1) % config.snapshot_stride == 0
         if snapped:
             emit_snapshot()
+    if not closed:
+        field = close()
     if not recorded:
         record_series()
     if not snapped:

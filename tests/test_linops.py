@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nlsblow.linops import SolvabilityViolated, ModeError, norm2d
+from nlsblow import profile as prof
+from nlsblow.config import RunConfig
+from nlsblow.linops import SOLVABILITY_THRESHOLD, SolvabilityViolated, ModeError, norm2d
 from nlsblow.radial import quadrature
 
 
@@ -77,6 +80,45 @@ def test_solve_yQ(lab):
 def test_solve_kernel_source_raises(lab):
     with pytest.raises(SolvabilityViolated):
         lab.ops.solve("plus", lab.dQ, m=1)
+
+
+def test_solve_complex_kernel_source_raises(lab, rng):
+    # a solvable complex source plus a kernel component of 1e-6 of its norm,
+    # all of it in the smaller imaginary part
+    w = lab.ops.kernel_vector("plus", 1, side="left")
+    g = _random_decaying(lab, rng, 1) + 0.01j * _random_decaying(lab, rng, 1)
+    g = g - w * np.dot(w, g)
+    g = g + 1e-6j * np.linalg.norm(g) * w
+    assert lab.ops.solvability_defect("plus", g, 1) > 100 * SOLVABILITY_THRESHOLD
+    with pytest.raises(SolvabilityViolated):
+        lab.ops.solve("plus", g, m=1)
+
+
+def _band_model(e1, e2, phi, third, k1):
+    """A k-model from the benchmark's admissible band, as its config carries it."""
+    c, s = np.cos(phi), np.sin(phi)
+    hxy = c * s * (e1 - e2)
+    cfg = RunConfig()
+    cfg.data["kmodel"] = {"hessian": [[c * c * e1 + s * s * e2, hxy],
+                                      [hxy, s * s * e1 + c * c * e2]],
+                          "third": list(third), "k1": k1}
+    return cfg.model()
+
+
+@settings(deadline=None, max_examples=25)
+@given(e1=st.floats(-0.25, -0.15), e2=st.floats(-0.25, -0.15), phi=st.floats(0.0, np.pi),
+       third=st.lists(st.floats(-0.03, 0.03), min_size=4, max_size=4),
+       k1=st.floats(0.45, 0.55))
+@example(e1=-0.25, e2=-0.25, phi=0.0, third=[0.0, 0.0, 1 / 64, 1e-10], k1=0.5)
+@example(e1=-0.2, e2=-0.15, phi=np.pi / 2, third=[-1 / 64, 1e-12, 1 / 64, -1e-30], k1=0.45)
+@example(e1=-0.25, e2=-0.25, phi=0.0, third=[0.0, 0.0, 0.0, 9.825923072672368e-262], k1=0.5)
+def test_band_models_are_solvable(lab, e1, e2, phi, third, k1):
+    # a small part or mode of a source carries the roundoff of the large ones
+    # (the first two examples), and a tiny source's norm must not underflow
+    # (the third): the kernel check measures against the whole source
+    model = _band_model(e1, e2, phi, third, k1)
+    assert model.validate() == []
+    prof.build_expansion(model, 1.0, lab)
 
 
 def test_solve_gauge_orthogonality(lab, rng):

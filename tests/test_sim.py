@@ -260,3 +260,82 @@ def test_read_snapshot_rejects_truncated_payload(tmp_path):
     p.write_bytes(p.read_bytes()[:-16])
     with pytest.raises(ValueError, match="cut.bin.*n = 32.*24 \\+ 16·n²"):
         sim.read_snapshot(p)
+
+
+def test_dt_halving_fourth_order(lab):
+    # k ≡ 1: the pseudo-conformal field is exact, so the error is the
+    # triple jump's; halving dt divides it by about 2⁴ (Strang's weights give 4)
+    L, n = 12.0, 512
+    X, Y = _grid(L, n)
+    errs = []
+    for dt in (0.002, 0.001):
+        f = sim.ComplexField2D(L, sim.pseudo_conformal_field(lab.Q, 1.0, -0.5, X, Y), -0.5)
+        st = sim.Stepper(L, n, np.ones((n, n)), splitting_order=4)
+        for _ in range(int(round(0.04 / dt))):
+            f = sim.step(f, dt, st)
+        exact = sim.pseudo_conformal_field(lab.Q, 1.0, f.t, X, Y)
+        errs.append(np.max(np.abs(f.values - exact)))
+    ratio = errs[0] / errs[1]
+    assert 12.0 < ratio < 20.0
+
+
+def _inhomogeneous(L, n):
+    X, Y = _grid(L, n)
+    kv = InhomogeneityModel(hessian=-0.2 * np.eye(2)).k(np.stack([X, Y], axis=-1))
+    return X, Y, kv
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("snapshot_stride", [7, 1000])
+def test_run_merged_steps_match_closed_steps(order, snapshot_stride):
+    # run carries each step's last nonlinear half-step into the next one; a
+    # replay of its dt sequence by closed steps reaches the same states, up to
+    # the last step, which t_stop cuts to half a dt
+    L, n = 8.0, 64
+    X, Y, kv = _inhomogeneous(L, n)
+    f0 = sim.ComplexField2D(L, 2.0 * np.exp(-(X ** 2 + Y ** 2)) * np.exp(0.3j * X), -0.5)
+    st = sim.Stepper(L, n, kv, splitting_order=order)
+    grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
+    dt = 0.001 * 2.0 ** 2
+    cfg = sim.SimConfig(c_dt=0.001, t_stop=f0.t + 30.5 * dt, splitting_order=order,
+                        series_stride=1000, dt_refresh_every=1000,
+                        snapshot_stride=snapshot_stride)
+    res = sim.run(cfg, f0, kv, grad_ref=grad_ref, mass_ref=1.0)
+    assert res.reason == "t_stop"
+    assert res.series["lambda_proxy"][0] == pytest.approx(2.0, rel=1e-12)
+    dt = cfg.c_dt * res.series["lambda_proxy"][0] ** 2
+    replay, f = {f0.t: f0.values}, f0
+    while cfg.t_stop - f.t > 1e-14:
+        f = sim.step(f, min(dt, cfg.t_stop - f.t), st)
+        replay[f.t] = f.values
+    assert len(replay) == 32
+    assert [s.t for s in res.snapshots][-1] == f.t
+    assert len(res.snapshots) == (6 if snapshot_stride == 7 else 2)
+    for snap in res.snapshots:
+        want = replay[snap.t]
+        assert np.max(np.abs(snap.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_nonlinear_flow_keeps_modulus_and_composes():
+    L, n = 8.0, 64
+    X, Y, kv = _inhomogeneous(L, n)
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))    # θ up to ~6 rad
+    st = sim.Stepper(L, n, kv)
+    v = st.nonlinear(u, 0.37)
+    assert np.max(np.abs(np.abs(v) - np.abs(u)) / np.abs(u)) <= 1e-15
+    merged = st.nonlinear(u, 0.37 + 0.21)
+    assert np.max(np.abs(st.nonlinear(v, 0.21) - merged)) <= 1e-14 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("order, lengths", [(2, 1), (4, 2)])
+def test_propagator_cache_keeps_current_step(order, lengths):
+    # one propagator per distinct sub-step length of the current dt; dt
+    # changes at every refresh, so older ones are dropped
+    L, n = 8.0, 32
+    X, Y, kv = _inhomogeneous(L, n)
+    f = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2)) + 0j, -0.5)
+    st = sim.Stepper(L, n, kv, splitting_order=order)
+    for dt in (0.01, 0.01, 0.008, 0.0065, 0.01, 0.003):
+        f = sim.step(f, dt, st)
+        assert len(st._prop_cache) == lengths
