@@ -68,32 +68,17 @@ def _finish(out: Path, command: str, cfg, files):
     write_json(out / "manifest.json", manifest)
 
 
-def _lab_from(cfg):
-    rg = cfg.section("radial_grid")
-    return get_lab(r_max=float(rg["r_max"]), n=int(rg["n"]))
-
-
 def _config_C0(cfg, model, lab) -> float:
-    en = cfg.section("energy")
+    en = cfg["energy"]
     if en["E0"] is not None:
-        return prof.compute_C0(float(en["E0"]), model, lab)
-    return float(en["C0"])
-
-
-def _model_from(cfg):
-    """The config's k-model; its validation issues raise ConfigError."""
-    model = cfg.model()
-    issues = model.validate()
-    if issues:
-        raise ConfigError([f"kmodel: {msg}" for msg in issues])
-    return model
+        return prof.compute_C0(en["E0"], model, lab)
+    return en["C0"]
 
 
 def _expansion_from(cfg, lab):
-    model = _model_from(cfg)
+    model = cfg.model()
     C0 = _config_C0(cfg, model, lab)
-    return prof.build_expansion(model, C0, lab,
-                                eta_star=float(cfg.section("profile")["eta_star"]))
+    return prof.build_expansion(model, C0, lab, eta_star=cfg["profile"]["eta_star"])
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +86,7 @@ def _expansion_from(cfg, lab):
 # ----------------------------------------------------------------------
 
 def cmd_ground_state(cfg, out: Path) -> int:
-    lab = _lab_from(cfg)
+    lab = get_lab(**cfg["radial_grid"])
     m = lab.moments
     report = {
         "q0": lab.Q.values[0],
@@ -123,7 +108,7 @@ IDENTITY_THRESHOLD = 1e-7
 
 
 def cmd_verify(cfg, out: Path) -> int:
-    lab = _lab_from(cfg)
+    lab = get_lab(**cfg["radial_grid"])
     res = lab.ops.identity_residuals()
     m = lab.moments
     res["pohozaev_grad"] = abs(m.gradQ - m.massQ) / m.massQ
@@ -145,7 +130,7 @@ def cmd_verify(cfg, out: Path) -> int:
 
 
 def cmd_profile(cfg, out: Path) -> int:
-    lab = _lab_from(cfg)
+    lab = get_lab(**cfg["radial_grid"])
     exp = _expansion_from(cfg, lab)
     c = exp.constants
     write_json(out / "constants.json", {
@@ -154,10 +139,8 @@ def cmd_profile(cfg, out: Path) -> int:
         "a1_projection": prof.a1_projection(exp.model, lab),
         "C0": exp.C0, "eta_star": exp.eta_star,
     })
-    lam_min, lam_max, count = cfg.section("profile")["lam_scan"]
-    weight = float(cfg.section("profile")["weight"])
-    lams = np.geomspace(float(lam_min), float(lam_max), int(count))
-    norms = [exp.residual(prof.conformal_ray(l, exp.C0), weight=weight)["L2w"]
+    lams = np.geomspace(*cfg["profile"]["lam_scan"])
+    norms = [exp.residual(prof.conformal_ray(l, exp.C0), weight=cfg["profile"]["weight"])["L2w"]
              for l in lams]
     rows = []
     for i, (l, nv) in enumerate(zip(lams, norms)):
@@ -172,16 +155,14 @@ def cmd_profile(cfg, out: Path) -> int:
 
 
 def cmd_ode(cfg, out: Path) -> int:
-    lab = _lab_from(cfg)
-    model = _model_from(cfg)
+    lab = get_lab(**cfg["radial_grid"])
+    model = cfg.model()
     consts = prof.derive_constants(model, lab)
     C0 = _config_C0(cfg, model, lab)
-    oc = cfg.section("ode")
-    st = modeqs.existence_initial_state(float(oc["t1"]), C0)
-    it = cfg.section("integrator")
-    tr = modeqs.integrate(st, consts, s_span=(st.s, float(oc["s_end"])),
-                          rtol=float(it["rtol"]), atol=float(it["atol"]),
-                          lam_min=float(it["lam_min"]), n_points=int(oc["n_points"]))
+    oc = cfg["ode"]
+    st = modeqs.existence_initial_state(oc["t1"], C0)
+    tr = modeqs.integrate(st, consts, s_span=(st.s, oc["s_end"]), n_points=oc["n_points"],
+                          **cfg["integrator"])
     header, rows = tr.csv_rows()
     write_csv(out / "trajectory.csv", header, rows)
     write_json(out / "ode.json", {"C0": C0, "status": tr.status,
@@ -191,12 +172,12 @@ def cmd_ode(cfg, out: Path) -> int:
 
 
 def cmd_appendix_b(cfg, out: Path) -> int:
-    ab = cfg.section("appendix_b")
-    s_vals = np.asarray(ab["s_values"], dtype=float)
+    ab = cfg["appendix_b"]
+    s_vals = np.asarray(ab["s_values"])
     rows = []
     report = {}
     for varsig in ab["varsig"]:
-        system = modeqs.basis(float(varsig))
+        system = modeqs.basis(varsig)
 
         def F(s):
             return (s ** -3.0, 0.0)
@@ -222,20 +203,13 @@ def cmd_appendix_b(cfg, out: Path) -> int:
 
 
 def cmd_simulate(cfg, out: Path) -> int:
-    lab = _lab_from(cfg)
+    lab = get_lab(**cfg["radial_grid"])
     exp = _expansion_from(cfg, lab)
-    g2 = cfg.section("grid2d")
-    si = cfg.section("sim")
-    L, n = float(g2["L"]), int(g2["n"])
-    field0 = sim.init_from_profile(exp, 0.0, float(si["t_start"]), L, n)
+    L, n = cfg["grid2d"]["L"], cfg["grid2d"]["n"]
+    si = dict(cfg["sim"])
+    field0 = sim.init_from_profile(exp, 0.0, si.pop("t_start"), L, n)
     k_vals = exp.model.k(sim.box_points(L, n))
-    cfg_run = sim.SimConfig(
-        c_dt=float(si["c_dt"]), t_stop=si["t_stop"],
-        lam_stop=si["lam_stop"], dealias=bool(si["dealias"]),
-        splitting_order=int(si["splitting_order"]),
-        dt_refresh_every=int(si["dt_refresh_every"]),
-        series_stride=int(si["series_stride"]),
-        snapshot_stride=int(si["snapshot_stride"]))
+    cfg_run = sim.SimConfig(**si)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
     # an earlier run into the same directory must not leave snapshots behind
@@ -263,12 +237,11 @@ def cmd_simulate(cfg, out: Path) -> int:
 
 
 def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
-    lab = _lab_from(cfg)
+    lab = get_lab(**cfg["radial_grid"])
     exp = _expansion_from(cfg, lab)
-    ft = cfg.section("fit")
-    grid = PolarGrid(r_max=float(ft["r_max"]), n_r=int(ft["n_r"]),
-                     n_theta=int(ft["n_theta"]))
-    A = float(ft["A"])
+    ft = dict(cfg["fit"])
+    A = ft.pop("A")
+    grid = PolarGrid(**ft)
     snap_dir = Path(snapshots_dir) if snapshots_dir else out / "snapshots"
     paths = sorted(snap_dir.glob("snap_*.bin"))
     if not paths:

@@ -1,11 +1,19 @@
-"""Run configuration: YAML with defaults, full validation, stable round-trip.
+"""Run configuration: one table of keys, YAML over its defaults, stable round-trip.
 
-Validation collects every violation (path-addressed), not just the first, so
-a config can be repaired in one pass.
+``SCHEMA`` has one entry per leaf key, by its dotted path: the default, the
+check, and the requirement a violation states.  ``DEFAULTS`` is derived from
+it.  A check returns the value typed (real keys as float, integer keys as
+int, so callers read them without casts) or raises ValueError.
+``parse_config`` merges the YAML over the defaults, runs every key's check,
+then the rules that join keys, then the k-model's own
+``InhomogeneityModel.validate``.  Every violation is collected,
+path-addressed, so a config can be repaired in one pass.
 """
 
 import copy
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -18,36 +26,98 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.violations))
 
 
-DEFAULTS = {
-    "kmodel": {
-        "hessian": [[-0.2, 0.0], [0.0, -0.2]],
-        "third": [0.0, 0.0, 0.0, 0.0],     # T111, T112, T122, T222
-        "k1": 0.5,
-    },
-    "energy": {
-        "E0": None,                         # explicit energy, or
-        "C0": 1.0,                          # conformal-constant target
-    },
-    "radial_grid": {"r_max": 30.0, "n": 8192},
-    "grid2d": {"L": 12.0, "n": 1024},
-    "integrator": {"rtol": 1e-10, "atol": 1e-12, "lam_min": 1e-6},
-    "profile": {"eta_star": 0.3, "lam_scan": [0.01, 0.1, 7], "weight": 0.25},
-    "sim": {
-        "c_dt": 0.05,
-        "t_start": -0.3,
-        "t_stop": None,
-        "lam_stop": None,
-        "dealias": True,
-        "splitting_order": 2,
-        "dt_refresh_every": 10,
-        "series_stride": 5,
-        "snapshot_stride": 50,
-    },
-    "fit": {"r_max": 25.0, "n_r": 500, "n_theta": 64, "A": 20.0},
-    "ode": {"t1": -0.3, "s_end": 1000.0, "n_points": 400},
-    "appendix_b": {"varsig": [0.05, 0.125, 0.5], "s_values": [2.0, 5.0, 10.0, 20.0]},
-    "seed": 0,
+def _number(kind, ok=lambda x: True):
+    """A finite number of kind (float also takes an integer) for which ok holds, as kind."""
+    def check(x):
+        if isinstance(x, bool) or not isinstance(x, (int, kind)):
+            raise ValueError
+        x = kind(x)
+        if not (math.isfinite(x) and ok(x)):
+            raise ValueError
+        return x
+    return check
+
+
+def _nullable(check):
+    return lambda x: None if x is None else check(x)
+
+
+def _row(*checks):
+    """A list with one entry per check."""
+    def check(x):
+        if not isinstance(x, list) or len(x) != len(checks):
+            raise ValueError
+        return [c(v) for c, v in zip(checks, x)]
+    return check
+
+
+def _list(item):
+    """A non-empty list whose every entry passes item."""
+    def check(x):
+        if not isinstance(x, list) or not x:
+            raise ValueError
+        return [item(v) for v in x]
+    return check
+
+
+_real = partial(_number, float)
+_int = partial(_number, int)
+_R = _real()
+_POS = _real(lambda x: x > 0)
+_NEG = _real(lambda x: x < 0)
+_STRIDE = _int(lambda n: n >= 1)
+
+# dotted path: (default, check, the requirement a violation states)
+SCHEMA = {
+    "kmodel.hessian": ([[-0.2, 0.0], [0.0, -0.2]], _row(_row(_R, _R), _row(_R, _R)),
+                       "must be a 2x2 matrix"),
+    "kmodel.third": ([0.0, 0.0, 0.0, 0.0], _row(_R, _R, _R, _R),
+                     "expected 4 entries [T111, T112, T122, T222]"),
+    "kmodel.k1": (0.5, _real(lambda x: 0 < x < 1), "Assumption (H) bounds require 0 < k1 < 1"),
+    "energy.E0": (None, _nullable(_R), "must be null or a number (explicit energy)"),
+    "energy.C0": (1.0, _nullable(_POS), "must be null or positive (conformal-constant target)"),
+    "radial_grid.r_max": (30.0, _real(lambda x: x >= 15), "must be at least 15 (ground-state tail)"),
+    "radial_grid.n": (8192, _int(lambda n: n >= 512), "production runs need n >= 512"),
+    "grid2d.L": (12.0, _POS, "must be positive"),
+    "grid2d.n": (1024, _int(lambda n: n > 0 and not n & (n - 1)), "must be a power of two"),
+    "integrator.rtol": (1e-10, _POS, "must be positive"),
+    "integrator.atol": (1e-12, _POS, "must be positive"),
+    "integrator.lam_min": (1e-6, _POS, "must be positive"),
+    "profile.eta_star": (0.3, _real(lambda x: 0 < x <= 1), "must lie in (0, 1]"),
+    "profile.lam_scan": ([0.01, 0.1, 7], _row(_POS, _POS, _int(lambda n: n >= 2)),
+                         "expected [lam_min, lam_max, count>=2]"),
+    "profile.weight": (0.25, _R, "must be a number"),
+    "sim.c_dt": (0.05, _POS, "must be positive"),
+    "sim.t_start": (-0.3, _NEG, "must be negative (blow-up at t = 0)"),
+    "sim.t_stop": (None, _nullable(_R), "must be null or a number"),
+    "sim.lam_stop": (None, _nullable(_POS), "must be null or positive"),
+    "sim.splitting_order": (2, _int(lambda n: n in (2, 4)), "must be 2 or 4"),
+    "sim.dt_refresh_every": (10, _STRIDE, "must be an integer >= 1"),
+    "sim.series_stride": (5, _STRIDE, "must be an integer >= 1"),
+    "sim.snapshot_stride": (50, _STRIDE, "must be an integer >= 1"),
+    "fit.r_max": (25.0, _POS, "must be positive"),
+    "fit.n_r": (500, _int(lambda n: n >= 8), "must be an integer >= 8"),
+    "fit.n_theta": (64, _STRIDE, "must be an integer >= 1"),
+    "fit.A": (20.0, _real(lambda x: x >= 10), "the virial cutoff radius must be at least 10"),
+    "ode.t1": (-0.3, _NEG, "must be negative (blow-up at t = 0)"),
+    "ode.s_end": (1000.0, _R, "must be a number"),
+    "ode.n_points": (400, _int(lambda n: n >= 2), "must be an integer >= 2"),
+    "appendix_b.varsig": ([0.05, 0.125, 0.5], _list(_POS), "expected a list of positive numbers"),
+    "appendix_b.s_values": ([2.0, 5.0, 10.0, 20.0], _list(_R), "expected a list of numbers"),
+    "seed": (0, _int(), "must be an integer"),
 }
+
+
+def _leaf(data: dict, path: str):
+    """(the section holding path's key, the key's name)."""
+    section, _, name = path.rpartition(".")
+    return (data.setdefault(section, {}) if section else data), name
+
+
+DEFAULTS: dict = {}
+for _path, (_default, _, _) in SCHEMA.items():
+    _section, _name = _leaf(DEFAULTS, _path)
+    _section[_name] = _default
 
 
 @dataclass
@@ -57,26 +127,15 @@ class RunConfig:
     def __getitem__(self, key):
         return self.data[key]
 
-    def section(self, name) -> dict:
-        return self.data[name]
-
-    def hessian(self) -> np.ndarray:
-        return np.asarray(self.data["kmodel"]["hessian"], dtype=float)
-
     def third_tensor(self) -> np.ndarray:
-        t = self.data["kmodel"]["third"]
-        T = np.zeros((2, 2, 2))
-        T[0, 0, 0] = t[0]
-        T[0, 0, 1] = T[0, 1, 0] = T[1, 0, 0] = t[1]
-        T[0, 1, 1] = T[1, 0, 1] = T[1, 1, 0] = t[2]
-        T[1, 1, 1] = t[3]
-        return T
+        """The symmetric T from [T111, T112, T122, T222]: T[i, j, l] = entry i + j + l."""
+        return np.array(self.data["kmodel"]["third"])[np.indices((2, 2, 2)).sum(axis=0)]
 
     def model(self):
         from .kmodel import InhomogeneityModel
 
-        return InhomogeneityModel(hessian=self.hessian(), third=self.third_tensor(),
-                                  floor=float(self.data["kmodel"]["k1"]))
+        return InhomogeneityModel(hessian=self.data["kmodel"]["hessian"], third=self.third_tensor(),
+                                  floor=self.data["kmodel"]["k1"])
 
     def serialize(self) -> str:
         return yaml.safe_dump(self.data, sort_keys=True, default_flow_style=None)
@@ -99,72 +158,25 @@ def _merge(base: dict, override: dict, path: str, violations: List[str]) -> dict
     return out
 
 
-def validate(data: dict) -> List[str]:
-    """Every violation of a merged config, path-addressed."""
-    v: List[str] = []
-    km = data["kmodel"]
-    H = np.asarray(km["hessian"], dtype=float)
-    if H.shape != (2, 2):
-        v.append("kmodel.hessian: must be a 2x2 matrix")
-    else:
+def _joint_rules(cfg: RunConfig, bad: set) -> List[str]:
+    """The rules that join keys, on the keys that passed their own checks."""
+    v = []
+    if "kmodel.hessian" not in bad:
+        H = np.array(cfg["kmodel"]["hessian"])
         if abs(H[0, 1] - H[1, 0]) > 1e-12 * (1 + np.max(np.abs(H))):
             v.append("kmodel.hessian: must be symmetric")
         if np.linalg.eigvalsh(0.5 * (H + H.T)).max() > 1e-12:
             v.append("kmodel.hessian: hessian not negative definite")
-    third = km["third"]
-    if not (isinstance(third, (list, tuple)) and len(third) == 4):
-        v.append("kmodel.third: expected 4 entries [T111, T112, T122, T222]")
-    k1 = km["k1"]
-    if not (isinstance(k1, (int, float)) and 0.0 < k1 < 1.0):
-        v.append("kmodel.k1: Assumption (H) bounds require 0 < k1 < 1")
-
-    en = data["energy"]
-    if en["E0"] is None and en["C0"] is None:
+    if cfg["energy"]["E0"] is None and cfg["energy"]["C0"] is None:
         v.append("energy: one of E0 or C0 must be set")
-    if en["C0"] is not None and en["C0"] <= 0:
-        v.append("energy.C0: must be positive")
-
-    rg = data["radial_grid"]
-    if rg["r_max"] < 15:
-        v.append("radial_grid.r_max: must be at least 15 (ground-state tail)")
-    if rg["n"] < 512:
-        v.append("radial_grid.n: production runs need n >= 512")
-
-    g2 = data["grid2d"]
-    n = g2["n"]
-    if not (isinstance(n, int) and n > 0 and (n & (n - 1)) == 0):
-        v.append("grid2d.n: must be a power of two")
-    if g2["L"] <= 0:
-        v.append("grid2d.L: must be positive")
-
-    si = data["sim"]
-    if si["c_dt"] <= 0:
-        v.append("sim.c_dt: must be positive")
-    if si["splitting_order"] not in (2, 4):
-        v.append("sim.splitting_order: must be 2 or 4")
-    if si["lam_stop"] is not None and isinstance(n, int) and n > 0 and g2["L"] > 0:
-        h = 2.0 * g2["L"] / n
-        if si["lam_stop"] <= 4.0 * h:
+    scan = cfg["profile"]["lam_scan"]
+    if "profile.lam_scan" not in bad and not scan[0] < scan[1]:
+        v.append("profile.lam_scan: lam_min must be below lam_max")
+    lam_stop, g2 = cfg["sim"]["lam_stop"], cfg["grid2d"]
+    if lam_stop is not None and not bad & {"sim.lam_stop", "grid2d.L", "grid2d.n"}:
+        h = 2.0 * g2["L"] / g2["n"]
+        if lam_stop <= 4.0 * h:
             v.append(f"sim.lam_stop: must exceed 4 grid spacings (4h = {4 * h:.4g})")
-
-    it = data["integrator"]
-    for key in ("rtol", "atol", "lam_min"):
-        if it[key] <= 0:
-            v.append(f"integrator.{key}: must be positive")
-
-    pr = data["profile"]
-    if not (0 < pr["eta_star"] <= 1.0):
-        v.append("profile.eta_star: must lie in (0, 1]")
-    scan = pr["lam_scan"]
-    if not (len(scan) == 3 and 0 < scan[0] < scan[1] and int(scan[2]) >= 2):
-        v.append("profile.lam_scan: expected [lam_min, lam_max, count>=2]")
-
-    ft = data["fit"]
-    if ft["A"] < 10:
-        v.append("fit.A: the virial cutoff radius must be at least 10")
-
-    if not isinstance(data["seed"], int):
-        v.append("seed: must be an integer")
     return v
 
 
@@ -174,16 +186,23 @@ def parse_config(text: Optional[str]) -> RunConfig:
         user = yaml.safe_load(text) if text else {}
     except yaml.YAMLError as err:
         raise ConfigError([f"yaml: {err}"])
-    if user is None:
-        user = {}
-    if not isinstance(user, dict):
+    if user is not None and not isinstance(user, dict):
         raise ConfigError(["top level: expected a mapping"])
     violations: List[str] = []
     data = _merge(DEFAULTS, user, "", violations)
-    violations += validate(data)
+    for path, (_, check, need) in SCHEMA.items():
+        section, name = _leaf(data, path)
+        try:
+            section[name] = check(section[name])
+        except (ValueError, OverflowError):
+            violations.append(f"{path}: {need}")
+    cfg = RunConfig(data=data)
+    violations += _joint_rules(cfg, {v.split(":")[0] for v in violations})
+    if not any(v.startswith("kmodel") for v in violations):
+        violations += [f"kmodel: {msg}" for msg in cfg.model().validate()]
     if violations:
         raise ConfigError(violations)
-    return RunConfig(data=data)
+    return cfg
 
 
 def load_config(path: Optional[str]) -> RunConfig:

@@ -7,8 +7,9 @@ On the mode-m radial part of a field f_m(r) e^{imθ},
 The discretization is 4th-order finite differences on the uniform radial
 grid (pentadiagonal bands), with parity ghosts at r=0 and a Dirichlet
 condition at r_max.  The kernel modes -- L+ at m=1 (radial part Q') and
-L- at m=0 (Q itself) -- are inverted through a bordered system that both
-enforces solvability and gauges the solution orthogonal to the kernel.
+L- at m=0 (Q itself) -- are solved by deflation: the source's left-kernel
+component (refused above SOLVABILITY_THRESHOLD) is removed, the banded
+system solved, and the solution projected orthogonal to the kernel.
 """
 
 from functools import lru_cache

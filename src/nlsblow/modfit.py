@@ -7,9 +7,11 @@ phase directions.  Each condition is ∫ a·ε₁ + b·ε₂ = 0 for one window 
 (a, b) of ``condition_window_pairs``, the only place the windows are written.
 A damped Newton iteration solves them in the seven parameters; the Jacobian
 is finite-differenced (the residuals are smooth in the parameters and each
-evaluation is cheap on the fixed polar fit grid).  A simulation field is
-cubic-spline prefiltered once, when its ``FieldSampler`` is built, so each
-Newton evaluation only interpolates.
+evaluation is cheap on the fixed polar fit grid).  A step is taken only if it
+lowers the largest condition value.  The conditions also vanish far off the
+soliton manifold, so a root with ‖ε‖_L2 > ``EPS_L2_FACTOR``·‖Q‖_L2 raises
+``NewtonDiverged``.  A simulation field is cubic-spline prefiltered once, when
+its ``FieldSampler`` is built, so each Newton evaluation only interpolates.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -23,6 +25,7 @@ from .profile import ParamPoint, ProfileExpansion, modulated
 from .sim import ComplexField2D, Stepper, box_points
 
 TOL_FACTOR = 1e-9      # Newton tolerance on the conditions, times ∫Q²
+EPS_L2_FACTOR = 0.1    # largest accepted ‖ε‖_L2, times ‖Q‖_L2
 MAX_ITER = 40
 SPLINE_ORDER = 3       # interpolation of a simulation field on the fit grid
 
@@ -268,7 +271,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
             trial = p + scale * step_vec
             if trial[1] > 0:
                 Rt, eps_t, w_t = residuals(trial)
-                if np.max(np.abs(Rt)) < np.max(np.abs(R)) or scale < 0.05:
+                if np.max(np.abs(Rt)) < np.max(np.abs(R)):
                     p, R, eps, w = trial, Rt, eps_t, w_t
                     break
             scale *= 0.5
@@ -282,8 +285,11 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
         jac = jacobian(p, R)
     cond = float(np.linalg.cond(jac))
 
-    dr_eps, dth_eps = grid.gradient(eps)
     l2 = np.sqrt(grid.integral(np.abs(eps) ** 2))
+    eps_max = EPS_L2_FACTOR * np.sqrt(expansion.lab.moments.massQ)
+    if l2 > eps_max:
+        raise NewtonDiverged(f"eps_L2 {l2:.3g} > {eps_max:.3g}: a root off the soliton manifold")
+    dr_eps, dth_eps = grid.gradient(eps)
     h1 = np.sqrt(l2 ** 2 + grid.integral(np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2))
     return Decomposition(params=point(p), epsilon=eps, fit_grid=grid, residuals=R,
                          jacobian_cond=cond, eps_l2=float(l2), eps_h1=float(h1),

@@ -72,7 +72,6 @@ class SimConfig:
     c_dt: float = 0.05
     t_stop: Optional[float] = None
     lam_stop: Optional[float] = None
-    dealias: bool = True
     splitting_order: int = 2       # 2 (Strang) or 4 (triple-jump composition)
     dt_refresh_every: int = 10
     series_stride: int = 5
@@ -95,8 +94,7 @@ def _phase(theta: np.ndarray) -> np.ndarray:
 class Stepper:
     """Precomputed spectral machinery for one (L, n, k) combination."""
 
-    def __init__(self, L: float, n: int, k_values: np.ndarray, dealias: bool = True,
-                 splitting_order: int = 2):
+    def __init__(self, L: float, n: int, k_values: np.ndarray, splitting_order: int = 2):
         self.L = float(L)
         self.n = int(n)
         self.k = np.asarray(k_values, dtype=float)
@@ -107,7 +105,6 @@ class Stepper:
         self.kx = freq[:, None]
         self.ky = freq[None, :]
         self.k2 = self.kx ** 2 + self.ky ** 2
-        self.dealias = dealias
         f = np.fft.fftfreq(n)
         self._dealias_mask = (np.abs(f[:, None]) > 1.0 / 3.0) | (np.abs(f[None, :]) > 1.0 / 3.0)
         if splitting_order == 2:
@@ -122,8 +119,7 @@ class Stepper:
         prop = self._prop_cache.get(tau)
         if prop is None:
             prop = _phase(-tau * self.k2)
-            if self.dealias:
-                prop[self._dealias_mask] = 0.0
+            prop[self._dealias_mask] = 0.0
             self._prop_cache[tau] = prop
         return prop
 
@@ -260,7 +256,7 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
         raise ValueError(f"lam_stop = {config.lam_stop:.4g} must exceed 4 grid spacings "
                          f"(4h = {4.0 * field0.h:.4g})")
     stepper = Stepper(field0.L, field0.n, np.asarray(k_values, dtype=float),
-                      dealias=config.dealias, splitting_order=config.splitting_order)
+                      splitting_order=config.splitting_order)
     field = field0.copy()          # the last closed state
     state, carry = field, 0.0      # the stepped state: the current one is N(carry)·state
     series = {k: [] for k in ("t", "mass", "energy", "momentum_x", "momentum_y",

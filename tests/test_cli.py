@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from nlsblow import sim
 from nlsblow.cli import main
-from nlsblow.config import ConfigError, parse_config
+from nlsblow.config import DEFAULTS, ConfigError, parse_config
 
 
 def test_minimal_config_defaults():
@@ -59,6 +60,70 @@ def test_removed_keys_are_unknown(text, path):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert f"{path}: unknown key" in err.value.violations
+
+
+def _leaf_paths(tree, path=""):
+    for name, val in tree.items():
+        here = f"{path}.{name}" if path else name
+        if isinstance(val, dict):
+            yield from _leaf_paths(val, here)
+        else:
+            yield here
+
+
+def _one_key(path, value) -> str:
+    *sections, key = path.split(".")
+    doc = {key: value}
+    for name in reversed(sections):
+        doc = {name: doc}
+    return yaml.safe_dump(doc)
+
+
+def _violations(text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    return err.value.violations
+
+
+# a string at every leaf key (so a key added without a check fails), then bounds
+@pytest.mark.parametrize("path, value", [(path, "text") for path in _leaf_paths(DEFAULTS)] + [
+    ("sim.c_dt", "fast"),
+    ("sim.c_dt", True),
+    ("fit.A", None),
+    ("profile.lam_scan", 5),
+    ("profile.lam_scan", [0.1, 0.01, 7]),
+    ("profile.lam_scan", [0.01, 0.1, 7.5]),
+    ("grid2d.L", [1]),
+    ("grid2d.n", 1024.0),
+    ("radial_grid.r_max", float("nan")),
+    ("sim.t_start", 0.0),
+    ("ode.t1", 0.1),
+    ("sim.series_stride", 0),
+    ("sim.snapshot_stride", 0),
+    ("sim.dt_refresh_every", 0),
+    ("fit.n_r", 4),
+    ("ode.n_points", 1),
+    ("appendix_b.varsig", [0.05, -0.5]),
+    ("appendix_b.varsig", []),
+    ("energy.E0", "low"),
+])
+def test_malformed_value_is_one_violation(path, value):
+    violations = _violations(_one_key(path, value))
+    assert len(violations) == 1
+    assert violations[0].startswith(f"{path}: ")
+
+
+def test_values_are_typed():
+    cfg = parse_config("grid2d:\n  L: 6\nprofile:\n  lam_scan: [1, 2, 3]\n"
+                       "appendix_b:\n  varsig: [1]\nkmodel:\n  hessian: [[-1, 0], [0, -1]]\n")
+    assert type(cfg["grid2d"]["L"]) is float and type(cfg["grid2d"]["n"]) is int
+    assert [type(x) for x in cfg["profile"]["lam_scan"]] == [float, float, int]
+    assert type(cfg["appendix_b"]["varsig"][0]) is float
+    assert all(type(x) is float for row in cfg["kmodel"]["hessian"] for x in row)
+
+
+def test_dealias_is_unknown():
+    assert "sim.dealias: unknown key" in _violations("sim:\n  dealias: false\n")
 
 
 def test_ode_rejects_removed_key(tmp_path):
@@ -132,6 +197,28 @@ def test_ode_rejects_invalid_kmodel(tmp_path):
     assert rec["error"] == "ConfigError"
     assert any(v.startswith("kmodel: ") for v in rec["violations"])
     assert not (tmp_path / "o" / "ode.json").exists()
+
+
+def test_verify_rejects_invalid_kmodel(tmp_path):
+    # verify builds no k-model, but the config is checked whole before any command
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text("kmodel:\n  third: [2.0, 0.0, 0.0, 0.0]\n")
+    rc = main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "v")])
+    assert rc == 2
+    rec = json.loads((tmp_path / "v" / "error.json").read_text())
+    assert any(v.startswith("kmodel: ") for v in rec["violations"])
+    assert not (tmp_path / "v" / "verify.json").exists()
+
+
+def test_simulate_rejects_zero_stride(tmp_path):
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text("sim:\n  series_stride: 0\n")
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    rec = json.loads((out / "error.json").read_text())
+    assert rec["error"] == "ConfigError"
+    assert [v.split(":")[0] for v in rec["violations"]] == ["sim.series_stride"]
+    assert not (out / "snapshots").exists()
 
 
 def test_appendix_b_cli(tmp_path):

@@ -163,6 +163,28 @@ def test_roundtrip_sampled_on_box(expansion):
     assert abs((got.gamma - gamma + np.pi) % (2 * np.pi) - np.pi) < 1e-5
 
 
+def test_spurious_root_is_refused(expansion):
+    # from 0.3λ the conditions also vanish at λ ≈ 0.02, where ‖ε‖_L2 ≈ 4.1 exceeds ‖Q‖_L2
+    P = prof.ParamPoint(b=0.06, lam=0.2, beta=np.array([0.004, -0.003]),
+                        alpha=np.array([0.01, 0.02]), gamma=0.37)
+    L, n = 6.0, 256
+    u = sim.ComplexField2D(L, prof.physical_field(expansion, P)(sim.box_points(L, n)))
+    with pytest.raises(modfit.NewtonDiverged, match="eps_L2"):
+        modfit.decompose(u, replace(P, lam=0.3 * P.lam), expansion)
+
+
+def test_line_search_refuses_a_rising_step(expansion, monkeypatch):
+    # conditions (b² + 1, p - p0): at b = 0 the finite-difference Jacobian is
+    # about 1e-7, so the Newton step raises the residual at every trial scale
+    P = prof.ParamPoint(b=0.0, lam=0.1)
+    p0 = P.to_vector()[:7]
+    monkeypatch.setattr(modfit, "_epsilon_at", lambda Pt, *args: (Pt.to_vector()[:7], None))
+    monkeypatch.setattr(modfit, "_condition_values",
+                        lambda p, w, grid: np.append(p[0] ** 2 + 1.0, p[1:] - p0[1:]))
+    with pytest.raises(modfit.NewtonDiverged, match="line search failed"):
+        modfit.decompose(lambda pts: np.zeros(pts.shape[:-1]), P, expansion)
+
+
 def test_condition_values_match_explicit_integrals(expansion, rng):
     grid = PolarGrid()
     sampler = modfit._cached_sampler(expansion, grid)

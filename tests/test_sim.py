@@ -40,7 +40,7 @@ def test_free_gaussian_linear_regime():
     amp = 1e-6
     u0 = amp * np.exp(-a * (X ** 2 + Y ** 2))
     f = sim.ComplexField2D(L, u0, 0.0)
-    st = sim.Stepper(L, n, np.ones((n, n)), dealias=False)
+    st = sim.Stepper(L, n, np.ones((n, n)))
     T, dt = 0.4, 0.002
     for _ in range(int(round(T / dt))):
         f = sim.step(f, dt, st)
