@@ -6,10 +6,12 @@ the linearized operators around it, the refined blow-up profile that absorbs
 the Taylor expansion of k at a nondegenerate maximum, the modulation
 dynamical systems, a split-step spectral simulator, and the fitting/diagnostic
 machinery that extracts the modulation parameters from a simulated field.
+
+Importing the package loads only the radial layer; ``nlsblow.lab.get_lab``
+builds the lab (Q, its moments, L± and ρ) once per process.
 """
 
 from .radial import RadialGrid, RadialFunction, Moments, solve_ground_state, quadrature
-from .lab import Lab, get_lab
 
 __all__ = [
     "RadialGrid",
@@ -17,8 +19,6 @@ __all__ = [
     "Moments",
     "solve_ground_state",
     "quadrature",
-    "Lab",
-    "get_lab",
 ]
 
 __version__ = "0.1.0"

@@ -134,7 +134,7 @@ def cmd_profile(cfg, out: Path) -> int:
     exp = _expansion_from(cfg, lab)
     c = exp.constants
     write_json(out / "constants.json", {
-        "c0_map": c.c0_map, "beta3": c.beta3, "beta4": c.beta4,
+        "c0_map": c.c0_map, "beta3": c.beta3,
         "d0_form": c.d0_form, "d1_form": c.d1_form, "a1": c.a1,
         "a1_projection": prof.a1_projection(exp.model, lab),
         "C0": exp.C0, "eta_star": exp.eta_star,
@@ -215,14 +215,12 @@ def cmd_simulate(cfg, out: Path) -> int:
     # an earlier run into the same directory must not leave snapshots behind
     for old in snap_dir.glob("snap_*.bin"):
         old.unlink()
-    counter = {"i": 0}
     snap_files = []
 
     def sink(field):
-        name = f"snap_{counter['i']:06d}.bin"
+        name = f"snap_{len(snap_files):06d}.bin"
         sim.write_snapshot(snap_dir / name, field)
         snap_files.append("snapshots/" + name)
-        counter["i"] += 1
 
     result = sim.run(cfg_run, field0, k_vals, lab.moments.gradQ, lab.moments.massQ,
                      snapshot_sink=sink)

@@ -167,8 +167,9 @@ def _joint_rules(cfg: RunConfig, bad: set) -> List[str]:
             v.append("kmodel.hessian: must be symmetric")
         if np.linalg.eigvalsh(0.5 * (H + H.T)).max() > 1e-12:
             v.append("kmodel.hessian: hessian not negative definite")
-    if cfg["energy"]["E0"] is None and cfg["energy"]["C0"] is None:
-        v.append("energy: one of E0 or C0 must be set")
+    en = cfg["energy"]
+    if (en["E0"] is None) == (en["C0"] is None) and not bad & {"energy.E0", "energy.C0"}:
+        v.append("energy: set exactly one of E0 and C0")
     scan = cfg["profile"]["lam_scan"]
     if "profile.lam_scan" not in bad and not scan[0] < scan[1]:
         v.append("profile.lam_scan: lam_min must be below lam_max")
@@ -190,6 +191,9 @@ def parse_config(text: Optional[str]) -> RunConfig:
         raise ConfigError(["top level: expected a mapping"])
     violations: List[str] = []
     data = _merge(DEFAULTS, user, "", violations)
+    energy = (user or {}).get("energy")
+    if isinstance(energy, dict) and energy.get("E0") is not None and "C0" not in energy:
+        data["energy"]["C0"] = None     # an energy set alone replaces the default C0
     for path, (_, check, need) in SCHEMA.items():
         section, name = _leaf(data, path)
         try:

@@ -14,6 +14,10 @@ from typing import Tuple
 
 import numpy as np
 
+CUTOFF_FD_STEP = 1e-6    # step of cutoff_deriv's centered difference
+VALIDATE_SAMPLES = 4000  # points of validate's k1 <= k <= 1 check
+VALIDATE_SEED = 0        # seed of those points
+
 
 class HessianNotNegative(ValueError):
     """The Hessian has a positive eigenvalue: no blow-up point of this type."""
@@ -42,11 +46,11 @@ def cutoff(s):
     return a / (a + b + 1e-300)
 
 
-def cutoff_deriv(s, eps: float = 1e-6):
+def cutoff_deriv(s):
     # the cutoff only multiplies the cubic Taylor term; a centered difference
     # of the C^∞ bump is accurate far beyond the places this derivative matters
     s = np.asarray(s, dtype=float)
-    return (cutoff(s + eps) - cutoff(s - eps)) / (2 * eps)
+    return (cutoff(s + CUTOFF_FD_STEP) - cutoff(s - CUTOFF_FD_STEP)) / (2 * CUTOFF_FD_STEP)
 
 
 @dataclass
@@ -126,7 +130,7 @@ class InhomogeneityModel:
     def is_flat(self) -> bool:
         return not (np.any(self.hessian) or np.any(self.third))
 
-    def validate(self, n_samples: int = 4000, seed: int = 0) -> list:
+    def validate(self) -> list:
         """Assumption checks; returns a list of violation messages (empty = ok)."""
         issues = []
         if abs(float(self.k(np.zeros(2))) - 1.0) > 1e-12:
@@ -147,8 +151,8 @@ class InhomogeneityModel:
                 if abs(d2 - self.hessian[i, j]) > 1e-6 * (1 + abs(self.hessian[i, j])):
                     issues.append(f"evaluator hessian[{i}{j}] = {d2:.6f} != {self.hessian[i, j]:.6f}")
         # bounds k1 <= k <= 1 on a sample disk
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(n_samples, 2)) * 1.5
+        rng = np.random.default_rng(VALIDATE_SEED)
+        pts = rng.normal(size=(VALIDATE_SAMPLES, 2)) * 1.5
         kv = self.k(pts)
         if kv.max() > 1.0 + 1e-10:
             issues.append(f"k exceeds 1 (max {kv.max():.6f}); third tensor too large for this hessian")

@@ -2,7 +2,8 @@
 
 Everything downstream (profile construction, simulation initialization,
 decomposition windows) reads from one Lab instance, so the expensive pieces
-are computed once per grid.
+are computed once per grid.  A Lab is complete when it is built: its
+``LinearizedOps`` holds every band and kernel vector, and ρ is solved.
 """
 
 from dataclasses import dataclass, field

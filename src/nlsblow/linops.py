@@ -4,24 +4,26 @@ On the mode-m radial part of a field f_m(r) e^{imθ},
 
     L± f = -f'' - f'/r + (m²/r²) f + f - c Q² f,   c = 3 (L+), c = 1 (L-).
 
-The discretization is 4th-order finite differences on the uniform radial
-grid (pentadiagonal bands), with parity ghosts at r=0 and a Dirichlet
-condition at r_max.  The kernel modes -- L+ at m=1 (radial part Q') and
-L- at m=0 (Q itself) -- are solved by deflation: the source's left-kernel
+The bands are those of ``radial.operator_banded`` (4th-order pentadiagonal,
+parity ghosts at r=0, Dirichlet row at r_max).  The lab builds its bands
+for m = 0..M_MAX and its kernel vectors once, when it builds its one
+``LinearizedOps``.  The kernel modes -- L+ at m=1 (radial part Q') and L- at
+m=0 (Q itself) -- are solved by deflation: the source's left-kernel
 component (refused above SOLVABILITY_THRESHOLD) is removed, the banded
 system solved, and the solution projected orthogonal to the kernel.
 """
 
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .radial import RadialGrid, RadialFunction, derivative, quadrature
+from .radial import (RadialGrid, RadialFunction, banded_matvec, derivative,
+                     laplacian_banded, operator_banded, quadrature)
 
 M_MAX = 4                      # largest angular mode the operators accept
 SOLVABILITY_THRESHOLD = 1e-8   # largest relative kernel projection a source may have
+CANCELLATION_NT = 64           # angles of cancellation_moment's angular quadrature
 
 OpName = Literal["plus", "minus"]
 
@@ -38,61 +40,7 @@ class ModeError(ValueError):
     """Angular mode index exceeds M_MAX."""
 
 
-def _d2_rows(h):
-    """4th-order second-derivative band coefficients (interior)."""
-    return np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
-
-
-def _d1_rows(h):
-    return np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
-
-
-@lru_cache(maxsize=64)
-def _lap_banded_cached(r_max: float, n: int, m: int):
-    """Banded (5-diagonal) 2D radial Laplacian at harmonic m: f'' + f'/r - m²f/r².
-
-    Row 0 carries the origin condition: the L'Hopital value 2f''(0) for m=0,
-    the Dirichlet row f(0)=0 for m >= 1.  Parity ghosts f(-r) = (-1)^m f(r)
-    keep 4th order at i=1; zero ghosts beyond r_max (decayed tail).
-    """
-    grid = RadialGrid(r_max, n)
-    h = grid.h
-    r = grid.nodes
-    c2 = _d2_rows(h)
-    c1 = _d1_rows(h)
-    ab = np.zeros((5, n))  # diagonals: ab[0]=k=+2 ... ab[4]=k=-2 (solve_banded layout)
-
-    rows = np.arange(1, n - 1)
-    ri = r[rows]
-    for d in range(-2, 3):
-        cols = rows + d
-        keep = (cols >= 0) & (cols < n)          # zero ghosts beyond r_max
-        ab[2 - d, cols[keep]] = (c2[d + 2] + c1[d + 2] / ri)[keep]
-    # parity ghost f(-h) = (-1)^m f(h): row 1's k=-2 coefficient lands on its diagonal
-    ab[2, 1] += (-1.0) ** m * (c2[0] + c1[0] / r[1])
-    ab[2, rows] += -m * m / ri ** 2
-    if m == 0:
-        # Δf(0) = 2 f''(0) = (16 f1 - f2 - 15 f0) / (3 h²) to 4th order
-        ab[2, 0] = -15.0 / (3 * h * h)
-        ab[1, 1] = 16.0 / (3 * h * h)
-        ab[0, 2] = -1.0 / (3 * h * h)
-    else:
-        ab[2, 0] = 1.0  # caller interprets row 0 as f(0)=0 constraint
-    return ab
-
-
-def banded_matvec(ab: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """A @ f for A in solve_banded (2, 2) layout, ab[2 + i - j, j] = A[i, j].
-
-    The five diagonal products are summed in ascending column order, as a
-    CSR row product sums them, so the result is that of the sparse matrix.
-    """
-    n = ab.shape[1]
-    out = np.zeros(n, dtype=np.result_type(ab, f))
-    for k in range(-2, 3):            # column j = i + k
-        i0, i1 = max(0, -k), min(n, n - k)
-        out[i0:i1] += ab[2 - k, i0 + k:i1 + k] * f[i0 + k:i1 + k]
-    return out
+KERNEL_MODES = (("plus", 1), ("minus", 0))   # (op, m) of the kernels Q' and Q
 
 
 def _transpose_banded(ab: np.ndarray) -> np.ndarray:
@@ -104,52 +52,50 @@ def _transpose_banded(ab: np.ndarray) -> np.ndarray:
     return abT
 
 
-def operator_banded(grid: RadialGrid, m: int, potential: np.ndarray) -> np.ndarray:
-    """Banded form of -Δ_m + potential(r) (row 0: origin stencil / Dirichlet)."""
-    ab = -_lap_banded_cached(grid.r_max, grid.n, m)
-    pot = np.broadcast_to(potential, (grid.n,))
-    if m == 0:
-        ab[2, :] += pot
-    else:
-        ab[2, 0] = 1.0   # keep f(0)=0 row (the -lap already put -1 there)
-        ab[2, 1:] += pot[1:]
-        ab[1, 0] = 0.0
-        ab[0, 0] = 0.0
-    # Dirichlet at r_max
-    ab[:, -1] = 0.0
-    ab[2, -1] = 1.0
-    ab[3, -1] = 0.0
-    ab[4, -1] = 0.0
-    # zero couplings INTO the last node from interior rows are fine (tail ~ 0)
-    return ab
+def _null_vector(ab: np.ndarray, k0: np.ndarray) -> np.ndarray:
+    """The unit near-null vector of band ab that k0 approximates, signed like k0."""
+    k = k0 / np.linalg.norm(k0)
+    for _ in range(2):   # inverse iteration onto the near-null direction
+        x = solve_banded((2, 2), ab, k)
+        x /= np.linalg.norm(x)
+        if np.dot(x, k0) < 0:
+            x = -x
+        k = x
+    return k
 
 
 class LinearizedOps:
-    """L+ and L- on a fixed grid around a fixed ground state."""
+    """L± around Q: Laplacian bands lap[m], L± bands bands[op, m], kernels, all built here."""
 
     def __init__(self, Q: RadialFunction):
         self.Q = Q
         self.grid = Q.grid
-        q2 = Q.values ** 2
-        self._pot = {"plus": 1.0 - 3.0 * q2, "minus": 1.0 - q2}
-        self._banded = {}
-        self._kernels = {}
         self.dQ = derivative(Q.values, self.grid, parity=+1)
-
-    # -- matrices ------------------------------------------------------
-
-    def _get_banded(self, op: OpName, m: int) -> np.ndarray:
-        key = (op, m)
-        if key not in self._banded:
-            self._banded[key] = operator_banded(self.grid, m, self._pot[op])
-        return self._banded[key]
+        q2 = Q.values ** 2
+        pot = {"plus": 1.0 - 3.0 * q2, "minus": 1.0 - q2}
+        self.lap = tuple(laplacian_banded(self.grid, m) for m in range(M_MAX + 1))
+        self.bands = {(op, m): operator_banded(self.lap[m], m, pot[op])
+                      for op in pot for m in range(M_MAX + 1)}
+        self.kernels = {}
+        for op, m in KERNEL_MODES:
+            k0 = self.dQ.copy() if op == "plus" else Q.values.copy()
+            if op == "plus":
+                k0[0] = 0.0
+            self.kernels[op, m, "right"] = _null_vector(self.bands[op, m], k0)
+            w = _null_vector(_transpose_banded(self.bands[op, m]), k0 * self.grid.nodes)
+            # constraint rows (f(0)=0 for m>=1, Dirichlet at r_max) never
+            # see the source, so the solvability functional ignores them
+            if m >= 1:
+                w[0] = 0.0
+            w[-1] = 0.0
+            self.kernels[op, m, "left"] = w / np.linalg.norm(w)
 
     def _check_mode(self, m: int):
         if abs(m) > M_MAX:
             raise ModeError(f"|m|={abs(m)} exceeds M_MAX={M_MAX}")
 
     def is_kernel_mode(self, op: OpName, m: int) -> bool:
-        return (op == "plus" and abs(m) == 1) or (op == "minus" and m == 0)
+        return (op, abs(m)) in KERNEL_MODES
 
     def kernel_vector(self, op: OpName, m: int, side: str = "right") -> np.ndarray:
         """Discrete kernel radial part (Q' for L+ at |m|=1, Q for L- at m=0).
@@ -158,32 +104,7 @@ class LinearizedOps:
         this nearly self-adjoint discretization); sources are solvable exactly
         when orthogonal to it.
         """
-        key = (op, abs(m), side)
-        if key not in self._kernels:
-            k0 = self.dQ.copy() if op == "plus" else self.Q.values.copy()
-            if op == "plus":
-                k0[0] = 0.0
-            if side == "left":
-                k0 = k0 * self.grid.nodes
-            k = k0 / np.linalg.norm(k0)
-            ab = self._get_banded(op, abs(m))
-            if side == "left":
-                ab = _transpose_banded(ab)
-            for _ in range(2):   # inverse iteration onto the near-null direction
-                x = solve_banded((2, 2), ab, k)
-                x /= np.linalg.norm(x)
-                if np.dot(x, k0) < 0:
-                    x = -x
-                k = x
-            if side == "left":
-                # constraint rows (f(0)=0 for m>=1, Dirichlet at r_max) never
-                # see the source, so the solvability functional ignores them
-                if abs(m) >= 1:
-                    k[0] = 0.0
-                k[-1] = 0.0
-                k /= np.linalg.norm(k)
-            self._kernels[key] = k
-        return self._kernels[key]
+        return self.kernels[op, abs(m), side]
 
     # -- apply / solve ---------------------------------------------------
 
@@ -195,7 +116,7 @@ class LinearizedOps:
         value at r=0 is set to 0 (all m>=1 fields vanish there).
         """
         self._check_mode(m)
-        out = banded_matvec(self._get_banded(op, abs(m)), np.asarray(values))
+        out = banded_matvec(self.bands[op, abs(m)], np.asarray(values))
         if abs(m) >= 1:
             out[0] = 0.0
         # Dirichlet row applied L to a decayed tail: report 0 there
@@ -255,7 +176,7 @@ class LinearizedOps:
             rhs[0] = 0.0                # origin constraint row
         if self.is_kernel_mode(op, m):
             return self._solve_kernel_mode(op, abs(m), rhs)
-        return solve_banded((2, 2), self._get_banded(op, abs(m)), rhs)
+        return solve_banded((2, 2), self.bands[op, abs(m)], rhs)
 
     def _solve_kernel_mode(self, op: OpName, m: int, rhs: np.ndarray) -> np.ndarray:
         """Deflated banded solve on a kernel mode.
@@ -267,8 +188,7 @@ class LinearizedOps:
         w = self.kernel_vector(op, m, side="left")
         k = self.kernel_vector(op, m)
         rhs = rhs - w * np.dot(w, rhs)
-        ab = self._get_banded(op, m)
-        f = solve_banded((2, 2), ab, rhs)
+        f = solve_banded((2, 2), self.bands[op, m], rhs)
         d = k * self.grid.nodes          # gauge pairing weight r dr
         return f - k * (np.dot(d, f) / np.dot(d, k))
 
@@ -280,9 +200,9 @@ class LinearizedOps:
         rho = self.solve("plus", g, m=0)
         return RadialFunction(self.grid, rho)
 
-    def cancellation_moment(self, j: int, l: int, nt: int = 64) -> float:
+    def cancellation_moment(self, j: int, l: int) -> float:
         """(y_j y_l Q³, ΛQ) with the angular factor done by honest quadrature."""
-        theta = np.linspace(0.0, 2 * np.pi, nt, endpoint=False)
+        theta = np.linspace(0.0, 2 * np.pi, CANCELLATION_NT, endpoint=False)
         cs = np.stack([np.cos(theta), np.sin(theta)])
         ang = np.mean(cs[j] * cs[l])
         r = self.grid.nodes

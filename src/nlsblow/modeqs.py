@@ -8,8 +8,8 @@ The leading-order closed system for the parameters, in the rescaled time s
     s_s = 1,               t_s = λ²,
 
 with the quadratic forms d0, d1 taken from the profile constants.  The β
-forcing B(λ, α) = c0(α)λ + β3λ³ [+ β4λ⁴] is ``ProfileConstants.B`` itself;
-β4 enters only when the constants come from a built profile.  The state is
+forcing B(λ, α) = c0(α)λ + β3λ³ is ``ProfileConstants.B`` itself, the same
+law the profile's residual uses.  The state is
 ``profile.ParamPoint``, in its vector layout [b, λ, β1, β2, α1, α2, γ, s, t]:
 both clocks are integrated states, and either one can be the independent
 variable of ``integrate``.
@@ -40,6 +40,8 @@ from .profile import ParamPoint, ProfileConstants
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12
 LAM_MIN_DEFAULT = 1e-6
+QUAD_TOL = 1e-12       # absolute and relative tolerance of decaying_solution's integrals
+LINEAR_RTOL = 1e-12    # rtol of integrate_linear_system
 
 
 def existence_initial_state(t1: float, C0: float, gamma0: float = 0.0) -> ParamPoint:
@@ -233,8 +235,7 @@ def basis(varsig: float) -> AppendixBSystem:
         wronskian=-0.5 * om, regime="oscillatory")
 
 
-def decaying_solution(sys: AppendixBSystem, F: Callable, s: np.ndarray,
-                      quad_tol: float = 1e-12) -> np.ndarray:
+def decaying_solution(sys: AppendixBSystem, F: Callable, s: np.ndarray) -> np.ndarray:
     """The unique solution with Z -> 0 at infinity, by variation of constants.
 
     Both integration constants vanish; the coefficients are
@@ -260,8 +261,8 @@ def decaying_solution(sys: AppendixBSystem, F: Callable, s: np.ndarray,
             Zp = sys.Z_plus(sig)
             return (f2(sig) * Zp[0] - f1(sig) * Zp[1]) / W
 
-        ap, err1 = quad(integrand_plus, si, np.inf, epsabs=quad_tol, epsrel=quad_tol, limit=400)
-        am, err2 = quad(integrand_minus, si, np.inf, epsabs=quad_tol, epsrel=quad_tol, limit=400)
+        ap, err1 = quad(integrand_plus, si, np.inf, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
+        am, err2 = quad(integrand_minus, si, np.inf, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
         if not (np.isfinite(ap) and np.isfinite(am)):
             raise ValueError("forcing is not integrable against the basis")
         out[:, i] = -ap * sys.Z_plus(si) - am * sys.Z_minus(si)
@@ -283,7 +284,7 @@ def bound_report(sys: AppendixBSystem, F: Callable, s_values: np.ndarray) -> dic
 
 
 def integrate_linear_system(sys: AppendixBSystem, F: Callable, s_from: float,
-                            s_to: float, Z0: np.ndarray, rtol: float = 1e-12) -> Callable:
+                            s_to: float, Z0: np.ndarray) -> Callable:
     """Direct adaptive integration of the 2x2 system (the cross-check route)."""
 
     def rhs(s, z):
@@ -291,7 +292,7 @@ def integrate_linear_system(sys: AppendixBSystem, F: Callable, s_from: float,
         return [-2.0 * z[1] + f[0], sys.varsig / s ** 2 * z[0] + f[1]]
 
     sol = solve_ivp(rhs, (s_from, s_to), np.asarray(Z0, dtype=float),
-                    method="DOP853", rtol=rtol, atol=1e-14, dense_output=True)
+                    method="DOP853", rtol=LINEAR_RTOL, atol=1e-14, dense_output=True)
     if not sol.success:
         raise RuntimeError(sol.message)
     return sol.sol

@@ -14,7 +14,7 @@ soliton manifold, so a root with ‖ε‖_L2 > ``EPS_L2_FACTOR``·‖Q‖_L2 rai
 its ``FieldSampler`` is built, so each Newton evaluation only interpolates.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -28,6 +28,9 @@ TOL_FACTOR = 1e-9      # Newton tolerance on the conditions, times ∫Q²
 EPS_L2_FACTOR = 0.1    # largest accepted ‖ε‖_L2, times ‖Q‖_L2
 MAX_ITER = 40
 SPLINE_ORDER = 3       # interpolation of a simulation field on the fit grid
+FIT_WINDOW_FRAC = 0.5  # trailing share of the λ series that fit_rate fits
+RANDOM_EPS_L2 = 1e-3   # ‖ε‖_L2 of constrained_random_eps
+RANDOM_EPS_BUMPS = 6   # Gaussian bumps summed by constrained_random_eps
 
 
 class NewtonDiverged(RuntimeError):
@@ -163,7 +166,6 @@ class Decomposition:
     jacobian_cond: float
     eps_l2: float
     eps_h1: float
-    windows: dict = dc_field(default_factory=dict, repr=False)
 
 
 def _window_fields(sampler: _ExpansionSampler, grid: PolarGrid, P: ParamPoint):
@@ -245,7 +247,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
 
     def residuals(pv):
         eps, w = _epsilon_at(point(pv), usample, sampler, grid, model)
-        return _condition_values(eps, w, grid), eps, w
+        return _condition_values(eps, w, grid), eps
 
     def jacobian(pv, Rv):
         jac = np.empty((7, 7))
@@ -256,7 +258,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
             jac[:, j] = (residuals(pj)[0] - Rv) / dp
         return jac
 
-    R, eps, w = residuals(p)
+    R, eps = residuals(p)
     jac = None
     for _ in range(MAX_ITER):
         if np.max(np.abs(R)) <= tol:
@@ -270,9 +272,9 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
         for _ in range(8):
             trial = p + scale * step_vec
             if trial[1] > 0:
-                Rt, eps_t, w_t = residuals(trial)
+                Rt, eps_t = residuals(trial)
                 if np.max(np.abs(Rt)) < np.max(np.abs(R)):
-                    p, R, eps, w = trial, Rt, eps_t, w_t
+                    p, R, eps = trial, Rt, eps_t
                     break
             scale *= 0.5
         else:
@@ -292,8 +294,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
     dr_eps, dth_eps = grid.gradient(eps)
     h1 = np.sqrt(l2 ** 2 + grid.integral(np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2))
     return Decomposition(params=point(p), epsilon=eps, fit_grid=grid, residuals=R,
-                         jacobian_cond=cond, eps_l2=float(l2), eps_h1=float(h1),
-                         windows=w)
+                         jacobian_cond=cond, eps_l2=float(l2), eps_h1=float(h1))
 
 
 _SAMPLER_CACHE = {}
@@ -320,7 +321,7 @@ class FitReport:
     residual: float
 
 
-def fit_rate(ts, lams, window_frac: float = 0.5) -> FitReport:
+def fit_rate(ts, lams) -> FitReport:
     """Least squares of λ against (T-t)/C0 over the trailing window."""
     ts = np.asarray(ts, dtype=float)
     lams = np.asarray(lams, dtype=float)
@@ -328,7 +329,7 @@ def fit_rate(ts, lams, window_frac: float = 0.5) -> FitReport:
         raise ValueError("need at least 10 samples")
     if not np.all(np.diff(lams) < 0):
         raise NonMonotoneSeries("λ series must be strictly decreasing")
-    n0 = int(np.floor(ts.size * (1.0 - window_frac)))
+    n0 = int(np.floor(ts.size * (1.0 - FIT_WINDOW_FRAC)))
     tw, lw = ts[n0:], lams[n0:]
     A = np.stack([np.ones_like(tw), tw], axis=1)
     coef, *_ = np.linalg.lstsq(A, lw, rcond=None)
@@ -395,13 +396,12 @@ def virial_boundary(dec: Decomposition, A: float, ymomQ: float) -> float:
     return float(-(b / lam) * ymomQ / 4.0 + term)
 
 
-def constrained_random_eps(dec_windows: dict, grid: PolarGrid, rng,
-                           amplitude: float = 1e-3, n_bumps: int = 6) -> np.ndarray:
+def constrained_random_eps(dec_windows: dict, grid: PolarGrid, rng) -> np.ndarray:
     """A random smooth ε satisfying the 7 conditions and the mass direction."""
     r = grid.r[:, None]
     th = grid.theta[None, :]
     eps = np.zeros((grid.n_r, grid.n_theta), dtype=complex)
-    for _ in range(n_bumps):
+    for _ in range(RANDOM_EPS_BUMPS):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         m = rng.integers(0, 4)
         width = rng.uniform(1.0, 3.0)
@@ -419,7 +419,7 @@ def constrained_random_eps(dec_windows: dict, grid: PolarGrid, rng,
     for c, (a_i, b_i) in zip(coef, pairs):
         eps -= c * (a_i + 1j * b_i)
     scale = np.sqrt(grid.integral(np.abs(eps) ** 2))
-    return eps * (amplitude / scale)
+    return eps * (RANDOM_EPS_L2 / scale)
 
 
 def rescaled_perturbation(eps: np.ndarray, grid: PolarGrid, params: ParamPoint,

@@ -2,9 +2,11 @@
 
 The conformal-frame profile is P = Q + Σ_j (T_j + i S_j) with T_j, S_j
 homogeneous of degree j, each obtained by inverting L+ or L- against sources
-assembled from the Taylor data of k.  The constants c0, β3, β4 are exactly
-the solvability adjustments that keep every inversion off the kernels, and
-the pseudo-conformal law survives because (y_j y_l Q³, ΛQ) = 0.
+assembled from the Taylor data of k.  The constants c0, β3 are exactly the
+solvability adjustments that keep every inversion off the kernels, and the
+pseudo-conformal law survives because (y_j y_l Q³, ΛQ) = 0.  The frozen
+``ProfileConstants`` come from ``derive_constants`` alone, and the profile
+and the modulation ODE share them.
 
 Monomials in the parameters are dict keys; products and parameter
 derivatives of the expansion are exact operations on that map, so no
@@ -18,17 +20,17 @@ modulation ODE integrates both clocks as states), and it owns the conformal
 phase -b|y|²/4 + β·y and that phase's gradient.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .fields import AngularField, PolarGrid, angular_modes
 from .kmodel import InhomogeneityModel
 from .lab import Lab
-from .linops import _lap_banded_cached, banded_matvec, vector_norm
-from .radial import quadrature
+from .linops import vector_norm
+from .radial import banded_matvec, quadrature
 
 Monomial = Tuple[int, int, int, int, int, int]   # powers of (b, λ, β1, β2, α1, α2)
 
@@ -90,7 +92,7 @@ class ParamPoint:
                 -self.beta[0] * st + self.beta[1] * ct)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProfileConstants:
     """Solvability constants and the quadratic forms of the parameter dynamics."""
 
@@ -99,7 +101,6 @@ class ProfileConstants:
     d0_form: np.ndarray       # d0(α, α) = α @ d0_form @ α
     d1_form: np.ndarray
     a1: float
-    beta4: Optional[np.ndarray] = None
 
     def c0(self, alpha) -> np.ndarray:
         return self.c0_map @ np.asarray(alpha)
@@ -113,11 +114,8 @@ class ProfileConstants:
         return float(a @ self.d1_form @ a)
 
     def B(self, lam: float, alpha) -> np.ndarray:
-        """The momentum-law forcing λ c0(α) + β3 λ³ (+ β4 λ⁴ once the profile set β4)."""
-        out = lam * self.c0(alpha) + self.beta3 * lam ** 3
-        if self.beta4 is not None:
-            out = out + self.beta4 * lam ** 4
-        return out
+        """The momentum-law forcing λ c0(α) + β3 λ³."""
+        return lam * self.c0(alpha) + self.beta3 * lam ** 3
 
 
 def hessian_quartic_integral(model: InhomogeneityModel, lab: Lab) -> float:
@@ -211,7 +209,7 @@ def _solve_field(lab: Lab, op: str, src: AngularField) -> AngularField:
 def _lap_field(lab: Lab, f: AngularField) -> AngularField:
     out = {}
     for m, v in f.comps.items():
-        w = banded_matvec(_lap_banded_cached(lab.grid.r_max, lab.grid.n, abs(m)), v)
+        w = banded_matvec(lab.ops.lap[abs(m)], v)
         if abs(m) >= 1:
             w[0] = 0.0      # matrix row 0 is the f(0)=0 constraint; Δ vanishes there
         out[m] = w
@@ -228,7 +226,6 @@ class ProfileExpansion:
     C0: float
     terms: Dict[Monomial, AngularField]
     eta_star: float = ETA_STAR_DEFAULT
-    _deriv_cache: dict = dc_field(default_factory=dict, repr=False)
 
     # -- parameter-space calculus (exact on the monomial map) -----------
 
@@ -243,18 +240,15 @@ class ProfileExpansion:
 
     def derivative_map(self, idx: int) -> Dict[Monomial, AngularField]:
         """∂/∂(parameter idx) of the monomial map; idx orders (b,λ,β1,β2,α1,α2)."""
-        if idx not in self._deriv_cache:
-            out = {}
-            for mono, f in self.terms.items():
-                e = mono[idx]
-                if e:
-                    new = list(mono)
-                    new[idx] = e - 1
-                    key = tuple(new)
-                    add = f * float(e)
-                    out[key] = out.get(key, AngularField(self.lab.grid)) + add
-            self._deriv_cache[idx] = out
-        return self._deriv_cache[idx]
+        out = {}
+        for mono, f in self.terms.items():
+            e = mono[idx]
+            if e:
+                new = list(mono)
+                new[idx] = e - 1
+                key = tuple(new)
+                out[key] = out.get(key, AngularField(self.lab.grid)) + f * float(e)
+        return out
 
     def combined(self, P: ParamPoint, include_Q: bool = True,
                  terms: Dict[Monomial, AngularField] = None) -> AngularField:
@@ -439,26 +433,17 @@ def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
         mono[4 + j] = 1
         put(tuple(mono), U3j)
 
-    # ---- order 4 real: L+(T4) = -β4 λ⁴·yQ + f4 λ⁴ with b replaced by λ/C0.
+    # ---- order 4 real: L+(T4) = f4 λ⁴ with b replaced by λ/C0.
     # f4 collects the surviving pure-λ⁴ real terms: the b-derivative feedbacks
     # of S3, the cubic cross terms of T2, and the 4th-order Taylor term of k.
+    # Each factor has only even modes, so f4 is orthogonal to the m = ±1
+    # kernel ∂_jQ and needs no solvability constant (the solve checks it).
     hyy = AngularField.from_angular(g, r ** 2, model.hess_form, 2)
     f4 = (V0 * (3.0 / C0 ** 2)
           + (U20 * U20).scale_radial(3.0 * q)
           + (hyy * U20).scale_radial(1.5 * q2)
           + AngularField.from_angular(g, r ** 4 * q3 / 24.0, model.quartic_form, 4))
-    beta4 = np.zeros(2)
-    for j in range(2):
-        djQ = AngularField.from_angular(
-            g, lab.dQ, lambda cx, sx, j=j: (cx, sx)[j], 1)
-        beta4[j] = -2.0 * field_pair(f4, djQ) / lab.moments.massQ
-    consts.beta4 = beta4
-
-    def ang_b4(cx, sx):
-        return beta4[0] * cx + beta4[1] * sx
-
-    T4 = solve("plus", f4 - AngularField.from_angular(g, r * q, ang_b4, 1))
-    put((0, 4, 0, 0, 0, 0), T4)
+    put((0, 4, 0, 0, 0, 0), solve("plus", f4))
 
     # ---- order 4 imaginary: L-(S4) = -(λ²/C0) ∂_λT3
     X0 = solve("minus", U30 * (-3.0 / C0))

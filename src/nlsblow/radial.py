@@ -1,4 +1,4 @@
-"""Radial grids, quadrature with the 2D measure, and the ground state Q.
+"""Radial grids, quadrature with the 2D measure, the discretization, and Q.
 
 Q is the positive radial solution of ΔQ - Q + Q^3 = 0 in R^2, i.e.
 
@@ -7,12 +7,18 @@ Q is the positive radial solution of ΔQ - Q + Q^3 = 0 in R^2, i.e.
 obtained by shooting+bisection on Q(0) followed by a collocation-Newton
 polish on the full grid.  All integrals carry the 2D measure 2π r dr and
 stop at r_max, where the Dirichlet row keeps Q(r_max) = 0.
+
+The package's one radial discretization is here: 4th-order differences with
+parity ghosts f(-r) = (-1)^m f(r) at r = 0 and zero ghosts past r_max, as
+the stencil of ``derivative`` and as solve_banded (2, 2) bands of the mode-m
+Laplacian (``laplacian_banded``) and of -Δ_m + V (``operator_banded``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp, simpson
+from scipy.linalg import solve_banded
 
 
 class BracketError(RuntimeError):
@@ -138,9 +144,88 @@ def derivative(values: np.ndarray, grid: RadialGrid, parity: int = +1) -> np.nda
     return out
 
 
+def _d2_rows(h):
+    """4th-order second-derivative band coefficients (interior)."""
+    return np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * h * h)
+
+
+def _d1_rows(h):
+    return np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * h)
+
+
+def laplacian_banded(grid: RadialGrid, m: int) -> np.ndarray:
+    """Banded (5-diagonal) 2D radial Laplacian at harmonic m: f'' + f'/r - m²f/r².
+
+    Row 0 carries the origin condition: the L'Hopital value 2f''(0) for m=0,
+    the Dirichlet row f(0)=0 for m >= 1.  Parity ghosts f(-r) = (-1)^m f(r)
+    keep 4th order at i=1; zero ghosts beyond r_max (decayed tail).
+    """
+    n = grid.n
+    h = grid.h
+    r = grid.nodes
+    c2 = _d2_rows(h)
+    c1 = _d1_rows(h)
+    ab = np.zeros((5, n))  # diagonals: ab[0]=k=+2 ... ab[4]=k=-2 (solve_banded layout)
+
+    rows = np.arange(1, n - 1)
+    ri = r[rows]
+    for d in range(-2, 3):
+        cols = rows + d
+        keep = (cols >= 0) & (cols < n)          # zero ghosts beyond r_max
+        ab[2 - d, cols[keep]] = (c2[d + 2] + c1[d + 2] / ri)[keep]
+    # parity ghost f(-h) = (-1)^m f(h): row 1's k=-2 coefficient lands on its diagonal
+    ab[2, 1] += (-1.0) ** m * (c2[0] + c1[0] / r[1])
+    ab[2, rows] += -m * m / ri ** 2
+    if m == 0:
+        # Δf(0) = 2 f''(0) = (16 f1 - f2 - 15 f0) / (3 h²) to 4th order
+        ab[2, 0] = -15.0 / (3 * h * h)
+        ab[1, 1] = 16.0 / (3 * h * h)
+        ab[0, 2] = -1.0 / (3 * h * h)
+    else:
+        ab[2, 0] = 1.0  # caller interprets row 0 as f(0)=0 constraint
+    return ab
+
+
+def banded_matvec(ab: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A @ f for A in solve_banded (2, 2) layout, ab[2 + i - j, j] = A[i, j].
+
+    The five diagonal products are summed in ascending column order, as a
+    CSR row product sums them, so the result is that of the sparse matrix.
+    """
+    n = ab.shape[1]
+    out = np.zeros(n, dtype=np.result_type(ab, f))
+    for k in range(-2, 3):            # column j = i + k
+        i0, i1 = max(0, -k), min(n, n - k)
+        out[i0:i1] += ab[2 - k, i0 + k:i1 + k] * f[i0 + k:i1 + k]
+    return out
+
+
+def operator_banded(lap: np.ndarray, m: int, potential: np.ndarray) -> np.ndarray:
+    """-Δ_m + potential(r) from the mode-m band lap (row 0: origin stencil / f(0)=0)."""
+    ab = -lap
+    pot = np.broadcast_to(potential, (lap.shape[1],))
+    if m == 0:
+        ab[2, :] += pot
+    else:
+        ab[2, 0] = 1.0   # keep f(0)=0 row (the -lap already put -1 there)
+        ab[2, 1:] += pot[1:]
+        ab[1, 0] = 0.0
+        ab[0, 0] = 0.0
+    # Dirichlet at r_max
+    ab[:, -1] = 0.0
+    ab[2, -1] = 1.0
+    ab[3, -1] = 0.0
+    ab[4, -1] = 0.0
+    # zero couplings INTO the last node from interior rows are fine (tail ~ 0)
+    return ab
+
+
 # ----------------------------------------------------------------------
 # ground state
 # ----------------------------------------------------------------------
+
+SHOOTING_ITERS = 200   # most bisection steps of shooting_amplitude
+
 
 def _shoot(a: float, r_max: float, rtol: float, atol: float, dense: bool = False):
     """Integrate Q''+Q'/r = Q - Q^3 from the series start at r0 with Q(0)=a.
@@ -180,7 +265,7 @@ def _shoot(a: float, r_max: float, rtol: float, atol: float, dense: bool = False
 
 
 def shooting_amplitude(r_max: float = 30.0, bracket=(2.0, 2.5), rtol: float = 1e-12,
-                       atol: float = 1e-14, iters: int = 200) -> float:
+                       atol: float = 1e-14) -> float:
     """Bisection on Q(0): the independent shooting oracle for the amplitude."""
     lo, hi = bracket
     flo, _ = _shoot(lo, r_max, rtol, atol)
@@ -189,7 +274,7 @@ def shooting_amplitude(r_max: float = 30.0, bracket=(2.0, 2.5), rtol: float = 1e
         raise BracketError(
             f"shooting flags equal at bracket ends ({flo}); r_max={r_max} too small "
             "or bracket does not contain the ground-state amplitude")
-    for _ in range(iters):
+    for _ in range(SHOOTING_ITERS):
         mid = 0.5 * (lo + hi)
         fm, _ = _shoot(mid, r_max, rtol, atol)
         if fm == flo:
@@ -212,8 +297,6 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
         raise ValueError("tol must be positive")
     if grid.r_max < 15:
         raise ValueError("r_max >= 15 required for a trustworthy tail")
-    from . import linops  # deferred: linops needs RadialGrid
-
     a = shooting_amplitude(grid.r_max, rtol=1e-12)
     flag, sol = _shoot(a, grid.r_max, 1e-12, 1e-14, dense=True)
     r = grid.nodes
@@ -227,11 +310,10 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
     q = np.maximum(q, 0.0)
     q[-1] = 0.0
 
-    lap = linops._lap_banded_cached(grid.r_max, grid.n, 0)
-    from scipy.linalg import solve_banded
+    lap = laplacian_banded(grid, 0)
 
     def residual(qv):
-        res = -linops.banded_matvec(lap, qv) + qv - qv ** 3
+        res = -banded_matvec(lap, qv) + qv - qv ** 3
         res[-1] = qv[-1]         # Dirichlet row
         return res
 
@@ -245,7 +327,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
             break
         if rnorm > 4.0 * best:   # stalled at the roundoff floor
             break
-        jac_banded = linops.operator_banded(grid, m=0, potential=1.0 - 3.0 * q ** 2)
+        jac_banded = operator_banded(lap, 0, 1.0 - 3.0 * q ** 2)
         q = q + solve_banded((2, 2), jac_banded, -res)
     q = best_q
     if best > tol:

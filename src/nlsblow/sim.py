@@ -241,7 +241,6 @@ class RunResult:
     series: dict
     snapshots: list
     reason: str
-    config: SimConfig
 
 
 def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
@@ -257,7 +256,7 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
                          f"(4h = {4.0 * field0.h:.4g})")
     stepper = Stepper(field0.L, field0.n, np.asarray(k_values, dtype=float),
                       splitting_order=config.splitting_order)
-    field = field0.copy()          # the last closed state
+    field = field0                 # the last closed state; no step writes into it
     state, carry = field, 0.0      # the stepped state: the current one is N(carry)·state
     series = {k: [] for k in ("t", "mass", "energy", "momentum_x", "momentum_y",
                               "grad_norm", "lambda_proxy")}
@@ -275,17 +274,13 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
             series[key].append(val)
         return lam_est
 
-    def emit_snapshot():
-        if snapshot_sink is not None:
-            snapshot_sink(field.copy())
-        else:
-            snapshots.append(field.copy())
+    emit_snapshot = snapshots.append if snapshot_sink is None else snapshot_sink
 
     # a series row's λ_est is lambda_proxy of the same state, so a dt refresh
     # on a recorded step reuses it instead of taking a second gradient
     lam_est = record_series()
     dt = config.c_dt * lam_est ** 2
-    emit_snapshot()
+    emit_snapshot(field)
     recorded = snapped = closed = True      # the current state is already emitted
     reason = "max_steps"
     for istep in range(config.max_steps):
@@ -316,15 +311,15 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
             lam_est = lam_row if recorded else lambda_proxy(field, stepper, grad_ref, mass_ref)
             dt = config.c_dt * lam_est ** 2
         if snapped:
-            emit_snapshot()
+            emit_snapshot(field)
     if not closed:
         field = close()
     if not recorded:
         record_series()
     if not snapped:
-        emit_snapshot()
+        emit_snapshot(field)
     return RunResult(series={k: np.array(v) for k, v in series.items()},
-                     snapshots=snapshots, reason=reason, config=config)
+                     snapshots=snapshots, reason=reason)
 
 
 # ----------------------------------------------------------------------

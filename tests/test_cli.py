@@ -113,6 +113,18 @@ def test_malformed_value_is_one_violation(path, value):
     assert violations[0].startswith(f"{path}: ")
 
 
+def test_E0_alone_replaces_default_C0():
+    cfg = parse_config("energy:\n  E0: 2.0\n")
+    assert cfg["energy"] == {"E0": 2.0, "C0": None}
+    assert parse_config(cfg.serialize()).data == cfg.data
+
+
+def test_E0_and_C0_exclude_each_other():
+    violations = _violations("energy:\n  E0: 2.0\n  C0: 3.0\n")
+    assert len(violations) == 1
+    assert violations[0].startswith("energy: ")
+
+
 def test_values_are_typed():
     cfg = parse_config("grid2d:\n  L: 6\nprofile:\n  lam_scan: [1, 2, 3]\n"
                        "appendix_b:\n  varsig: [1]\nkmodel:\n  hessian: [[-1, 0], [0, -1]]\n")

@@ -161,8 +161,7 @@ def test_cancellation(lab):
 
 def _laplacian_row_loop(r_max, n, m):
     """The per-row construction of the banded Laplacian, kept as the reference."""
-    from nlsblow.linops import _d1_rows, _d2_rows
-    from nlsblow.radial import RadialGrid
+    from nlsblow.radial import RadialGrid, _d1_rows, _d2_rows
 
     grid = RadialGrid(r_max, n)
     h, r = grid.h, grid.nodes
@@ -192,11 +191,13 @@ def _laplacian_row_loop(r_max, n, m):
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
-def test_laplacian_bands_match_row_loop(m):
-    from nlsblow.linops import _lap_banded_cached
+def test_laplacian_bands_match_row_loop(lab_small, m):
+    from nlsblow.radial import RadialGrid, laplacian_banded
 
-    got = _lap_banded_cached(20.0, 2048, m)
-    assert got.tobytes() == _laplacian_row_loop(20.0, 2048, m).tobytes()
+    want = _laplacian_row_loop(20.0, 2048, m).tobytes()
+    assert laplacian_banded(RadialGrid(20.0, 2048), m).tobytes() == want
+    # the lab's own band, built with its operators (lab_small is on this grid)
+    assert lab_small.ops.lap[m].tobytes() == want
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
@@ -204,14 +205,14 @@ def test_banded_matvec_matches_sparse_product(lab_small, rng, m):
     # the CSR row product sums its diagonals in ascending column order too
     import scipy.sparse as sp
 
-    from nlsblow.linops import _lap_banded_cached, banded_matvec, operator_banded
+    from nlsblow.radial import banded_matvec, laplacian_banded, operator_banded
 
     g = lab_small.grid
     n = g.n
     f = rng.normal(size=n)
     fc = rng.normal(size=n) + 1j * rng.normal(size=n)
-    for ab in (_lap_banded_cached(g.r_max, n, m),
-               operator_banded(g, m, 1.0 - 3.0 * lab_small.Q.values ** 2)):
+    lap = laplacian_banded(g, m)
+    for ab in (lap, operator_banded(lap, m, 1.0 - 3.0 * lab_small.Q.values ** 2)):
         A = sp.diags([ab[2 - k, k:] if k >= 0 else ab[2 - k, :n + k] for k in (2, 1, 0, -1, -2)],
                      [2, 1, 0, -1, -2], shape=(n, n), format="csr")
         assert banded_matvec(ab, f).tobytes() == (A @ f).tobytes()

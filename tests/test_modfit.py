@@ -61,7 +61,7 @@ def test_projected_perturbation_recovery(expansion, rng):
     grid = PolarGrid()
     sampler = modfit._cached_sampler(expansion, grid)
     w = modfit._window_fields(sampler, grid, P)
-    eps = modfit.constrained_random_eps(w, grid, rng, amplitude=1e-3)
+    eps = modfit.constrained_random_eps(w, grid, rng)
     base = prof.physical_field(expansion, P)
 
     # build the perturbed field as a callable directly in rescaled variables
@@ -359,7 +359,7 @@ def test_coercivity_random_draws(expansion, model, lab, rng):
     kv = model.k(np.stack([X, Y], axis=-1))
     ratios = []
     for _ in range(12):
-        eps = modfit.constrained_random_eps(w, grid, rng, amplitude=1e-3)
+        eps = modfit.constrained_random_eps(w, grid, rng)
         ut = modfit.rescaled_perturbation(eps, grid, P, model, L, n)
         u = sim.ComplexField2D(L, wv + ut, 0.0)
         I = modfit.lyapunov_I(P, u, sim.ComplexField2D(L, wv, 0.0), 20.0,

@@ -57,6 +57,16 @@ def test_beta3_vanishes_without_third(lab):
     assert np.allclose(consts.beta3, 0.0)
 
 
+def test_constants_are_frozen(lab, expansion):
+    # the expansion reads the constants derive_constants returned, unchanged
+    import dataclasses
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        expansion.constants.beta3 = np.ones(2)
+    assert dataclasses.asdict(expansion.constants).keys() == dataclasses.asdict(
+        prof.derive_constants(expansion.model, lab)).keys()
+
+
 def test_d0_negative(lab, model, rng):
     consts = prof.derive_constants(model, lab)
     for _ in range(20):

@@ -180,6 +180,21 @@ def test_run_termination_and_strides(lab, profile_expansion):
     assert np.all(above[:-1] >= 0.2 * 0.8)
 
 
+def test_run_leaves_field0_unchanged():
+    # run keeps field0 and the emitted snapshots without copies: no step writes into them
+    L, n = 8.0, 64
+    X, Y = _grid(L, n)
+    f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) * np.exp(0.2j * X), -0.5)
+    before = f0.values.copy()
+    st = sim.Stepper(L, n, np.ones((n, n)))
+    grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
+    cfg = sim.SimConfig(c_dt=0.01, max_steps=12, series_stride=3, snapshot_stride=2)
+    res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
+    assert np.array_equal(f0.values, before)
+    assert res.snapshots[0] is f0
+    assert len({id(s.values) for s in res.snapshots}) == len(res.snapshots)
+
+
 def test_lam_stop_validation():
     # the floor is the field's own 4h = 0.75 > 0.1; run refuses before any step
     L, n = 12.0, 128
