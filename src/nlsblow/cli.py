@@ -268,10 +268,11 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
         vb = modfit.virial_boundary(dec, A, lab.moments.ymomQ)
         rows.append([field.t, p.b, p.lam, p.alpha[0], p.alpha[1], p.beta[0],
                      p.beta[1], p.gamma, dec.eps_l2, dec.eps_h1, p.b / p.lam,
-                     I_val, vb])
+                     I_val, vb, dec.newton_iterations, dec.jacobian_cond])
     write_csv(out / "params.csv",
               ["t", "b", "lambda", "alpha1", "alpha2", "beta1", "beta2", "gamma",
-               "eps_L2", "eps_H1", "b_over_lambda", "I_value", "virial_boundary"],
+               "eps_L2", "eps_H1", "b_over_lambda", "I_value", "virial_boundary",
+               "newton_iterations", "jacobian_cond"],
               rows)
     report = {"snapshots_fit": len(rows), "snapshots_total": len(paths), "skipped": skipped}
     if len(rows) >= 10:

@@ -19,6 +19,8 @@ from typing import List, Optional
 import numpy as np
 import yaml
 
+from .kmodel import InhomogeneityModel
+
 
 class ConfigError(ValueError):
     def __init__(self, violations: List[str]):
@@ -132,8 +134,6 @@ class RunConfig:
         return np.array(self.data["kmodel"]["third"])[np.indices((2, 2, 2)).sum(axis=0)]
 
     def model(self):
-        from .kmodel import InhomogeneityModel
-
         return InhomogeneityModel(hessian=self.data["kmodel"]["hessian"], third=self.third_tensor(),
                                   floor=self.data["kmodel"]["k1"])
 

@@ -23,10 +23,13 @@ on them, with these conventions:
   values F(−r) = (−1)^m F(r)) and zero ghosts past r_max.  r⁻¹∂_θ has modes
   i m F / r, and is set to 0 on the r = 0 row.
 - Integral: ∫ f r dr dθ, composite Simpson in r and the uniform rule in θ
-  (exact for trigonometric polynomials of degree below n_θ).
+  (exact for trigonometric polynomials of degree below n_θ).  ``weights``
+  holds the same rule as one (n_r, n_θ) array, for contracting many
+  integrands at once.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict
 
 import numpy as np
@@ -36,6 +39,7 @@ from scipy.interpolate import CubicSpline
 from .radial import RadialGrid, derivative, quadrature
 
 AT_BLOCK = 2 ** 15     # points per spline evaluation in AngularField.at
+WEIGHT_BLOCK = 32      # unit vectors per Simpson evaluation in PolarGrid.weights
 
 
 def angular_modes(fn: Callable, max_deg: int) -> Dict[int, complex]:
@@ -86,8 +90,8 @@ class PolarGrid:
         return np.fft.fft(vals, axis=1) / self.n_theta
 
     def samples(self, modes: np.ndarray) -> np.ndarray:
-        """Modes -> samples: Σ_c F[:, c] e^{i m_c θ} at every θ_k."""
-        return np.fft.ifft(modes, axis=1) * self.n_theta
+        """Modes -> samples: Σ_c F[..., c] e^{i m_c θ} at every θ_k (last axis)."""
+        return np.fft.ifft(modes, axis=-1) * self.n_theta
 
     def over_r_dtheta(self, modes: np.ndarray) -> np.ndarray:
         """Modes of r⁻¹∂_θ f, i m F / r, with the r = 0 row set to 0."""
@@ -111,6 +115,21 @@ class PolarGrid:
         """∫ vals r dr dθ of real samples."""
         radial = simpson(vals * self.r[:, None], x=self.r, axis=0)
         return float(np.sum(radial) * (2 * np.pi / self.n_theta))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """integral's rule as samples, Σ weights·f ≈ ∫ f r dr dθ, built once per grid.
+
+        Simpson is linear in the samples, so its r-weight of node j is its
+        value on the unit vector e_j.  The unit vectors go WEIGHT_BLOCK at a
+        time: the whole n_r × n_r identity would raise a fit's peak memory.
+        """
+        r = self.r
+        blocks = [simpson(np.eye(self.n_r, WEIGHT_BLOCK, -j), x=r, axis=0)  # e_j, e_j+1, …
+                  for j in range(0, self.n_r, WEIGHT_BLOCK)]
+        simpson_r = np.concatenate(blocks)[:self.n_r]
+        return np.repeat((simpson_r * r * (2 * np.pi / self.n_theta))[:, None],
+                         self.n_theta, axis=1)
 
 
 class AngularField:

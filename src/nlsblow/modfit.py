@@ -5,13 +5,29 @@ by seven scalar conditions pairing ε against the phase-dressed profile
 Q_P = Σ + iΘ and ρ e^{iφ}: translations, boosts, scaling, phase-curvature and
 phase directions.  Each condition is ∫ a·ε₁ + b·ε₂ = 0 for one window pair
 (a, b) of ``condition_window_pairs``, the only place the windows are written.
-A damped Newton iteration solves them in the seven parameters; the Jacobian
-is finite-differenced (the residuals are smooth in the parameters and each
-evaluation is cheap on the fixed polar fit grid).  A step is taken only if it
-lowers the largest condition value.  The conditions also vanish far off the
-soliton manifold, so a root with ‖ε‖_L2 > ``EPS_L2_FACTOR``·‖Q‖_L2 raises
-``NewtonDiverged``.  A simulation field is cubic-spline prefiltered once, when
-its ``FieldSampler`` is built, so each Newton evaluation only interpolates.
+All seven integrals are one contraction with ``PolarGrid.weights``.
+
+A damped Newton iteration solves them in the seven parameters.  Its Jacobian
+is analytic.  With V = Q_P + ε = √k(α) λ e^{-iγ} u(α + λy) and the phase
+φ = -b|y|²/4 + β·y:
+
+    ∂_γ ε = -iV
+    ∂_λ ε = (V + r∂_r V)/λ - e^{iφ} ∂_λ P_P
+    ∂_αj ε = (∂_j k(α) / 2k(α)) V + ∂_yj V / λ - e^{iφ} ∂_αj P_P
+    ∂_b ε = -e^{iφ} ∂_b P_P + i(r²/4) Q_P
+    ∂_βj ε = -e^{iφ} ∂_βj P_P - i y_j Q_P
+
+∇V is ∇Q_P plus the fit grid's gradient of ε, and ∂_p P_P reweights the
+sampler's per-term mode samples.  So the Jacobian takes no field sample;
+each line-search trial takes one.  The Jacobian pairs ∂ε with the windows
+held fixed.  It drops ∫ ∂(a, b)·ε, the variation of the windows, which is
+O(‖ε‖).  Newton then converges linearly, with a contraction factor O(‖ε‖),
+not quadratically; near the soliton manifold that costs about as many steps.
+A step is taken only if it lowers the largest condition value.  The
+conditions also vanish far off the soliton manifold, so a root with
+‖ε‖_L2 > ``EPS_L2_FACTOR``·‖Q‖_L2 raises ``NewtonDiverged``.  A simulation
+field is cubic-spline prefiltered once, when its ``FieldSampler`` is built,
+so each evaluation only interpolates.
 """
 
 from dataclasses import dataclass
@@ -123,6 +139,21 @@ class _ExpansionSampler:
                 modes_d[:, m % g.n_theta] += c * dv
         return g.samples(modes_v), g.samples(modes_d), g.samples(g.over_r_dtheta(modes_v))
 
+    def parameter_derivatives(self, P: ParamPoint) -> np.ndarray:
+        """∂P_P/∂(b, λ, β1, β2, α1, α2) on the fit grid, shape (6, n_r, n_θ)."""
+        g = self.grid
+        modes = np.zeros((6, g.n_r, g.n_theta), dtype=complex)
+        for mono, per_mode in self.samples.items():
+            for i, e in enumerate(mono):
+                if not e:
+                    continue
+                c = e * ProfileExpansion._coeff(mono[:i] + (e - 1,) + mono[i + 1:], P)
+                if c == 0.0:
+                    continue
+                for m, (v, _) in per_mode.items():
+                    modes[i, :, m % g.n_theta] += c * v
+        return g.samples(modes)
+
 
 class FieldSampler:
     """Samples a simulation field (bicubic) or an exact evaluator.
@@ -163,13 +194,14 @@ class Decomposition:
     epsilon: np.ndarray          # on the polar fit grid, rescaled variables
     fit_grid: PolarGrid
     residuals: np.ndarray        # the 7 orthogonality values at the solution
-    jacobian_cond: float
+    jacobian_cond: float         # of the analytic Jacobian at the solution
     eps_l2: float
     eps_h1: float
+    newton_iterations: int       # Newton steps taken from the guess
 
 
 def _window_fields(sampler: _ExpansionSampler, grid: PolarGrid, P: ParamPoint):
-    """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ and ρ1/ρ2 at parameters P."""
+    """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ, ρ1/ρ2 and e^{iφ} at parameters P."""
     r = grid.r[:, None]
     theta = grid.theta[None, :]
     Pv, dPr, dPth = sampler.eval_with_grad(P)
@@ -184,7 +216,7 @@ def _window_fields(sampler: _ExpansionSampler, grid: PolarGrid, P: ParamPoint):
     lam_qp = QP + r * grad_r
     rho_c = sampler.rho[:, None] * eip
     return {"QP": QP, "gx": gx, "gy": gy, "LamQP": lam_qp, "rho": rho_c,
-            "ct": ct, "st": st}
+            "ct": ct, "st": st, "eip": eip}
 
 
 def condition_window_pairs(dec_windows: dict, grid: PolarGrid):
@@ -205,10 +237,53 @@ def condition_window_pairs(dec_windows: dict, grid: PolarGrid):
     return pairs
 
 
+def _pair_with_windows(fields, w: dict, grid: PolarGrid) -> np.ndarray:
+    """∫ a_i·Re f_j + b_i·Im f_j for the 7 condition windows and each field f_j.
+
+    ``fields`` is an iterable of k complex samples arrays; the result has
+    shape (7, k).
+    """
+    # weighted windows interleaved (a, b) per node, as a complex sample's (Re, Im)
+    windows = np.empty((7, grid.weights.size, 2))
+    for i, (a, b) in enumerate(condition_window_pairs(w, grid)[:7]):
+        windows[i, :, 0] = (a * grid.weights).ravel()
+        windows[i, :, 1] = (b * grid.weights).ravel()
+    windows = windows.reshape(7, -1)
+    return np.array([windows @ np.ascontiguousarray(f, dtype=complex).view(float).ravel()
+                     for f in fields]).T
+
+
 def _condition_values(eps: np.ndarray, w: dict, grid: PolarGrid) -> np.ndarray:
     """The seven orthogonality values ∫ a·ε₁ + b·ε₂, one per window pair."""
-    pairs = condition_window_pairs(w, grid)[:7]
-    return np.array([grid.integral(a * eps.real + b * eps.imag) for a, b in pairs])
+    return _pair_with_windows([eps], w, grid)[:, 0]
+
+
+def _jacobian(P: ParamPoint, eps: np.ndarray, w: dict, sampler: _ExpansionSampler,
+              grid: PolarGrid, model) -> np.ndarray:
+    """∂(conditions)/∂(b, λ, β1, β2, α1, α2, γ) at P with the windows held fixed.
+
+    ``eps`` and ``w`` are those of the evaluation at P (see the module
+    docstring for each ∂ε); no field sample is taken.
+    """
+    r = grid.r[:, None]
+    ct, st, QP = w["ct"], w["st"], w["QP"]
+    V = QP + eps
+    eps_r, eps_th = grid.gradient(eps)
+    Vx = w["gx"] + ct * eps_r - st * eps_th
+    Vy = w["gy"] + st * eps_r + ct * eps_th
+    dlogk = model.grad_k(P.alpha) / (2.0 * float(model.k(P.alpha)))
+    dP = w["eip"] * sampler.parameter_derivatives(P)     # e^{iφ} ∂_p P_P
+
+    def d_eps():     # one at a time, so only one ∂ε is held
+        yield -dP[0] + 0.25j * r ** 2 * QP
+        yield (w["LamQP"] + eps + r * eps_r) / P.lam - dP[1]
+        yield -dP[2] - 1j * r * ct * QP
+        yield -dP[3] - 1j * r * st * QP
+        yield dlogk[0] * V + Vx / P.lam - dP[4]
+        yield dlogk[1] * V + Vy / P.lam - dP[5]
+        yield -1j * V
+
+    return _pair_with_windows(d_eps(), w, grid)
 
 
 def _epsilon_at(P: ParamPoint, usample: FieldSampler, sampler: _ExpansionSampler,
@@ -243,49 +318,35 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
     def point(pv) -> ParamPoint:
         return ParamPoint.from_vector(np.append(pv, (0.0, usample.t)))
 
+    def evaluate(pv):
+        P = point(pv)
+        eps, w = _epsilon_at(P, usample, sampler, grid, model)
+        return _condition_values(eps, w, grid), P, eps, w
+
     p = guess.to_vector()[:7]
-
-    def residuals(pv):
-        eps, w = _epsilon_at(point(pv), usample, sampler, grid, model)
-        return _condition_values(eps, w, grid), eps
-
-    def jacobian(pv, Rv):
-        jac = np.empty((7, 7))
-        for j in range(7):
-            dp = 1e-7 * (1.0 + abs(pv[j]))
-            pj = pv.copy()
-            pj[j] += dp
-            jac[:, j] = (residuals(pj)[0] - Rv) / dp
-        return jac
-
-    R, eps = residuals(p)
-    jac = None
-    for _ in range(MAX_ITER):
-        if np.max(np.abs(R)) <= tol:
-            break
-        jac = jacobian(p, R)
+    R, P, eps, w = evaluate(p)
+    iterations = 0
+    while np.max(np.abs(R)) > tol:
+        if iterations == MAX_ITER:
+            raise NewtonDiverged(f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} "
+                                 f"after {MAX_ITER} iterations")
         try:
-            step_vec = np.linalg.solve(jac, -R)
+            step_vec = np.linalg.solve(_jacobian(P, eps, w, sampler, grid, model), -R)
         except np.linalg.LinAlgError as err:
             raise NewtonDiverged(f"singular Jacobian: {err}")
         scale = 1.0
         for _ in range(8):
             trial = p + scale * step_vec
             if trial[1] > 0:
-                Rt, eps_t = residuals(trial)
-                if np.max(np.abs(Rt)) < np.max(np.abs(R)):
-                    p, R, eps = trial, Rt, eps_t
+                trial_eval = evaluate(trial)
+                if np.max(np.abs(trial_eval[0])) < np.max(np.abs(R)):
+                    p, (R, P, eps, w) = trial, trial_eval
                     break
             scale *= 0.5
         else:
             raise NewtonDiverged("line search failed; guess outside the basin")
-    if np.max(np.abs(R)) > tol:
-        raise NewtonDiverged(
-            f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} after {MAX_ITER} iterations")
-
-    if jac is None:
-        jac = jacobian(p, R)
-    cond = float(np.linalg.cond(jac))
+        iterations += 1
+    cond = float(np.linalg.cond(_jacobian(P, eps, w, sampler, grid, model)))
 
     l2 = np.sqrt(grid.integral(np.abs(eps) ** 2))
     eps_max = EPS_L2_FACTOR * np.sqrt(expansion.lab.moments.massQ)
@@ -293,8 +354,9 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
         raise NewtonDiverged(f"eps_L2 {l2:.3g} > {eps_max:.3g}: a root off the soliton manifold")
     dr_eps, dth_eps = grid.gradient(eps)
     h1 = np.sqrt(l2 ** 2 + grid.integral(np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2))
-    return Decomposition(params=point(p), epsilon=eps, fit_grid=grid, residuals=R,
-                         jacobian_cond=cond, eps_l2=float(l2), eps_h1=float(h1))
+    return Decomposition(params=P, epsilon=eps, fit_grid=grid, residuals=R,
+                         jacobian_cond=cond, eps_l2=float(l2), eps_h1=float(h1),
+                         newton_iterations=iterations)
 
 
 _SAMPLER_CACHE = {}

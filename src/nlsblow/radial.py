@@ -59,12 +59,6 @@ class RadialFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite values in radial profile")
 
-    def __call__(self, r):
-        """Cubic spline in r, zero beyond r_max."""
-        from .fields import AngularField
-
-        return AngularField.radial(self.grid, self.values).at(r, 0.0).real
-
 
 @dataclass(frozen=True)
 class Moments:

@@ -324,6 +324,20 @@ def test_analyze_rejects_snapshot_on_another_box(tmp_path):
     assert "snap_000001.bin" in rec["message"]
 
 
+def test_analyze_reports_newton_telemetry(tmp_path):
+    out = tmp_path / "s"
+    cfgfile = _simulate_small(tmp_path, out, -0.29)
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    lines = (out / "params.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header[-2:] == ["newton_iterations", "jacobian_cond"]
+    assert len(lines) >= 3
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert int(row["newton_iterations"]) >= 0
+        assert np.isfinite(float(row["jacobian_cond"]))
+
+
 def test_analyze_records_skipped_snapshot(tmp_path, monkeypatch):
     from nlsblow import modfit
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from nlsblow.fields import AT_BLOCK, AngularField, PolarGrid
-from nlsblow.radial import RadialFunction, RadialGrid, derivative
+from nlsblow.radial import RadialGrid, derivative
 
 
 def _loop_gradient(vals, grid):
@@ -85,6 +85,18 @@ def test_integral_is_simpson_in_r_uniform_in_theta(rng):
     assert grid.integral(vals) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("n_r", [500, 141])
+def test_weights_are_the_integral_rule(rng, n_r):
+    # an even n_r has an odd number of intervals, where Simpson corrects the last one
+    grid = PolarGrid(r_max=25.0, n_r=n_r, n_theta=16)
+    r, th = grid.r[:, None], grid.theta[None, :]
+    for _ in range(5):
+        c = rng.normal(size=4)
+        vals = (c[0] + c[1] * np.cos(th) + c[2] * np.sin(2 * th) + c[3] * r * np.cos(3 * th)) \
+            * np.exp(-r ** 2 / rng.uniform(4.0, 16.0))
+        assert np.sum(grid.weights * vals) == pytest.approx(grid.integral(vals), rel=1e-13)
+
+
 def _loop_at(field, r, theta):
     """Reference: one spline pair per mode, evaluated at every point."""
     from scipy.interpolate import CubicSpline
@@ -114,13 +126,3 @@ def test_at_matches_per_mode_splines_bitwise(rng):
     assert np.all(got[r > grid.r_max] == 0.0)
     square = field.at(r[:700].reshape(100, 7), theta[:700].reshape(100, 7))
     assert square.tobytes() == ref[:700].reshape(100, 7).tobytes()
-
-
-def test_radial_function_is_the_field_spline(rng):
-    grid = RadialGrid(r_max=5.0, n=101)
-    f = RadialFunction(grid, np.exp(-grid.nodes) * (1.0 + 0.1 * rng.normal(size=grid.n)))
-    r = np.linspace(0.0, 6.0, 77)
-    from scipy.interpolate import CubicSpline
-
-    ref = np.where(r <= grid.r_max, CubicSpline(grid.nodes, f.values)(np.clip(r, 0.0, 5.0)), 0.0)
-    assert f(r).tobytes() == ref.tobytes()

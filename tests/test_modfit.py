@@ -55,18 +55,11 @@ def test_roundtrip_many_random(expansion, rng):
         assert abs(dec.params.b - P.b) < 1e-8
 
 
-def test_projected_perturbation_recovery(expansion, rng):
-    gamma = 0.2
-    P = prof.ParamPoint(b=0.05, lam=0.1, gamma=gamma)
-    grid = PolarGrid()
-    sampler = modfit._cached_sampler(expansion, grid)
-    w = modfit._window_fields(sampler, grid, P)
-    eps = modfit.constrained_random_eps(w, grid, rng)
-    base = prof.physical_field(expansion, P)
-
-    # build the perturbed field as a callable directly in rescaled variables
+def _perturbed_field(expansion, P, eps, grid):
+    """The physical field of Q_P + ε at P, ε given on the fit grid, as a callable."""
     from scipy.interpolate import CubicSpline
 
+    base = prof.physical_field(expansion, P)
     em = np.fft.fft(eps, axis=1) / grid.n_theta
     splines = []
     for k in range(grid.n_theta):
@@ -86,7 +79,18 @@ def test_projected_perturbation_recovery(expansion, rng):
         dx, dy = pts[..., 0], pts[..., 1]
         r = np.hypot(dx, dy) / P.lam
         th = np.arctan2(dy, dx)
-        return base(pts) + eps_at(r, th) * np.exp(1j * gamma) / P.lam
+        return base(pts) + eps_at(r, th) * np.exp(1j * P.gamma) / P.lam
+
+    return u_pert
+
+
+def test_projected_perturbation_recovery(expansion, rng):
+    P = prof.ParamPoint(b=0.05, lam=0.1, gamma=0.2)
+    grid = PolarGrid()
+    sampler = modfit._cached_sampler(expansion, grid)
+    w = modfit._window_fields(sampler, grid, P)
+    eps = modfit.constrained_random_eps(w, grid, rng)
+    u_pert = _perturbed_field(expansion, P, eps, grid)
 
     guess = replace(P, lam=P.lam * 1.01)
     dec = modfit.decompose(u_pert, guess, expansion)
@@ -145,44 +149,116 @@ def test_field_sampler_reads_zero_outside_box():
     assert np.array_equal(got[2:], np.zeros(3))
 
 
+BOX_GUESS = prof.ParamPoint(b=0.055, lam=0.21, beta=np.array([0.003, -0.002]),
+                            alpha=np.array([0.012, 0.018]), gamma=0.35)
+
+
+def _box_profile(expansion):
+    """The exact profile at P sampled on the 256² box of L = 6, and P."""
+    P = prof.ParamPoint(b=0.06, lam=0.2, beta=np.array([0.004, -0.003]),
+                        alpha=np.array([0.01, 0.02]), gamma=0.37)
+    L, n = 6.0, 256
+    return sim.ComplexField2D(L, prof.physical_field(expansion, P)(sim.box_points(L, n))), P
+
+
 def test_roundtrip_sampled_on_box(expansion):
     # the simulation path: the exact profile sampled on a periodic box, then
     # fitted through the bicubic sampler; errors are interpolation-sized
-    gamma = 0.37
-    P = prof.ParamPoint(b=0.06, lam=0.2, beta=np.array([0.004, -0.003]),
-                        alpha=np.array([0.01, 0.02]), gamma=gamma)
-    L, n = 6.0, 256
-    u = sim.ComplexField2D(L, prof.physical_field(expansion, P)(sim.box_points(L, n)))
-    guess = prof.ParamPoint(b=0.055, lam=0.21, beta=np.array([0.003, -0.002]),
-                            alpha=np.array([0.012, 0.018]), gamma=0.35)
-    got = modfit.decompose(u, guess, expansion).params
+    u, P = _box_profile(expansion)
+    got = modfit.decompose(u, BOX_GUESS, expansion).params
     assert abs(got.b - P.b) < 1e-5
     assert abs(got.lam - P.lam) < 1e-5
     assert np.max(np.abs(got.beta - P.beta)) < 1e-5
     assert np.max(np.abs(got.alpha - P.alpha)) < 1e-5
-    assert abs((got.gamma - gamma + np.pi) % (2 * np.pi) - np.pi) < 1e-5
+    assert abs((got.gamma - P.gamma + np.pi) % (2 * np.pi) - np.pi) < 1e-5
 
 
 def test_spurious_root_is_refused(expansion):
-    # from 0.3λ the conditions also vanish at λ ≈ 0.02, where ‖ε‖_L2 ≈ 4.1 exceeds ‖Q‖_L2
-    P = prof.ParamPoint(b=0.06, lam=0.2, beta=np.array([0.004, -0.003]),
-                        alpha=np.array([0.01, 0.02]), gamma=0.37)
-    L, n = 6.0, 256
-    u = sim.ComplexField2D(L, prof.physical_field(expansion, P)(sim.box_points(L, n)))
-    with pytest.raises(modfit.NewtonDiverged, match="eps_L2"):
+    # from 0.3λ the conditions also vanish at λ ≈ 0.02, where ‖ε‖_L2 ≈ 4.1
+    # exceeds ‖Q‖_L2; whichever check stops the iteration, no root is returned
+    u, P = _box_profile(expansion)
+    with pytest.raises(modfit.NewtonDiverged):
         modfit.decompose(u, replace(P, lam=0.3 * P.lam), expansion)
 
 
+def test_root_off_the_manifold_is_refused(expansion, rng):
+    # ε satisfies all seven conditions at P, so P is a root, but ‖ε‖_L2 = 0.5
+    # exceeds EPS_L2_FACTOR·‖Q‖_L2 ≈ 0.34
+    P = prof.ParamPoint(b=0.05, lam=0.1, gamma=0.2)
+    grid = PolarGrid()
+    w = modfit._window_fields(modfit._cached_sampler(expansion, grid), grid, P)
+    eps = modfit.constrained_random_eps(w, grid, rng) * (0.5 / modfit.RANDOM_EPS_L2)
+    assert 0.5 > modfit.EPS_L2_FACTOR * np.sqrt(expansion.lab.moments.massQ)
+    with pytest.raises(modfit.NewtonDiverged, match="eps_L2"):
+        modfit.decompose(_perturbed_field(expansion, P, eps, grid), P, expansion)
+
+
 def test_line_search_refuses_a_rising_step(expansion, monkeypatch):
-    # conditions (b² + 1, p - p0): at b = 0 the finite-difference Jacobian is
-    # about 1e-7, so the Newton step raises the residual at every trial scale
+    # conditions (b² + 1, p - p0) with the Jacobian diag(1e-7, 1, ..., 1), the
+    # forward difference at b = 0: the Newton step raises the residual at every
+    # trial scale
     P = prof.ParamPoint(b=0.0, lam=0.1)
     p0 = P.to_vector()[:7]
     monkeypatch.setattr(modfit, "_epsilon_at", lambda Pt, *args: (Pt.to_vector()[:7], None))
     monkeypatch.setattr(modfit, "_condition_values",
                         lambda p, w, grid: np.append(p[0] ** 2 + 1.0, p[1:] - p0[1:]))
+    monkeypatch.setattr(modfit, "_jacobian", lambda *args: np.diag([1e-7] + [1.0] * 6))
     with pytest.raises(modfit.NewtonDiverged, match="line search failed"):
         modfit.decompose(lambda pts: np.zeros(pts.shape[:-1]), P, expansion)
+
+
+def _fd_jacobian(u, P, expansion, grid):
+    """The forward-difference Jacobian of the seven conditions at P (reference)."""
+    sampler = modfit._cached_sampler(expansion, grid)
+    usample = modfit.FieldSampler(u)
+
+    def conditions(pv):
+        Pt = prof.ParamPoint.from_vector(np.append(pv, (0.0, usample.t)))
+        eps, w = modfit._epsilon_at(Pt, usample, sampler, grid, expansion.model)
+        return modfit._condition_values(eps, w, grid)
+
+    p = P.to_vector()[:7]
+    R = conditions(p)
+    jac = np.empty((7, 7))
+    for j in range(7):
+        dp = 1e-7 * (1.0 + abs(p[j]))
+        pj = p.copy()
+        pj[j] += dp
+        jac[:, j] = (conditions(pj) - R) / dp
+    return jac
+
+
+@pytest.mark.parametrize("field, rel_gap", [("exact", 1e-5), ("box", 1e-3)])
+def test_jacobian_matches_finite_differences(expansion, field, rel_gap):
+    # at the root the dropped window-variation term is O(‖ε‖): roundoff-sized on
+    # the exact field, interpolation-sized on the box-sampled one
+    u, P = _box_profile(expansion)
+    if field == "exact":
+        u = prof.physical_field(expansion, P)
+    grid = PolarGrid()
+    root = modfit.decompose(u, BOX_GUESS, expansion, grid=grid).params
+    sampler = modfit._cached_sampler(expansion, grid)
+    eps, w = modfit._epsilon_at(root, modfit.FieldSampler(u), sampler, grid, expansion.model)
+    jac = modfit._jacobian(root, eps, w, sampler, grid, expansion.model)
+    fd = _fd_jacobian(u, root, expansion, grid)
+    assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < rel_gap
+
+
+def test_decompose_samples_the_field_once_per_step(expansion, monkeypatch):
+    # the Jacobian takes no field sample: a full Newton step costs one sample
+    # (a finite-difference Jacobian costs 7 more)
+    u, _ = _box_profile(expansion)
+    calls = []
+    real = modfit.FieldSampler.__call__
+
+    def counted(self, pts):
+        calls.append(pts.shape)
+        return real(self, pts)
+
+    monkeypatch.setattr(modfit.FieldSampler, "__call__", counted)
+    dec = modfit.decompose(u, BOX_GUESS, expansion)
+    assert dec.newton_iterations >= 2
+    assert len(calls) <= 6
 
 
 def test_condition_values_match_explicit_integrals(expansion, rng):
@@ -340,7 +416,8 @@ def test_virial_boundary_zero_eps(expansion, lab):
     grid = PolarGrid()
     dec = modfit.Decomposition(
         params=prof.ParamPoint(b=0.05, lam=0.1), epsilon=np.zeros((grid.n_r, grid.n_theta), dtype=complex),
-        fit_grid=grid, residuals=np.zeros(7), jacobian_cond=1.0, eps_l2=0.0, eps_h1=0.0)
+        fit_grid=grid, residuals=np.zeros(7), jacobian_cond=1.0, eps_l2=0.0, eps_h1=0.0,
+        newton_iterations=0)
     val = modfit.virial_boundary(dec, 20.0, lab.moments.ymomQ)
     assert val == pytest.approx(-(0.05 / 0.1) * lab.moments.ymomQ / 4.0, rel=1e-12)
 

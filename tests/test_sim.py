@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from nlsblow import sim
+from nlsblow.fields import AngularField
 from nlsblow.kmodel import InhomogeneityModel
+
+
+def _q_of_r(lab):
+    """Q(r) through the lab's cubic spline, 0 beyond r_max."""
+    q = AngularField.radial(lab.grid, lab.Q.values)
+    return lambda r: q.at(r, 0.0).real
 
 
 def _grid(L, n):
@@ -52,11 +59,11 @@ def test_free_gaussian_linear_regime():
 def test_pseudo_conformal_short_window(lab):
     L, n = 12.0, 512
     X, Y = _grid(L, n)
-    f = sim.ComplexField2D(L, sim.pseudo_conformal_field(lab.Q, 1.0, -0.5, X, Y), -0.5)
+    f = sim.ComplexField2D(L, sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.5, X, Y), -0.5)
     st = sim.Stepper(L, n, np.ones((n, n)), splitting_order=4)
     while f.t < -0.4 - 1e-12:
         f = sim.step(f, min(0.002, -0.4 - f.t), st)
-    exact = sim.pseudo_conformal_field(lab.Q, 1.0, f.t, X, Y)
+    exact = sim.pseudo_conformal_field(_q_of_r(lab), 1.0, f.t, X, Y)
     assert np.max(np.abs(f.values - exact)) < 2e-4
 
 
@@ -65,12 +72,12 @@ def test_dt_halving_second_order(lab):
     X, Y = _grid(L, n)
     errs = []
     for dt in (0.004, 0.002):
-        f = sim.ComplexField2D(L, sim.pseudo_conformal_field(lab.Q, 1.0, -0.5, X, Y), -0.5)
+        f = sim.ComplexField2D(L, sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.5, X, Y), -0.5)
         st = sim.Stepper(L, n, np.ones((n, n)))
         nsteps = int(round(0.06 / dt))
         for _ in range(nsteps):
             f = sim.step(f, dt, st)
-        exact = sim.pseudo_conformal_field(lab.Q, 1.0, f.t, X, Y)
+        exact = sim.pseudo_conformal_field(_q_of_r(lab), 1.0, f.t, X, Y)
         errs.append(np.max(np.abs(f.values - exact)))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.5
@@ -81,7 +88,7 @@ def test_mass_conservation_inhomogeneous(lab):
     L, n = 8.0, 256
     X, Y = _grid(L, n)
     kv = model.k(np.stack([X, Y], axis=-1))
-    u0 = sim.pseudo_conformal_field(lab.Q, 1.0, -0.6, X, Y)
+    u0 = sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.6, X, Y)
     f = sim.ComplexField2D(L, u0, -0.6)
     st = sim.Stepper(L, n, kv)
     m0 = np.sum(np.abs(f.values) ** 2) * f.h ** 2
@@ -94,7 +101,7 @@ def test_mass_conservation_inhomogeneous(lab):
 def test_time_reversal(lab):
     L, n = 10.0, 256
     X, Y = _grid(L, n)
-    u0 = sim.pseudo_conformal_field(lab.Q, 1.0, -0.7, X, Y)
+    u0 = sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.7, X, Y)
     f0 = sim.ComplexField2D(L, u0, -0.7)
     st = sim.Stepper(L, n, np.ones((n, n)))
     f = f0.copy()
@@ -108,7 +115,7 @@ def test_time_reversal(lab):
 def test_energy_drift_small(lab):
     L, n = 12.0, 512
     X, Y = _grid(L, n)
-    f = sim.ComplexField2D(L, sim.pseudo_conformal_field(lab.Q, 1.0, -0.5, X, Y), -0.5)
+    f = sim.ComplexField2D(L, sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.5, X, Y), -0.5)
     st = sim.Stepper(L, n, np.ones((n, n)), splitting_order=4)
     _, e0, _ = sim.conserved(f, None, st)
     for _ in range(100):
@@ -206,7 +213,7 @@ def test_lam_stop_validation():
 
 def test_snapshot_roundtrip(tmp_path, lab):
     X, Y = _grid(8.0, 128)
-    f = sim.ComplexField2D(8.0, sim.pseudo_conformal_field(lab.Q, 1.0, -0.5, X, Y), -0.5)
+    f = sim.ComplexField2D(8.0, sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.5, X, Y), -0.5)
     p = tmp_path / "snap.bin"
     sim.write_snapshot(p, f)
     g = sim.read_snapshot(p)
@@ -284,11 +291,11 @@ def test_dt_halving_fourth_order(lab):
     X, Y = _grid(L, n)
     errs = []
     for dt in (0.002, 0.001):
-        f = sim.ComplexField2D(L, sim.pseudo_conformal_field(lab.Q, 1.0, -0.5, X, Y), -0.5)
+        f = sim.ComplexField2D(L, sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.5, X, Y), -0.5)
         st = sim.Stepper(L, n, np.ones((n, n)), splitting_order=4)
         for _ in range(int(round(0.04 / dt))):
             f = sim.step(f, dt, st)
-        exact = sim.pseudo_conformal_field(lab.Q, 1.0, f.t, X, Y)
+        exact = sim.pseudo_conformal_field(_q_of_r(lab), 1.0, f.t, X, Y)
         errs.append(np.max(np.abs(f.values - exact)))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0
