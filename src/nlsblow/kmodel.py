@@ -82,8 +82,13 @@ class InhomogeneityModel:
     # -- scalar fields ---------------------------------------------------
 
     def _g(self, x: np.ndarray) -> np.ndarray:
-        quad = 0.5 * np.einsum("...i,ij,...j->...", x, self.hessian, x)
-        cub = np.einsum("...i,...j,...l,ijl->...", x, x, x, self.third) / 6.0
+        # H and T are symmetric, so the forms are plain polynomials in x1, x2:
+        # T(x,x,x) = T111 x1³ + 3 T112 x1² x2 + 3 T122 x1 x2² + T222 x2³
+        x1, x2 = x[..., 0], x[..., 1]
+        T = self.third
+        quad = 0.5 * self.hess_form(x1, x2)
+        cub = (x1 * x1 * (T[0, 0, 0] * x1 + 3.0 * T[0, 0, 1] * x2)
+               + x2 * x2 * (3.0 * T[0, 1, 1] * x1 + T[1, 1, 1] * x2)) / 6.0
         s = np.linalg.norm(x, axis=-1)
         return quad + cub * cutoff(s)
 

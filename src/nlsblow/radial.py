@@ -4,9 +4,12 @@ Q is the positive radial solution of ΔQ - Q + Q^3 = 0 in R^2, i.e.
 
     Q'' + Q'/r - Q + Q^3 = 0,   Q'(0) = 0,   Q(r) -> 0,
 
-obtained by shooting+bisection on Q(0) followed by a collocation-Newton
-polish on the full grid.  All integrals carry the 2D measure 2π r dr and
-stop at r_max, where the Dirichlet row keeps Q(r_max) = 0.
+obtained by a collocation Newton on the full grid.  Shooting only brackets
+its start: a coarse bisection on Q(0) (relative width START_XTOL) and one
+dense shot from the bracket's midpoint.  Newton recomputes every sample, so
+it alone owns the accuracy; ``shooting_amplitude`` at its default xtol stays
+the independent oracle for Q(0).  All integrals carry the 2D measure
+2π r dr and stop at r_max, where the Dirichlet row keeps Q(r_max) = 0.
 
 The package's one radial discretization is here: 4th-order differences with
 parity ghosts f(-r) = (-1)^m f(r) at r = 0 and zero ghosts past r_max, as
@@ -219,6 +222,7 @@ def operator_banded(lap: np.ndarray, m: int, potential: np.ndarray) -> np.ndarra
 # ----------------------------------------------------------------------
 
 SHOOTING_ITERS = 200   # most bisection steps of shooting_amplitude
+START_XTOL = 1e-2      # relative bracket width of the Newton start's bisection
 
 
 def _shoot(a: float, r_max: float, rtol: float, atol: float, dense: bool = False):
@@ -259,8 +263,12 @@ def _shoot(a: float, r_max: float, rtol: float, atol: float, dense: bool = False
 
 
 def shooting_amplitude(r_max: float = 30.0, bracket=(2.0, 2.5), rtol: float = 1e-12,
-                       atol: float = 1e-14) -> float:
-    """Bisection on Q(0): the independent shooting oracle for the amplitude."""
+                       atol: float = 1e-14, xtol: float = 1e-15) -> float:
+    """Bisection on Q(0) down to a relative bracket width xtol.
+
+    At the default xtol this is the independent shooting oracle for the
+    amplitude; ``solve_ground_state`` calls it with START_XTOL for a start.
+    """
     lo, hi = bracket
     flo, _ = _shoot(lo, r_max, rtol, atol)
     fhi, _ = _shoot(hi, r_max, rtol, atol)
@@ -275,15 +283,18 @@ def shooting_amplitude(r_max: float = 30.0, bracket=(2.0, 2.5), rtol: float = 1e
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15 * hi:
+        if hi - lo < xtol * hi:
             break
     return 0.5 * (lo + hi)
 
 
 def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
-    """Ground state on the grid: shooting+bisection start, Newton polish.
+    """Ground state on the grid: a coarse shooting start, then Newton.
 
-    The Newton iteration solves the 4th-order collocation system
+    Shooting only brackets the start: bisection on Q(0) stops at relative
+    width START_XTOL, and the dense shot from the bracket's midpoint (held
+    at max(its last value, 0) past where it stops) seeds the iteration.
+    Newton owns the accuracy: it solves the 4th-order collocation system
     (-Δ_h + 1)Q - Q^3 = 0 with Q'(0)=0 and Q(r_max)=0, so the returned
     samples satisfy the discrete equation to pointwise residual <= tol.
     """
@@ -291,7 +302,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
         raise ValueError("tol must be positive")
     if grid.r_max < 15:
         raise ValueError("r_max >= 15 required for a trustworthy tail")
-    a = shooting_amplitude(grid.r_max, rtol=1e-12)
+    a = shooting_amplitude(grid.r_max, rtol=1e-12, xtol=START_XTOL)
     flag, sol = _shoot(a, grid.r_max, 1e-12, 1e-14, dense=True)
     r = grid.nodes
     q = np.empty(grid.n)

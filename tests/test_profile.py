@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlsblow import profile as prof
 from nlsblow.fields import AngularField
-from nlsblow.kmodel import InhomogeneityModel, HessianNotNegative, homogeneous_model
+from nlsblow.kmodel import InhomogeneityModel, HessianNotNegative, cutoff, homogeneous_model
 from nlsblow.linops import M_MAX, SolvabilityViolated
 
 
@@ -32,6 +32,37 @@ def test_model_validates(model):
 def test_model_rejects_positive_eigenvalue():
     with pytest.raises(HessianNotNegative):
         InhomogeneityModel(hessian=np.array([[0.2, 0.0], [0.0, -0.3]]))
+
+
+def _band_edge_model(e, phi, t, k1):
+    # [T111, T112, T122, T222] -> the symmetric tensor, as the config builds it
+    c, s = np.cos(phi), np.sin(phi)
+    R = np.array([[c, -s], [s, c]])
+    third = np.array(t)[np.indices((2, 2, 2)).sum(axis=0)]
+    return InhomogeneityModel(hessian=R @ np.diag(e) @ R.T, third=third, floor=k1)
+
+
+@pytest.mark.parametrize("edge", [
+    ((-0.25, -0.25), 0.0, (0.03, 0.03, 0.03, 0.03), 0.45),
+    ((-0.15, -0.15), 0.0, (-0.03, -0.03, -0.03, -0.03), 0.55),
+    ((-0.25, -0.15), 0.7, (0.03, -0.03, 0.03, -0.03), 0.45),
+    ((-0.15, -0.25), 2.9, (-0.03, 0.03, -0.03, 0.03), 0.55),
+])
+def test_g_matches_einsum_forms(edge, rng):
+    # the explicit polynomials against the tensor contractions they replace,
+    # inside the cutoff (|x| <= 1), across it, and beyond it (|x| >= 2), each
+    # ring against its own scale
+    m = _band_edge_model(*edge)
+    radii = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 6.0]])
+    rho = rng.uniform(radii[:, :1], radii[:, 1:], size=(3, 1000))
+    phi = rng.uniform(0.0, 2 * np.pi, size=(3, 1000))
+    x = np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+    want = (0.5 * np.einsum("...i,ij,...j->...", x, m.hessian, x)
+            + np.einsum("...i,...j,...l,ijl->...", x, x, x, m.third) / 6.0
+            * cutoff(np.linalg.norm(x, axis=-1)))
+    gap = np.max(np.abs(m._g(x) - want), axis=-1)
+    assert np.all(gap <= 1e-14 * np.max(np.abs(want), axis=-1))
+    assert m.validate() == []
 
 
 def test_c0_against_direct_quadrature(lab):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nlsblow import radial
 from nlsblow.radial import (
     RadialGrid,
     BracketError,
@@ -86,6 +87,29 @@ def test_moment_grid_refinement(lab):
     for name in ("massQ", "quarticQ", "ymomQ", "gradQ"):
         a, b = getattr(coarse, name), getattr(fine, name)
         assert abs(a - b) / abs(b) < 1e-8
+
+
+def test_ground_state_shot_budget(monkeypatch):
+    # shooting only brackets the Newton start: a coarse bisection and one dense shot
+    calls = []
+    shoot = radial._shoot
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "_shoot", counted)
+    solve_ground_state(RadialGrid(20.0, 512))
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("r_max, n", [(20.0, 512), (30.0, 4096)])
+def test_coarse_start_only_seeds_newton(monkeypatch, r_max, n):
+    grid = RadialGrid(r_max, n)
+    coarse = solve_ground_state(grid).values
+    monkeypatch.setattr(radial, "START_XTOL", 1e-15)   # the oracle's full-precision start
+    full = solve_ground_state(grid).values
+    assert np.max(np.abs(coarse - full)) <= 1e-10
 
 
 def test_bracket_failure():
