@@ -239,7 +239,7 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
     exp = _expansion_from(cfg, lab)
     ft = dict(cfg["fit"])
     A = ft.pop("A")
-    grid = PolarGrid(**ft)
+    fit = modfit.Fit(exp, PolarGrid(**ft))
     snap_dir = Path(snapshots_dir) if snapshots_dir else out / "snapshots"
     paths = sorted(snap_dir.glob("snap_*.bin"))
     if not paths:
@@ -256,7 +256,7 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
             raise ValueError(f"{path.name}: box (L, n) = ({field.L}, {field.n}) differs from "
                              f"({first.L}, {first.n}) of {paths[0].name}")
         try:
-            dec = modfit.decompose(field, guess, exp, grid=grid)
+            dec = modfit.decompose(field, guess, fit)
         except modfit.NewtonDiverged as err:
             skipped.append({"file": path.name, "reason": str(err)})
             continue

@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from .kmodel import InhomogeneityModel
+from .linops import M_MAX
 
 
 class ConfigError(ValueError):
@@ -99,7 +100,8 @@ SCHEMA = {
     "sim.snapshot_stride": (50, _STRIDE, "must be an integer >= 1"),
     "fit.r_max": (25.0, _POS, "must be positive"),
     "fit.n_r": (500, _int(lambda n: n >= 8), "must be an integer >= 8"),
-    "fit.n_theta": (64, _STRIDE, "must be an integer >= 1"),
+    "fit.n_theta": (64, _int(lambda n: n > 2 * M_MAX),
+                    f"must be an integer > {2 * M_MAX}, twice the largest profile mode"),
     "fit.A": (20.0, _real(lambda x: x >= 10), "the virial cutoff radius must be at least 10"),
     "ode.t1": (-0.3, _NEG, "must be negative (blow-up at t = 0)"),
     "ode.s_end": (1000.0, _R, "must be a number"),
@@ -178,6 +180,9 @@ def _joint_rules(cfg: RunConfig, bad: set) -> List[str]:
         h = 2.0 * g2["L"] / g2["n"]
         if lam_stop <= 4.0 * h:
             v.append(f"sim.lam_stop: must exceed 4 grid spacings (4h = {4 * h:.4g})")
+    fit_r, lab_r = cfg["fit"]["r_max"], cfg["radial_grid"]["r_max"]
+    if not bad & {"fit.r_max", "radial_grid.r_max"} and fit_r > lab_r:
+        v.append(f"fit.r_max: must not exceed radial_grid.r_max = {lab_r:g}")
     return v
 
 

@@ -18,7 +18,7 @@ is analytic.  With V = Q_P + ε = √k(α) λ e^{-iγ} u(α + λy) and the phase
     ∂_βj ε = -e^{iφ} ∂_βj P_P - i y_j Q_P
 
 ∇V is ∇Q_P plus the fit grid's gradient of ε, and ∂_p P_P reweights the
-sampler's per-term mode samples.  So the Jacobian takes no field sample;
+fit's per-term mode samples.  So the Jacobian takes no field sample;
 each line-search trial takes one.  The Jacobian pairs ∂ε with the windows
 held fixed.  It drops ∫ ∂(a, b)·ε, the variation of the windows, which is
 O(‖ε‖).  Newton then converges linearly, with a contraction factor O(‖ε‖),
@@ -28,6 +28,12 @@ conditions also vanish far off the soliton manifold, so a root with
 ‖ε‖_L2 > ``EPS_L2_FACTOR``·‖Q‖_L2 raises ``NewtonDiverged``.  A simulation
 field is cubic-spline prefiltered once, when its ``FieldSampler`` is built,
 so each evaluation only interpolates.
+
+A ``Fit`` holds one expansion on one polar fit grid, within the lab's radius
+(the lab's splines extrapolate past it), with each term's mode samples on
+the grid's radii, weighed at P by ``ProfileExpansion.coefficients``.  Its
+methods give the windows, ε, the conditions and their Jacobian at P, and one
+fit serves every ``decompose(u, guess, fit)`` of a run.
 """
 
 from dataclasses import dataclass
@@ -94,7 +100,7 @@ def phi_second(r):
 
 
 # ----------------------------------------------------------------------
-# fit grid and samplers
+# the fit and the field sampler
 # ----------------------------------------------------------------------
 
 def _radial_samples(f: AngularField, r: np.ndarray) -> dict:
@@ -106,18 +112,23 @@ def _radial_samples(f: AngularField, r: np.ndarray) -> dict:
             for j, m in enumerate(f.comps)}
 
 
-class _ExpansionSampler:
-    """Per-term mode samples of the expansion on the fixed fit radii."""
+class Fit:
+    """One expansion on one polar fit grid, with its per-term mode samples built once."""
 
-    def __init__(self, expansion: ProfileExpansion, grid: PolarGrid):
+    def __init__(self, expansion: ProfileExpansion, grid: PolarGrid = PolarGrid()):
+        lab = expansion.lab
+        # past the lab's r_max its splines extrapolate: Q and ρ grow there
+        if grid.r_max > lab.grid.r_max:
+            raise ValueError(f"fit r_max = {grid.r_max} exceeds the lab's r_max = "
+                             f"{lab.grid.r_max}")
         # the im/r term reads m off the FFT column, which aliases once 2|m| >= n_θ
         top = max((f.max_mode() for f in expansion.terms.values()), default=0)
         if 2 * top >= grid.n_theta:
             raise ValueError(f"n_theta = {grid.n_theta} cannot resolve the expansion's "
                              f"modes up to |m| = {top}; it must exceed {2 * top}")
-        self.exp = expansion
+        self.expansion = expansion
         self.grid = grid
-        lab = expansion.lab
+        self.model = expansion.model
         q, dq = _radial_samples(AngularField.radial(lab.grid, lab.Q.values), grid.r)[0]
         rho, _ = _radial_samples(AngularField.radial(lab.grid, lab.rho.values), grid.r)[0]
         self.q, self.dq, self.rho = q.real, dq.real, rho.real
@@ -130,11 +141,10 @@ class _ExpansionSampler:
         modes_d = np.zeros_like(modes_v)
         modes_v[:, 0] = self.q
         modes_d[:, 0] = self.dq
-        for mono, per_mode in self.samples.items():
-            c = ProfileExpansion._coeff(mono, P)
+        for mono, c in self.expansion.coefficients(P).items():
             if c == 0.0:
                 continue
-            for m, (v, dv) in per_mode.items():
+            for m, (v, dv) in self.samples[mono].items():
                 modes_v[:, m % g.n_theta] += c * v
                 modes_d[:, m % g.n_theta] += c * dv
         return g.samples(modes_v), g.samples(modes_d), g.samples(g.over_r_dtheta(modes_v))
@@ -143,16 +153,92 @@ class _ExpansionSampler:
         """∂P_P/∂(b, λ, β1, β2, α1, α2) on the fit grid, shape (6, n_r, n_θ)."""
         g = self.grid
         modes = np.zeros((6, g.n_r, g.n_theta), dtype=complex)
-        for mono, per_mode in self.samples.items():
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                c = e * ProfileExpansion._coeff(mono[:i] + (e - 1,) + mono[i + 1:], P)
+        for i in range(6):
+            for mono, c in self.expansion.coefficients(P, i).items():
                 if c == 0.0:
                     continue
-                for m, (v, _) in per_mode.items():
+                for m, (v, _) in self.samples[mono].items():
                     modes[i, :, m % g.n_theta] += c * v
         return g.samples(modes)
+
+    def window_fields(self, P: ParamPoint) -> dict:
+        """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ, ρ1/ρ2 and e^{iφ} at parameters P."""
+        grid = self.grid
+        r = grid.r[:, None]
+        theta = grid.theta[None, :]
+        Pv, dPr, dPth = self.eval_with_grad(P)
+        ct, st = np.cos(theta), np.sin(theta)
+        eip = np.exp(1j * P.phase(r, theta))
+        QP = Pv * eip
+        u_r, u_th = P.phase_gradient(r, theta)
+        grad_r = (dPr + 1j * Pv * u_r) * eip
+        grad_th = (dPth + 1j * Pv * u_th) * eip
+        gx = ct * grad_r - st * grad_th
+        gy = st * grad_r + ct * grad_th
+        lam_qp = QP + r * grad_r
+        rho_c = self.rho[:, None] * eip
+        return {"QP": QP, "gx": gx, "gy": gy, "LamQP": lam_qp, "rho": rho_c,
+                "ct": ct, "st": st, "eip": eip}
+
+    def epsilon_at(self, P: ParamPoint, usample: "FieldSampler"):
+        """ε = √k(α) λ e^{-iγ} u(α + λy) - Q_P on the fit grid, and the windows at P."""
+        grid = self.grid
+        r = grid.r[:, None]
+        ct = np.cos(grid.theta)[None, :]
+        st = np.sin(grid.theta)[None, :]
+        pts = np.stack([P.alpha[0] + P.lam * r * ct, P.alpha[1] + P.lam * r * st], axis=-1)
+        uvals = usample(pts)
+        k_alpha = float(self.model.k(P.alpha))
+        w = self.window_fields(P)
+        eps = np.sqrt(k_alpha) * P.lam * uvals * np.exp(-1j * P.gamma) - w["QP"]
+        return eps, w
+
+    def _pair_with_windows(self, fields, w: dict) -> np.ndarray:
+        """∫ a_i·Re f_j + b_i·Im f_j for the 7 condition windows and each field f_j.
+
+        ``fields`` is an iterable of k complex samples arrays; the result has
+        shape (7, k).
+        """
+        grid = self.grid
+        # weighted windows interleaved (a, b) per node, as a complex sample's (Re, Im)
+        windows = np.empty((7, grid.weights.size, 2))
+        for i, (a, b) in enumerate(condition_window_pairs(w, grid)[:7]):
+            windows[i, :, 0] = (a * grid.weights).ravel()
+            windows[i, :, 1] = (b * grid.weights).ravel()
+        windows = windows.reshape(7, -1)
+        return np.array([windows @ np.ascontiguousarray(f, dtype=complex).view(float).ravel()
+                         for f in fields]).T
+
+    def condition_values(self, eps: np.ndarray, w: dict) -> np.ndarray:
+        """The seven orthogonality values ∫ a·ε₁ + b·ε₂, one per window pair."""
+        return self._pair_with_windows([eps], w)[:, 0]
+
+    def jacobian(self, P: ParamPoint, eps: np.ndarray, w: dict) -> np.ndarray:
+        """∂(conditions)/∂(b, λ, β1, β2, α1, α2, γ) at P with the windows held fixed.
+
+        ``eps`` and ``w`` are those of the evaluation at P (see the module
+        docstring for each ∂ε); no field sample is taken.
+        """
+        grid = self.grid
+        r = grid.r[:, None]
+        ct, st, QP = w["ct"], w["st"], w["QP"]
+        V = QP + eps
+        eps_r, eps_th = grid.gradient(eps)
+        Vx = w["gx"] + ct * eps_r - st * eps_th
+        Vy = w["gy"] + st * eps_r + ct * eps_th
+        dlogk = self.model.grad_k(P.alpha) / (2.0 * float(self.model.k(P.alpha)))
+        dP = w["eip"] * self.parameter_derivatives(P)     # e^{iφ} ∂_p P_P
+
+        def d_eps():     # one at a time, so only one ∂ε is held
+            yield -dP[0] + 0.25j * r ** 2 * QP
+            yield (w["LamQP"] + eps + r * eps_r) / P.lam - dP[1]
+            yield -dP[2] - 1j * r * ct * QP
+            yield -dP[3] - 1j * r * st * QP
+            yield dlogk[0] * V + Vx / P.lam - dP[4]
+            yield dlogk[1] * V + Vy / P.lam - dP[5]
+            yield -1j * V
+
+        return self._pair_with_windows(d_eps(), w)
 
 
 class FieldSampler:
@@ -200,25 +286,6 @@ class Decomposition:
     newton_iterations: int       # Newton steps taken from the guess
 
 
-def _window_fields(sampler: _ExpansionSampler, grid: PolarGrid, P: ParamPoint):
-    """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ, ρ1/ρ2 and e^{iφ} at parameters P."""
-    r = grid.r[:, None]
-    theta = grid.theta[None, :]
-    Pv, dPr, dPth = sampler.eval_with_grad(P)
-    ct, st = np.cos(theta), np.sin(theta)
-    eip = np.exp(1j * P.phase(r, theta))
-    QP = Pv * eip
-    u_r, u_th = P.phase_gradient(r, theta)
-    grad_r = (dPr + 1j * Pv * u_r) * eip
-    grad_th = (dPth + 1j * Pv * u_th) * eip
-    gx = ct * grad_r - st * grad_th
-    gy = st * grad_r + ct * grad_th
-    lam_qp = QP + r * grad_r
-    rho_c = sampler.rho[:, None] * eip
-    return {"QP": QP, "gx": gx, "gy": gy, "LamQP": lam_qp, "rho": rho_c,
-            "ct": ct, "st": st, "eip": eip}
-
-
 def condition_window_pairs(dec_windows: dict, grid: PolarGrid):
     """The (ε₁, ε₂) window pairs of the 7 conditions plus the mass direction."""
     w = dec_windows
@@ -237,70 +304,7 @@ def condition_window_pairs(dec_windows: dict, grid: PolarGrid):
     return pairs
 
 
-def _pair_with_windows(fields, w: dict, grid: PolarGrid) -> np.ndarray:
-    """∫ a_i·Re f_j + b_i·Im f_j for the 7 condition windows and each field f_j.
-
-    ``fields`` is an iterable of k complex samples arrays; the result has
-    shape (7, k).
-    """
-    # weighted windows interleaved (a, b) per node, as a complex sample's (Re, Im)
-    windows = np.empty((7, grid.weights.size, 2))
-    for i, (a, b) in enumerate(condition_window_pairs(w, grid)[:7]):
-        windows[i, :, 0] = (a * grid.weights).ravel()
-        windows[i, :, 1] = (b * grid.weights).ravel()
-    windows = windows.reshape(7, -1)
-    return np.array([windows @ np.ascontiguousarray(f, dtype=complex).view(float).ravel()
-                     for f in fields]).T
-
-
-def _condition_values(eps: np.ndarray, w: dict, grid: PolarGrid) -> np.ndarray:
-    """The seven orthogonality values ∫ a·ε₁ + b·ε₂, one per window pair."""
-    return _pair_with_windows([eps], w, grid)[:, 0]
-
-
-def _jacobian(P: ParamPoint, eps: np.ndarray, w: dict, sampler: _ExpansionSampler,
-              grid: PolarGrid, model) -> np.ndarray:
-    """∂(conditions)/∂(b, λ, β1, β2, α1, α2, γ) at P with the windows held fixed.
-
-    ``eps`` and ``w`` are those of the evaluation at P (see the module
-    docstring for each ∂ε); no field sample is taken.
-    """
-    r = grid.r[:, None]
-    ct, st, QP = w["ct"], w["st"], w["QP"]
-    V = QP + eps
-    eps_r, eps_th = grid.gradient(eps)
-    Vx = w["gx"] + ct * eps_r - st * eps_th
-    Vy = w["gy"] + st * eps_r + ct * eps_th
-    dlogk = model.grad_k(P.alpha) / (2.0 * float(model.k(P.alpha)))
-    dP = w["eip"] * sampler.parameter_derivatives(P)     # e^{iφ} ∂_p P_P
-
-    def d_eps():     # one at a time, so only one ∂ε is held
-        yield -dP[0] + 0.25j * r ** 2 * QP
-        yield (w["LamQP"] + eps + r * eps_r) / P.lam - dP[1]
-        yield -dP[2] - 1j * r * ct * QP
-        yield -dP[3] - 1j * r * st * QP
-        yield dlogk[0] * V + Vx / P.lam - dP[4]
-        yield dlogk[1] * V + Vy / P.lam - dP[5]
-        yield -1j * V
-
-    return _pair_with_windows(d_eps(), w, grid)
-
-
-def _epsilon_at(P: ParamPoint, usample: FieldSampler, sampler: _ExpansionSampler,
-                grid: PolarGrid, model) -> np.ndarray:
-    r = grid.r[:, None]
-    ct = np.cos(grid.theta)[None, :]
-    st = np.sin(grid.theta)[None, :]
-    pts = np.stack([P.alpha[0] + P.lam * r * ct, P.alpha[1] + P.lam * r * st], axis=-1)
-    uvals = usample(pts)
-    k_alpha = float(model.k(P.alpha))
-    w = _window_fields(sampler, grid, P)
-    eps = np.sqrt(k_alpha) * P.lam * uvals * np.exp(-1j * P.gamma) - w["QP"]
-    return eps, w
-
-
-def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
-              expansion: ProfileExpansion, grid: PolarGrid = PolarGrid()) -> Decomposition:
+def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -> Decomposition:
     """Newton solve of the seven orthogonality conditions in the parameters.
 
     The Newton unknowns are the first seven entries of ``guess.to_vector()``;
@@ -310,18 +314,17 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
     """
     if guess.lam <= 0:
         raise ValueError("lambda must be positive")
-    sampler = _cached_sampler(expansion, grid)
     usample = FieldSampler(u)
-    model = expansion.model
-    tol = TOL_FACTOR * expansion.lab.moments.massQ
+    grid = fit.grid
+    tol = TOL_FACTOR * fit.expansion.lab.moments.massQ
 
     def point(pv) -> ParamPoint:
         return ParamPoint.from_vector(np.append(pv, (0.0, usample.t)))
 
     def evaluate(pv):
         P = point(pv)
-        eps, w = _epsilon_at(P, usample, sampler, grid, model)
-        return _condition_values(eps, w, grid), P, eps, w
+        eps, w = fit.epsilon_at(P, usample)
+        return fit.condition_values(eps, w), P, eps, w
 
     p = guess.to_vector()[:7]
     R, P, eps, w = evaluate(p)
@@ -331,7 +334,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
             raise NewtonDiverged(f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} "
                                  f"after {MAX_ITER} iterations")
         try:
-            step_vec = np.linalg.solve(_jacobian(P, eps, w, sampler, grid, model), -R)
+            step_vec = np.linalg.solve(fit.jacobian(P, eps, w), -R)
         except np.linalg.LinAlgError as err:
             raise NewtonDiverged(f"singular Jacobian: {err}")
         scale = 1.0
@@ -346,10 +349,10 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
         else:
             raise NewtonDiverged("line search failed; guess outside the basin")
         iterations += 1
-    cond = float(np.linalg.cond(_jacobian(P, eps, w, sampler, grid, model)))
+    cond = float(np.linalg.cond(fit.jacobian(P, eps, w)))
 
     l2 = np.sqrt(grid.integral(np.abs(eps) ** 2))
-    eps_max = EPS_L2_FACTOR * np.sqrt(expansion.lab.moments.massQ)
+    eps_max = EPS_L2_FACTOR * np.sqrt(fit.expansion.lab.moments.massQ)
     if l2 > eps_max:
         raise NewtonDiverged(f"eps_L2 {l2:.3g} > {eps_max:.3g}: a root off the soliton manifold")
     dr_eps, dth_eps = grid.gradient(eps)
@@ -357,18 +360,6 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint,
     return Decomposition(params=P, epsilon=eps, fit_grid=grid, residuals=R,
                          jacobian_cond=cond, eps_l2=float(l2), eps_h1=float(h1),
                          newton_iterations=iterations)
-
-
-_SAMPLER_CACHE = {}
-
-
-def _cached_sampler(expansion: ProfileExpansion, grid: PolarGrid) -> _ExpansionSampler:
-    key = (id(expansion), grid)
-    if key not in _SAMPLER_CACHE:
-        if len(_SAMPLER_CACHE) > 8:
-            _SAMPLER_CACHE.clear()
-        _SAMPLER_CACHE[key] = _ExpansionSampler(expansion, grid)
-    return _SAMPLER_CACHE[key]
 
 
 # ----------------------------------------------------------------------

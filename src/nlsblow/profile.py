@@ -8,9 +8,13 @@ pseudo-conformal law survives because (y_j y_l Q³, ΛQ) = 0.  The frozen
 ``ProfileConstants`` come from ``derive_constants`` alone, and the profile
 and the modulation ODE share them.
 
-Monomials in the parameters are dict keys; products and parameter
-derivatives of the expansion are exact operations on that map, so no
-numerical differentiation in parameter space ever happens.
+Monomials in the parameters are dict keys.  One coefficient rule,
+``ProfileExpansion.coefficients``, weighs the terms: at P a term's
+coefficient is coeff(mono, P) = Π v^e over (b, λ, β1, β2, α1, α2), and its
+derivative in parameter i is e_i·coeff(mono - e_i, P).  The profile, the six
+parameter derivatives of the residual and the fit's samples (``modfit.Fit``)
+all sum the terms with it, so no numerical differentiation in parameter
+space ever happens.
 
 ``ParamPoint`` is the one modulation state of the package: the profile, the
 modulation ODE (``modeqs``), the orthogonality fit (``modfit``) and the CLI
@@ -20,6 +24,7 @@ modulation ODE integrates both clocks as states), and it owns the conformal
 phase -b|y|²/4 + β·y and that phase's gradient.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Tuple
@@ -206,6 +211,12 @@ def _solve_field(lab: Lab, op: str, src: AngularField) -> AngularField:
     return AngularField(lab.grid, out)
 
 
+def _coeff(mono: Monomial, P: ParamPoint) -> float:
+    """The monomial's value at P: Π v^e over (b, λ, β1, β2, α1, α2)."""
+    vals = (P.b, P.lam, P.beta[0], P.beta[1], P.alpha[0], P.alpha[1])
+    return math.prod(v ** e for v, e in zip(vals, mono) if e)
+
+
 def _lap_field(lab: Lab, f: AngularField) -> AngularField:
     out = {}
     for m, v in f.comps.items():
@@ -229,38 +240,25 @@ class ProfileExpansion:
 
     # -- parameter-space calculus (exact on the monomial map) -----------
 
-    @staticmethod
-    def _coeff(mono: Monomial, P: ParamPoint) -> float:
-        vals = (P.b, P.lam, P.beta[0], P.beta[1], P.alpha[0], P.alpha[1])
-        out = 1.0
-        for v, e in zip(vals, mono):
-            if e:
-                out *= v ** e
-        return out
+    def coefficients(self, P: ParamPoint, idx: int = None) -> Dict[Monomial, float]:
+        """Each term's coefficient at P, or with idx its derivative in parameter idx.
 
-    def derivative_map(self, idx: int) -> Dict[Monomial, AngularField]:
-        """∂/∂(parameter idx) of the monomial map; idx orders (b,λ,β1,β2,α1,α2)."""
-        out = {}
-        for mono, f in self.terms.items():
-            e = mono[idx]
-            if e:
-                new = list(mono)
-                new[idx] = e - 1
-                key = tuple(new)
-                out[key] = out.get(key, AngularField(self.lab.grid)) + f * float(e)
-        return out
+        idx orders (b, λ, β1, β2, α1, α2); the derivative of coeff(mono, P)
+        is e·coeff(mono - e_idx, P), with e = mono[idx] (0 when e = 0).
+        """
+        if idx is None:
+            return {mono: _coeff(mono, P) for mono in self.terms}
+        return {mono: mono[idx] * _coeff(mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:], P)
+                if mono[idx] else 0.0 for mono in self.terms}
 
-    def combined(self, P: ParamPoint, include_Q: bool = True,
-                 terms: Dict[Monomial, AngularField] = None) -> AngularField:
-        """Σ coeff(monomial, P) · field, optionally plus Q."""
-        tmap = self.terms if terms is None else terms
+    def combined(self, P: ParamPoint, include_Q: bool = True, idx: int = None) -> AngularField:
+        """Σ coefficient · field at P (with idx, ∂/∂ parameter idx), optionally plus Q."""
         out = AngularField(self.lab.grid)
         if include_Q:
             out = AngularField.radial(self.lab.grid, self.lab.Q.values)
-        for mono, f in tmap.items():
-            c = self._coeff(mono, P)
+        for mono, c in self.coefficients(P, idx).items():
             if c != 0.0:
-                out = out + f * c
+                out = out + self.terms[mono] * c
         return out
 
     # -- evaluation -------------------------------------------------------
@@ -332,12 +330,11 @@ class ProfileExpansion:
         Pv = self.combined(P, include_Q=False).on_native(polar) + q[:, None]
         # Δ amplifies roundoff by 1/h², and at λ ~ 0.01 the norm of ψ resolves
         # the order of summation, so the monomials are summed after synthesis
-        coeffs = {mono: self._coeff(mono, P) for mono in self.terms}
         lapP = sum(c * _lap_field(self.lab, self.terms[mono]).on_native(polar)
-                   for mono, c in coeffs.items() if c != 0.0)
+                   for mono, c in self.coefficients(P).items() if c != 0.0)
         lapP = lapP + _lap_field(self.lab, AngularField.radial(self.lab.grid, q)).on_native(polar)
         d_b, d_lam, d_beta1, d_beta2, d_alpha1, d_alpha2 = (
-            self.combined(P, include_Q=False, terms=self.derivative_map(i)).on_native(polar)
+            self.combined(P, include_Q=False, idx=i).on_native(polar)
             for i in range(6))
 
         Bvec = self.constants.B(P.lam, P.alpha)

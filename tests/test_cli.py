@@ -106,6 +106,7 @@ def _violations(text):
     ("appendix_b.varsig", [0.05, -0.5]),
     ("appendix_b.varsig", []),
     ("energy.E0", "low"),
+    ("fit.n_theta", 8),
 ])
 def test_malformed_value_is_one_violation(path, value):
     violations = _violations(_one_key(path, value))
@@ -123,6 +124,14 @@ def test_E0_and_C0_exclude_each_other():
     violations = _violations("energy:\n  E0: 2.0\n  C0: 3.0\n")
     assert len(violations) == 1
     assert violations[0].startswith("energy: ")
+
+
+def test_fit_radius_within_lab_radius():
+    # the lab (15, 4096) builds, but the default fit disk (r_max 25) would extrapolate it
+    violations = _violations("radial_grid:\n  r_max: 15.0\n  n: 4096\n")
+    assert len(violations) == 1
+    assert violations[0].startswith("fit.r_max: ")
+    assert parse_config("radial_grid:\n  r_max: 15.0\nfit:\n  r_max: 15.0\n")["fit"]["r_max"] == 15.0
 
 
 def test_values_are_typed():
@@ -336,6 +345,27 @@ def test_analyze_reports_newton_telemetry(tmp_path):
         row = dict(zip(header, line.split(",")))
         assert int(row["newton_iterations"]) >= 0
         assert np.isfinite(float(row["jacobian_cond"]))
+
+
+def test_analyze_builds_one_fit(tmp_path, monkeypatch):
+    # one Fit serves every snapshot: its per-term samples are built once per command
+    from nlsblow import modfit
+
+    out = tmp_path / "s"
+    cfgfile = _simulate_small(tmp_path, out, -0.29)
+    built = []
+    real_init = modfit.Fit.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(modfit.Fit, "__init__", counted)
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    report = json.loads((out / "analyze.json").read_text())
+    assert report["snapshots_total"] >= 2
+    assert report["snapshots_fit"] == report["snapshots_total"]
+    assert len(built) == 1
 
 
 def test_analyze_records_skipped_snapshot(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
-"""Import layering: the ground state is solved without the layers above it."""
+"""Import layering: each module loads only the modules below it in one order."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nlsblow
 
@@ -20,10 +22,20 @@ def test_radial_solves_ground_state_without_linops():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_radial_loads_without_fields():
+# the declared order: a module may load only the package modules before it
+ORDER = ("radial", "fields", "linops", "lab", "kmodel", "profile", "modeqs", "sim",
+         "modfit", "config", "cli")
+
+
+@pytest.mark.parametrize("index", range(len(ORDER)), ids=ORDER)
+def test_module_loads_only_the_modules_before_it(index):
+    allowed = {"nlsblow"} | {f"nlsblow.{name}" for name in ORDER[:index + 1]}
     code = ("import sys\n"
-            "import nlsblow.radial\n"
-            "assert 'nlsblow.fields' not in sys.modules, 'radial imported fields'\n")
+            f"import nlsblow.{ORDER[index]}\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'nlsblow')))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert f"nlsblow.{ORDER[index]}" in loaded
+    assert loaded <= allowed, f"nlsblow.{ORDER[index]} loads {sorted(loaded - allowed)}"

@@ -20,14 +20,19 @@ def expansion(lab, model):
     return prof.build_expansion(model, C0=1.0, lab=lab)
 
 
-def test_roundtrip_exact_profile(expansion):
+@pytest.fixture(scope="module")
+def fit(expansion):
+    return modfit.Fit(expansion)
+
+
+def test_roundtrip_exact_profile(expansion, fit):
     gamma = 0.37
     P = prof.ParamPoint(b=0.06, lam=0.09, beta=np.array([0.004, -0.003]),
                         alpha=np.array([0.01, 0.02]), gamma=gamma)
     u = prof.physical_field(expansion, P)
     guess = prof.ParamPoint(b=0.055, lam=0.095, beta=np.array([0.003, -0.002]),
                             alpha=np.array([0.012, 0.018]), gamma=0.35)
-    dec = modfit.decompose(u, guess, expansion)
+    dec = modfit.decompose(u, guess, fit)
     got = dec.params
     assert abs(got.b - P.b) < 1e-8
     assert abs(got.lam - P.lam) < 1e-8
@@ -38,7 +43,7 @@ def test_roundtrip_exact_profile(expansion):
     assert dec.jacobian_cond < 1e6
 
 
-def test_roundtrip_many_random(expansion, rng):
+def test_roundtrip_many_random(expansion, fit, rng):
     # the acceptance version runs 50 draws; keep the unit test light
     for _ in range(5):
         lam = rng.uniform(0.05, 0.13)
@@ -50,7 +55,7 @@ def test_roundtrip_many_random(expansion, rng):
         P.gamma = rng.uniform(0, 2 * np.pi)
         u = prof.physical_field(expansion, P)
         guess = replace(P, b=P.b + 0.003, lam=P.lam * 1.03)
-        dec = modfit.decompose(u, guess, expansion)
+        dec = modfit.decompose(u, guess, fit)
         assert abs(dec.params.lam - P.lam) < 1e-8
         assert abs(dec.params.b - P.b) < 1e-8
 
@@ -84,16 +89,14 @@ def _perturbed_field(expansion, P, eps, grid):
     return u_pert
 
 
-def test_projected_perturbation_recovery(expansion, rng):
+def test_projected_perturbation_recovery(expansion, fit, rng):
     P = prof.ParamPoint(b=0.05, lam=0.1, gamma=0.2)
-    grid = PolarGrid()
-    sampler = modfit._cached_sampler(expansion, grid)
-    w = modfit._window_fields(sampler, grid, P)
-    eps = modfit.constrained_random_eps(w, grid, rng)
+    grid = fit.grid
+    eps = modfit.constrained_random_eps(fit.window_fields(P), grid, rng)
     u_pert = _perturbed_field(expansion, P, eps, grid)
 
     guess = replace(P, lam=P.lam * 1.01)
-    dec = modfit.decompose(u_pert, guess, expansion)
+    dec = modfit.decompose(u_pert, guess, fit)
     assert abs(dec.params.lam - P.lam) < 1e-6
     assert abs(dec.params.b - P.b) < 1e-6
     # the recovered ε matches the injected one
@@ -101,23 +104,21 @@ def test_projected_perturbation_recovery(expansion, rng):
     assert diff < 1e-6
 
 
-def test_expansion_sampler_matches_per_mode_splines(expansion):
+def test_expansion_sampler_matches_per_mode_splines(expansion, fit):
     from scipy.interpolate import CubicSpline
 
-    grid = PolarGrid()
-    sampler = modfit._ExpansionSampler(expansion, grid)
     lab = expansion.lab
-    nodes, r = lab.grid.nodes, grid.r
+    nodes, r = lab.grid.nodes, fit.grid.r
     q = CubicSpline(nodes, lab.Q.values)
-    assert sampler.q.tobytes() == q(r).tobytes()
-    assert sampler.dq.tobytes() == q.derivative()(r).tobytes()
-    assert sampler.rho.tobytes() == CubicSpline(nodes, lab.rho.values)(r).tobytes()
-    assert list(sampler.samples) == list(expansion.terms)
+    assert fit.q.tobytes() == q(r).tobytes()
+    assert fit.dq.tobytes() == q.derivative()(r).tobytes()
+    assert fit.rho.tobytes() == CubicSpline(nodes, lab.rho.values)(r).tobytes()
+    assert list(fit.samples) == list(expansion.terms)
     for mono, f in expansion.terms.items():
-        assert list(sampler.samples[mono]) == list(f.comps)
+        assert list(fit.samples[mono]) == list(f.comps)
         for m, v in f.comps.items():
             sre, sim_ = CubicSpline(nodes, v.real), CubicSpline(nodes, v.imag)
-            val, dval = sampler.samples[mono][m]
+            val, dval = fit.samples[mono][m]
             assert val.tobytes() == (sre(r) + 1j * sim_(r)).tobytes()
             ref_d = sre.derivative()(r) + 1j * sim_.derivative()(r)
             assert dval.tobytes() == ref_d.tobytes()
@@ -161,11 +162,11 @@ def _box_profile(expansion):
     return sim.ComplexField2D(L, prof.physical_field(expansion, P)(sim.box_points(L, n))), P
 
 
-def test_roundtrip_sampled_on_box(expansion):
+def test_roundtrip_sampled_on_box(expansion, fit):
     # the simulation path: the exact profile sampled on a periodic box, then
     # fitted through the bicubic sampler; errors are interpolation-sized
     u, P = _box_profile(expansion)
-    got = modfit.decompose(u, BOX_GUESS, expansion).params
+    got = modfit.decompose(u, BOX_GUESS, fit).params
     assert abs(got.b - P.b) < 1e-5
     assert abs(got.lam - P.lam) < 1e-5
     assert np.max(np.abs(got.beta - P.beta)) < 1e-5
@@ -173,49 +174,48 @@ def test_roundtrip_sampled_on_box(expansion):
     assert abs((got.gamma - P.gamma + np.pi) % (2 * np.pi) - np.pi) < 1e-5
 
 
-def test_spurious_root_is_refused(expansion):
+def test_spurious_root_is_refused(expansion, fit):
     # from 0.3λ the conditions also vanish at λ ≈ 0.02, where ‖ε‖_L2 ≈ 4.1
     # exceeds ‖Q‖_L2; whichever check stops the iteration, no root is returned
     u, P = _box_profile(expansion)
     with pytest.raises(modfit.NewtonDiverged):
-        modfit.decompose(u, replace(P, lam=0.3 * P.lam), expansion)
+        modfit.decompose(u, replace(P, lam=0.3 * P.lam), fit)
 
 
-def test_root_off_the_manifold_is_refused(expansion, rng):
+def test_root_off_the_manifold_is_refused(expansion, fit, rng):
     # ε satisfies all seven conditions at P, so P is a root, but ‖ε‖_L2 = 0.5
     # exceeds EPS_L2_FACTOR·‖Q‖_L2 ≈ 0.34
     P = prof.ParamPoint(b=0.05, lam=0.1, gamma=0.2)
-    grid = PolarGrid()
-    w = modfit._window_fields(modfit._cached_sampler(expansion, grid), grid, P)
-    eps = modfit.constrained_random_eps(w, grid, rng) * (0.5 / modfit.RANDOM_EPS_L2)
+    grid = fit.grid
+    eps = modfit.constrained_random_eps(fit.window_fields(P), grid, rng) \
+        * (0.5 / modfit.RANDOM_EPS_L2)
     assert 0.5 > modfit.EPS_L2_FACTOR * np.sqrt(expansion.lab.moments.massQ)
     with pytest.raises(modfit.NewtonDiverged, match="eps_L2"):
-        modfit.decompose(_perturbed_field(expansion, P, eps, grid), P, expansion)
+        modfit.decompose(_perturbed_field(expansion, P, eps, grid), P, fit)
 
 
-def test_line_search_refuses_a_rising_step(expansion, monkeypatch):
+def test_line_search_refuses_a_rising_step(fit, monkeypatch):
     # conditions (b² + 1, p - p0) with the Jacobian diag(1e-7, 1, ..., 1), the
     # forward difference at b = 0: the Newton step raises the residual at every
     # trial scale
     P = prof.ParamPoint(b=0.0, lam=0.1)
     p0 = P.to_vector()[:7]
-    monkeypatch.setattr(modfit, "_epsilon_at", lambda Pt, *args: (Pt.to_vector()[:7], None))
-    monkeypatch.setattr(modfit, "_condition_values",
-                        lambda p, w, grid: np.append(p[0] ** 2 + 1.0, p[1:] - p0[1:]))
-    monkeypatch.setattr(modfit, "_jacobian", lambda *args: np.diag([1e-7] + [1.0] * 6))
+    monkeypatch.setattr(modfit.Fit, "epsilon_at",
+                        lambda self, Pt, usample: (Pt.to_vector()[:7], None))
+    monkeypatch.setattr(modfit.Fit, "condition_values",
+                        lambda self, p, w: np.append(p[0] ** 2 + 1.0, p[1:] - p0[1:]))
+    monkeypatch.setattr(modfit.Fit, "jacobian", lambda *args: np.diag([1e-7] + [1.0] * 6))
     with pytest.raises(modfit.NewtonDiverged, match="line search failed"):
-        modfit.decompose(lambda pts: np.zeros(pts.shape[:-1]), P, expansion)
+        modfit.decompose(lambda pts: np.zeros(pts.shape[:-1]), P, fit)
 
 
-def _fd_jacobian(u, P, expansion, grid):
+def _fd_jacobian(u, P, fit):
     """The forward-difference Jacobian of the seven conditions at P (reference)."""
-    sampler = modfit._cached_sampler(expansion, grid)
     usample = modfit.FieldSampler(u)
 
     def conditions(pv):
         Pt = prof.ParamPoint.from_vector(np.append(pv, (0.0, usample.t)))
-        eps, w = modfit._epsilon_at(Pt, usample, sampler, grid, expansion.model)
-        return modfit._condition_values(eps, w, grid)
+        return fit.condition_values(*fit.epsilon_at(Pt, usample))
 
     p = P.to_vector()[:7]
     R = conditions(p)
@@ -229,22 +229,20 @@ def _fd_jacobian(u, P, expansion, grid):
 
 
 @pytest.mark.parametrize("field, rel_gap", [("exact", 1e-5), ("box", 1e-3)])
-def test_jacobian_matches_finite_differences(expansion, field, rel_gap):
+def test_jacobian_matches_finite_differences(expansion, fit, field, rel_gap):
     # at the root the dropped window-variation term is O(‖ε‖): roundoff-sized on
     # the exact field, interpolation-sized on the box-sampled one
     u, P = _box_profile(expansion)
     if field == "exact":
         u = prof.physical_field(expansion, P)
-    grid = PolarGrid()
-    root = modfit.decompose(u, BOX_GUESS, expansion, grid=grid).params
-    sampler = modfit._cached_sampler(expansion, grid)
-    eps, w = modfit._epsilon_at(root, modfit.FieldSampler(u), sampler, grid, expansion.model)
-    jac = modfit._jacobian(root, eps, w, sampler, grid, expansion.model)
-    fd = _fd_jacobian(u, root, expansion, grid)
+    root = modfit.decompose(u, BOX_GUESS, fit).params
+    eps, w = fit.epsilon_at(root, modfit.FieldSampler(u))
+    jac = fit.jacobian(root, eps, w)
+    fd = _fd_jacobian(u, root, fit)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < rel_gap
 
 
-def test_decompose_samples_the_field_once_per_step(expansion, monkeypatch):
+def test_decompose_samples_the_field_once_per_step(expansion, fit, monkeypatch):
     # the Jacobian takes no field sample: a full Newton step costs one sample
     # (a finite-difference Jacobian costs 7 more)
     u, _ = _box_profile(expansion)
@@ -256,16 +254,15 @@ def test_decompose_samples_the_field_once_per_step(expansion, monkeypatch):
         return real(self, pts)
 
     monkeypatch.setattr(modfit.FieldSampler, "__call__", counted)
-    dec = modfit.decompose(u, BOX_GUESS, expansion)
+    dec = modfit.decompose(u, BOX_GUESS, fit)
     assert dec.newton_iterations >= 2
     assert len(calls) <= 6
 
 
-def test_condition_values_match_explicit_integrals(expansion, rng):
-    grid = PolarGrid()
-    sampler = modfit._cached_sampler(expansion, grid)
+def test_condition_values_match_explicit_integrals(fit, rng):
+    grid = fit.grid
     P = prof.ParamPoint(b=0.05, lam=0.1, beta=[0.003, -0.002], alpha=[0.01, 0.02], gamma=0.4)
-    w = modfit._window_fields(sampler, grid, P)
+    w = fit.window_fields(P)
     eps = (rng.normal(size=(grid.n_r, grid.n_theta))
            + 1j * rng.normal(size=(grid.n_r, grid.n_theta))) * np.exp(-grid.r[:, None] ** 2 / 8)
     # the seven conditions written out term by term
@@ -281,28 +278,34 @@ def test_condition_values_match_explicit_integrals(expansion, rng):
         grid.integral(e1 * r ** 2 * S + e2 * r ** 2 * T),
         grid.integral(-e1 * w["rho"].imag + e2 * w["rho"].real),
     ])
-    got = modfit._condition_values(eps, w, grid)
+    got = fit.condition_values(eps, w)
     assert np.all(np.abs(ref) > 1e-3)
     np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
 
 def test_fit_grid_must_resolve_expansion_modes(expansion):
     # the shared im/r term reads m from the FFT column, so aliased modes are refused
-    P = prof.ParamPoint(b=0.05, lam=0.1)
     top = max(f.max_mode() for f in expansion.terms.values())
     with pytest.raises(ValueError, match="n_theta"):
-        modfit.decompose(prof.physical_field(expansion, P), P,
-                         expansion, grid=PolarGrid(n_theta=2 * top))
+        modfit.Fit(expansion, PolarGrid(n_theta=2 * top))
 
 
-def test_decompose_rejects_zero_lambda(expansion):
+def test_fit_grid_must_lie_within_the_lab(expansion):
+    # past the lab's r_max its splines extrapolate, so such a fit grid is refused
+    r_max = expansion.lab.grid.r_max
+    with pytest.raises(ValueError, match="r_max"):
+        modfit.Fit(expansion, PolarGrid(r_max=r_max + 1.0))
+    assert modfit.Fit(expansion, PolarGrid(r_max=r_max, n_r=101)).grid.r_max == r_max
+
+
+def test_decompose_rejects_zero_lambda(expansion, fit):
     P = prof.ParamPoint(b=0.05, lam=0.1)
     with pytest.raises(ValueError, match="lambda must be positive"):
         modfit.decompose(prof.physical_field(expansion, P), prof.ParamPoint(b=0.05, lam=0.0),
-                         expansion)
+                         fit)
 
 
-def test_phase_equivariance(expansion):
+def test_phase_equivariance(expansion, fit):
     P = prof.ParamPoint(b=0.04, lam=0.11, gamma=0.5)
     base = prof.physical_field(expansion, P)
     theta_shift = 1.1
@@ -310,8 +313,8 @@ def test_phase_equivariance(expansion):
     def shifted(pts):
         return base(pts) * np.exp(1j * theta_shift)
 
-    dec0 = modfit.decompose(base, P, expansion)
-    dec1 = modfit.decompose(shifted, replace(P, gamma=0.5 + theta_shift), expansion)
+    dec0 = modfit.decompose(base, P, fit)
+    dec1 = modfit.decompose(shifted, replace(P, gamma=0.5 + theta_shift), fit)
     assert abs(dec0.params.lam - dec1.params.lam) < 1e-9
     d = (dec1.params.gamma - dec0.params.gamma - theta_shift) % (2 * np.pi)
     assert min(d, 2 * np.pi - d) < 1e-8
@@ -422,12 +425,11 @@ def test_virial_boundary_zero_eps(expansion, lab):
     assert val == pytest.approx(-(0.05 / 0.1) * lab.moments.ymomQ / 4.0, rel=1e-12)
 
 
-def test_coercivity_random_draws(expansion, model, lab, rng):
+def test_coercivity_random_draws(expansion, fit, model, lab, rng):
     # a light version of the acceptance criterion: 12 draws, single fitted c
     P = prof.ParamPoint(b=0.1, lam=0.1)
-    grid = PolarGrid()
-    sampler = modfit._cached_sampler(expansion, grid)
-    w = modfit._window_fields(sampler, grid, P)
+    grid = fit.grid
+    w = fit.window_fields(P)
     L, n = 4.0, 256
     h = 2 * L / n
     x = -L + h * np.arange(n)

@@ -123,6 +123,22 @@ def test_monomial_degree_bookkeeping(expansion):
         assert f.max_mode() <= M_MAX
 
 
+def test_coefficient_derivatives_match_finite_differences(expansion):
+    # e·coeff(mono - e_i, P) against central differences of coeff(mono, P)
+    P = prof.ParamPoint(b=0.07, lam=0.11, beta=[0.004, -0.003], alpha=[0.02, -0.01])
+    h = 1e-6
+    for i in range(6):
+        up, down = P.to_vector(), P.to_vector()
+        up[i] += h
+        down[i] -= h
+        c_up = expansion.coefficients(prof.ParamPoint.from_vector(up))
+        c_down = expansion.coefficients(prof.ParamPoint.from_vector(down))
+        exact = expansion.coefficients(P, i)
+        assert list(exact) == list(expansion.terms)
+        for mono, c in exact.items():
+            assert c == pytest.approx((c_up[mono] - c_down[mono]) / (2 * h), rel=1e-6, abs=1e-12)
+
+
 def test_T2_T3_orthogonal_to_Q(lab, expansion):
     Qf = AngularField.radial(lab.grid, lab.Q.values)
     for mono in [(0, 2, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0)]:
