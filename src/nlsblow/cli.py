@@ -1,9 +1,19 @@
 """Command-line orchestration: subcommands, artifacts, manifest, determinism.
 
 Subcommands: ground-state, verify, profile, ode, appendix-b, simulate,
-analyze.  Every run writes its artifacts plus a manifest.json listing each
-emitted file with a content hash; identical config and seed reproduce the
-outputs byte for byte.  Failures exit nonzero and leave error.json behind.
+analyze.  Every run writes its artifacts plus a manifest.<command>.json
+listing each emitted file with a content hash, so simulate and analyze can
+share one directory; identical config and seed reproduce the outputs byte for
+byte.  Failures exit nonzero and leave error.json behind.
+
+analyze fits the snapshots in time order.  The first Newton guess is
+``modeqs.existence_initial_state``; each later one is the modulation ODE
+integrated from the previous fitted root to the snapshot's t.  Where that
+integration does not complete, the guess is the previous root and the
+snapshot is listed under ``predictor_fallback`` in analyze.json.
+ode_gap.csv holds, per snapshot fitted from an ODE guess, the predicted
+minus the fitted (b, λ, β, α, γ); params.csv ends with the fit's telemetry
+(Newton steps, Jacobian condition number, largest condition residual).
 """
 
 import argparse
@@ -65,7 +75,7 @@ def _finish(out: Path, command: str, cfg, files):
         "config": cfg.data,
         "files": {name: _sha256(out / name) for name in sorted(files)},
     }
-    write_json(out / "manifest.json", manifest)
+    write_json(out / f"manifest.{command}.json", manifest)
 
 
 def _config_C0(cfg, model, lab) -> float:
@@ -234,6 +244,17 @@ def cmd_simulate(cfg, out: Path) -> int:
     return 0
 
 
+def _predict(root, constants, t: float):
+    """(the modulation ODE's state at t from the fitted root, None) or (None, why not)."""
+    try:
+        tr = modeqs.integrate(root, constants, t_span=(root.t, t), n_points=2)
+    except modeqs.StepUnderflow as err:
+        return None, f"StepUnderflow: {err}"
+    if tr.status != "completed":
+        return None, f"ODE status {tr.status}"
+    return tr.state(-1), None
+
+
 def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
     lab = get_lab(**cfg["radial_grid"])
     exp = _expansion_from(cfg, lab)
@@ -245,36 +266,47 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
     if not paths:
         raise FileNotFoundError(f"no snapshots under {snap_dir}")
     first = sim.read_snapshot(paths[0])
-    guess = modeqs.existence_initial_state(first.t, exp.C0)
     pts = sim.box_points(first.L, first.n)
     stepper = sim.Stepper(first.L, first.n, exp.model.k(pts))
-    rows = []
-    skipped = []
+    root = None       # the last fitted parameters
+    rows, gaps, skipped, fallback = [], [], [], []
     for path in paths:
         field = sim.read_snapshot(path)
         if (field.L, field.n) != (first.L, first.n):
             raise ValueError(f"{path.name}: box (L, n) = ({field.L}, {field.n}) differs from "
                              f"({first.L}, {first.n}) of {paths[0].name}")
+        if root is None:
+            predicted, guess = None, modeqs.existence_initial_state(field.t, exp.C0)
+        else:
+            predicted, why = _predict(root, exp.constants, field.t)
+            if predicted is None:
+                fallback.append({"file": path.name, "reason": why})
+            guess = root if predicted is None else predicted
         try:
             dec = modfit.decompose(field, guess, fit)
         except modfit.NewtonDiverged as err:
             skipped.append({"file": path.name, "reason": str(err)})
             continue
-        guess = dec.params
-        p = dec.params
+        root = p = dec.params
+        if predicted is not None:
+            gaps.append([field.t, *(predicted.to_vector()[:7] - p.to_vector()[:7])])
         wv = prof.physical_field(exp, p)(pts)
         w_field = sim.ComplexField2D(field.L, wv, field.t)
         I_val = modfit.lyapunov_I(p, field, w_field, A, stepper)
         vb = modfit.virial_boundary(dec, A, lab.moments.ymomQ)
         rows.append([field.t, p.b, p.lam, p.alpha[0], p.alpha[1], p.beta[0],
                      p.beta[1], p.gamma, dec.eps_l2, dec.eps_h1, p.b / p.lam,
-                     I_val, vb, dec.newton_iterations, dec.jacobian_cond])
+                     I_val, vb, dec.newton_iterations, dec.jacobian_cond,
+                     np.max(np.abs(dec.residuals))])
     write_csv(out / "params.csv",
               ["t", "b", "lambda", "alpha1", "alpha2", "beta1", "beta2", "gamma",
                "eps_L2", "eps_H1", "b_over_lambda", "I_value", "virial_boundary",
-               "newton_iterations", "jacobian_cond"],
+               "newton_iterations", "jacobian_cond", "condition_residual"],
               rows)
-    report = {"snapshots_fit": len(rows), "snapshots_total": len(paths), "skipped": skipped}
+    write_csv(out / "ode_gap.csv",
+              ["t", "b", "lambda", "beta1", "beta2", "alpha1", "alpha2", "gamma"], gaps)
+    report = {"snapshots_fit": len(rows), "snapshots_total": len(paths), "skipped": skipped,
+              "predictor_fallback": fallback}
     if len(rows) >= 10:
         arr = np.array(rows)
         try:
@@ -284,7 +316,7 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
         except (ValueError, modfit.NonMonotoneSeries) as err:
             report["fit_error"] = str(err)
     write_json(out / "analyze.json", report)
-    _finish(out, "analyze", cfg, ["params.csv", "analyze.json"])
+    _finish(out, "analyze", cfg, ["params.csv", "ode_gap.csv", "analyze.json"])
     return 0
 
 

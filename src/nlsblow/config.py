@@ -80,7 +80,8 @@ SCHEMA = {
     "energy.E0": (None, _nullable(_R), "must be null or a number (explicit energy)"),
     "energy.C0": (1.0, _nullable(_POS), "must be null or positive (conformal-constant target)"),
     "radial_grid.r_max": (30.0, _real(lambda x: x >= 15), "must be at least 15 (ground-state tail)"),
-    "radial_grid.n": (8192, _int(lambda n: n >= 512), "production runs need n >= 512"),
+    # a floor only: at r_max = 30 the default k needs more than n = 4096 to build
+    "radial_grid.n": (8192, _int(lambda n: n >= 512), "must be at least 512"),
     "grid2d.L": (12.0, _POS, "must be positive"),
     "grid2d.n": (1024, _int(lambda n: n > 0 and not n & (n - 1)), "must be a power of two"),
     "integrator.rtol": (1e-10, _POS, "must be positive"),

@@ -8,7 +8,9 @@ Off the grid, a field is interpolated in r by the package's only CubicSpline:
 ``spline`` builds it anew on each evaluation (nothing is cached), through
 all real and imaginary parts at once.  ``at`` is exactly 0 past
 r_max, evaluates the spline only at the points within r_max, AT_BLOCK points
-at a time, and sums the modes in comps order.
+at a time, and sums the modes by Horner in z = e^{iθ} (one cos and one sin
+per point), so its last bits differ from a per-mode Σ f_m e^{imθ}; a
+mode-0-only field is its spline's values exactly.
 
 A PolarGrid is the (r, θ) product grid on which every sampled polar field
 lives: r_j = j·h on [0, r_max] (n_r nodes, r_0 = 0) and θ_k = 2πk/n_θ.
@@ -220,18 +222,38 @@ class AngularField:
         return CubicSpline(self.grid.nodes, np.concatenate([vals.real, vals.imag]).T)
 
     def at(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Evaluate at matched point arrays (spline in r, zero beyond r_max)."""
+        """Evaluate at matched point arrays (spline in r, zero beyond r_max).
+
+        Horner in z = e^{iθ} from the top mode down to min(m_min, 0), then
+        times conj(z)^{|min(m_min, 0)|}.
+        """
         r = np.asarray(r, dtype=float)
         theta = np.broadcast_to(theta, r.shape)
         out = np.zeros(r.shape, dtype=complex)
+        if not self.comps:
+            return out
         inside = np.flatnonzero(r <= self.grid.r_max)
         spl, nm = self.spline(), len(self.comps)
+        column = {m: j for j, m in enumerate(self.comps)}
+        top, low = max(max(column), 0), min(min(column), 0)
         for start in range(0, inside.size, AT_BLOCK):
             idx = inside[start:start + AT_BLOCK]
-            vals = spl(np.clip(r.flat[idx], 0.0, self.grid.r_max))
+            vals = np.ascontiguousarray(spl(np.clip(r.flat[idx], 0.0, self.grid.r_max)).T)
             th = theta.flat[idx]
+            z = np.empty(idx.size, dtype=complex)
+            np.cos(th, out=z.real)
+            np.sin(th, out=z.imag)
             acc = np.zeros(idx.size, dtype=complex)
-            for j, m in enumerate(self.comps):
-                acc += (vals[:, j] + 1j * vals[:, nm + j]) * np.exp(1j * m * th)
+            for m in range(top, low - 1, -1):
+                if m < top:
+                    acc *= z
+                j = column.get(m)
+                if j is not None:
+                    acc.real += vals[j]
+                    acc.imag += vals[nm + j]
+            if low < 0:
+                np.conjugate(z, out=z)
+                for _ in range(-low):
+                    acc *= z
             out.flat[idx] = acc
         return out

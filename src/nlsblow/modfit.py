@@ -33,7 +33,10 @@ A ``Fit`` holds one expansion on one polar fit grid, within the lab's radius
 (the lab's splines extrapolate past it), with each term's mode samples on
 the grid's radii, weighed at P by ``ProfileExpansion.coefficients``.  Its
 methods give the windows, ε, the conditions and their Jacobian at P, and one
-fit serves every ``decompose(u, guess, fit)`` of a run.
+fit serves every ``decompose(u, guess, fit)`` of a run.  Along a run the
+parameters follow the modulation ODE, so ``nlsblow analyze`` guesses each
+snapshot by ``modeqs.integrate`` from the previous root to the snapshot's t;
+that prediction minus the root is its ode_gap.csv.
 """
 
 from dataclasses import dataclass
@@ -309,8 +312,9 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -
 
     The Newton unknowns are the first seven entries of ``guess.to_vector()``;
     the clock t is the field's, and s is 0 (a snapshot has no rescaled
-    clock).  The guess must be in the Newton basin (chain the previous
-    snapshot's result along a run); raises NewtonDiverged otherwise.
+    clock).  The guess must be in the Newton basin (along a run, the
+    modulation ODE from the previous snapshot's root); raises NewtonDiverged
+    otherwise.
     """
     if guess.lam <= 0:
         raise ValueError("lambda must be positive")
@@ -407,7 +411,8 @@ def lyapunov_I(dec_params: ParamPoint, u: ComplexField2D, w: ComplexField2D,
     """I = ½∫|∇ũ|² + ½∫|ũ|²/λ² - ∫k[F(w+ũ)-F(w)-F'(w)ũ] + boundary term.
 
     F(v) = |v|⁴/4; the boundary term is ½(b/λ) Im ∫ A∇φ((x-α)/(Aλ))·∇ũ ū.
-    ``stepper`` is a Stepper on the box of u, holding the k samples.
+    ``stepper`` is a Stepper on the box of u, holding the k samples (or a
+    scalar k).  Each integral is one contraction over the box.
     """
     if A < 10:
         raise ValueError("A must be at least 10")
@@ -418,23 +423,34 @@ def lyapunov_I(dec_params: ParamPoint, u: ComplexField2D, w: ComplexField2D,
     ut = u.values - w.values
     h2 = u.h ** 2
     ux, uy = stepper.gradient(ut)
-    kin = 0.5 * float(np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2)) * h2
-    low = 0.5 * float(np.sum(np.abs(ut) ** 2)) * h2 / lam ** 2
-    wv = w.values
-    F = lambda v: 0.25 * np.abs(v) ** 4
-    nonlin = F(wv + ut) - F(wv) - (wv * np.abs(wv) ** 2 * np.conj(ut)).real
-    pot = float(np.sum(stepper.k * nonlin)) * h2
-    pts = box_points(u.L, u.n)
-    X, Y = pts[..., 0], pts[..., 1]
-    zx, zy = (X - alpha[0]) / (A * lam), (Y - alpha[1]) / (A * lam)
+    kin = 0.5 * (np.vdot(ux, ux).real + np.vdot(uy, uy).real) * h2
+    low = 0.5 * np.vdot(ut, ut).real * h2 / lam ** 2
+    # k[F(w+ũ) - F(w) - F'(w)ũ] with F(v) = |v|⁴/4 and F'(w)ũ = Re(|w|² w ũ̄)
+    aw = w.values.real ** 2 + w.values.imag ** 2
+    nonlin = u.values.real ** 2 + u.values.imag ** 2
+    nonlin *= nonlin
+    nonlin -= aw * aw
+    nonlin *= 0.25
+    cross = w.values.real * ut.real
+    cross += w.values.imag * ut.imag
+    cross *= aw
+    nonlin -= cross
+    k = stepper.k
+    pot = (np.vdot(k, nonlin) if k.ndim else k * nonlin.sum()) * h2
+    # A∇φ(z)·∇ũ with z = (x-α)/(Aλ) and ∇φ(z) = ψ(|z|) z/|z|, on the box axes
+    x = -u.L + u.h * np.arange(u.n)
+    zx = ((x - alpha[0]) / (A * lam))[:, None]
+    zy = ((x - alpha[1]) / (A * lam))[None, :]
     rz = np.hypot(zx, zy)
-    psi = phi_prime(rz)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ex = np.where(rz > 0, zx / np.where(rz > 0, rz, 1.0), 0.0)
-        ey = np.where(rz > 0, zy / np.where(rz > 0, rz, 1.0), 0.0)
-    bterm = 0.5 * (b / lam) * float(
-        np.sum((A * psi * (ex * ux + ey * uy) * np.conj(ut)).imag)) * h2
-    return kin + low - pot + bterm
+    psi_over_r = np.ones_like(rz)     # ψ(r) = r for r ≤ 1, the origin's limit included
+    far = rz > 1.0
+    psi_over_r[far] = phi_prime(rz[far]) / rz[far]
+    ux *= zx
+    uy *= zy
+    ux += uy
+    ux *= psi_over_r
+    bterm = 0.5 * (b / lam) * A * np.vdot(ut, ux).imag * h2
+    return float(kin + low - pot + bterm)
 
 
 def virial_boundary(dec: Decomposition, A: float, ymomQ: float) -> float:

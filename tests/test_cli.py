@@ -1,5 +1,6 @@
 """Config validation and CLI orchestration (determinism, manifests, errors)."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import yaml
 from nlsblow import sim
 from nlsblow.cli import main
 from nlsblow.config import DEFAULTS, ConfigError, parse_config
+from nlsblow.modfit import TOL_FACTOR
 
 
 def test_minimal_config_defaults():
@@ -160,7 +162,7 @@ def test_verify_cli(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert report["pass"] is True
-    manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "v" / "manifest.verify.json").read_text())
     assert "verify.json" in manifest["files"]
 
 
@@ -171,7 +173,7 @@ def test_ground_state_cli(tmp_path, lab):
     assert -1.2 < report["tail_rate"] < -0.8
     for name in ("massQ", "quarticQ", "ymomQ", "gradQ"):
         assert report[name] == getattr(lab.moments, name)
-    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "g" / "manifest.ground-state.json").read_text())
     assert sorted(manifest["files"]) == ["ground_state.csv", "ground_state.json"]
 
 
@@ -315,7 +317,7 @@ def test_simulate_replaces_earlier_snapshots(tmp_path):
     first = sorted((out / "snapshots").glob("snap_*.bin"))
     _simulate_small(tmp_path, out, -0.29)
     on_disk = sorted("snapshots/" + p.name for p in (out / "snapshots").glob("snap_*.bin"))
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.simulate.json").read_text())
     listed = sorted(name for name in manifest["files"] if name.startswith("snapshots/"))
     assert len(listed) < len(first)
     assert on_disk == listed
@@ -339,12 +341,67 @@ def test_analyze_reports_newton_telemetry(tmp_path):
     assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
     lines = (out / "params.csv").read_text().splitlines()
     header = lines[0].split(",")
-    assert header[-2:] == ["newton_iterations", "jacobian_cond"]
+    assert header[-3:] == ["newton_iterations", "jacobian_cond", "condition_residual"]
     assert len(lines) >= 3
     for line in lines[1:]:
         row = dict(zip(header, line.split(",")))
         assert int(row["newton_iterations"]) >= 0
         assert np.isfinite(float(row["jacobian_cond"]))
+
+
+def test_simulate_and_analyze_keep_their_own_manifests(tmp_path):
+    out = tmp_path / "s"
+    cfgfile = _simulate_small(tmp_path, out, -0.29)
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    simulated = json.loads((out / "manifest.simulate.json").read_text())
+    analyzed = json.loads((out / "manifest.analyze.json").read_text())
+    assert simulated["command"] == "simulate" and analyzed["command"] == "analyze"
+    snaps = sorted("snapshots/" + p.name for p in (out / "snapshots").glob("snap_*.bin"))
+    assert len(snaps) >= 2
+    assert sorted(simulated["files"]) == sorted(["series.csv", "simulate.json"] + snaps)
+    assert simulated["files"]["series.csv"] == hashlib.sha256(
+        (out / "series.csv").read_bytes()).hexdigest()
+    assert sorted(analyzed["files"]) == ["analyze.json", "ode_gap.csv", "params.csv"]
+    assert not (out / "manifest.json").exists()
+
+
+def _params(out):
+    lines = (out / "params.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+
+
+def test_ode_predictor_saves_newton_steps(tmp_path, lab, monkeypatch):
+    from nlsblow import cli
+
+    out = tmp_path / "s"
+    cfgfile = _simulate_small(tmp_path, out, -0.29)
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    predicted = _params(out)
+    report = json.loads((out / "analyze.json").read_text())
+    assert report["predictor_fallback"] == []
+    gap = (out / "ode_gap.csv").read_text().splitlines()
+    assert gap[0].split(",") == ["t", "b", "lambda", "beta1", "beta2",
+                                 "alpha1", "alpha2", "gamma"]
+    assert [float(line.split(",")[0]) for line in gap[1:]] == [row["t"] for row in predicted[1:]]
+
+    # the previous root as every later guess: each such snapshot is a listed fallback
+    monkeypatch.setattr(cli, "_predict", lambda root, constants, t: (None, "off"))
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    chained = _params(out)
+    report = json.loads((out / "analyze.json").read_text())
+    assert [entry["reason"] for entry in report["predictor_fallback"]] == \
+        ["off"] * (len(chained) - 1)
+    assert (out / "ode_gap.csv").read_text().splitlines() == [gap[0]]
+
+    assert len(predicted) == len(chained) >= 3
+    steps = [sum(row["newton_iterations"] for row in rows) for rows in (predicted, chained)]
+    assert steps[0] < steps[1]
+    tol = TOL_FACTOR * lab.moments.massQ
+    assert all(0.0 <= row["condition_residual"] <= tol for row in predicted + chained)
+    for a, b in zip(predicted, chained):
+        for key in ("b", "lambda", "alpha1", "alpha2", "beta1", "beta2", "gamma"):
+            assert abs(a[key] - b[key]) <= tol
 
 
 def test_analyze_builds_one_fit(tmp_path, monkeypatch):

@@ -98,31 +98,66 @@ def test_weights_are_the_integral_rule(rng, n_r):
 
 
 def _loop_at(field, r, theta):
-    """Reference: one spline pair per mode, evaluated at every point."""
+    """Reference: one spline pair per mode, evaluated at every point.
+
+    Returns the sum and Σ_m |f_m(r)|, the scale of its roundoff.
+    """
     from scipy.interpolate import CubicSpline
 
     nodes, r_max = field.grid.nodes, field.grid.r_max
     out = np.zeros(r.shape, dtype=complex)
+    scale = np.zeros(r.shape)
     inside = r <= r_max
     rc = np.clip(r, 0.0, r_max)
     for m, v in field.comps.items():
         sre, sim = CubicSpline(nodes, v.real), CubicSpline(nodes, v.imag)
-        out += np.where(inside, sre(rc) + 1j * sim(rc), 0.0) * np.exp(1j * m * theta)
-    return out
+        fm = np.where(inside, sre(rc) + 1j * sim(rc), 0.0)
+        out += fm * np.exp(1j * m * theta)
+        scale += np.abs(fm)
+    return out, scale
 
 
-def test_at_matches_per_mode_splines_bitwise(rng):
-    grid = RadialGrid(r_max=10.0, n=301)
-    modes = (0, 2, -1, 3, 1, -4)
-    field = AngularField(grid, {m: rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
-                                for m in modes})
+def _random_field(rng, grid, modes):
+    return AngularField(grid, {m: rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+                               for m in modes})
+
+
+def _assert_at_matches_loop(field, rng):
+    # Horner in e^{iθ} reorders the sum: roundoff of order ε_mach·Σ_m |f_m(r)|
+    r_max = field.grid.r_max
     n_pts = 2 * AT_BLOCK + 123
     r = rng.uniform(0.0, 13.0, size=n_pts)
-    r[:4] = (0.0, grid.r_max, np.nextafter(grid.r_max, 20.0), 12.5)
+    r[:4] = (0.0, r_max, np.nextafter(r_max, 20.0), 12.5)
     theta = rng.uniform(-np.pi, np.pi, size=n_pts)
     got = field.at(r, theta)
-    ref = _loop_at(field, r, theta)
-    assert got.tobytes() == ref.tobytes()
-    assert np.all(got[r > grid.r_max] == 0.0)
+    ref, scale = _loop_at(field, r, theta)
+    assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
+    assert np.all(got[r > r_max] == 0.0)
     square = field.at(r[:700].reshape(100, 7), theta[:700].reshape(100, 7))
-    assert square.tobytes() == ref[:700].reshape(100, 7).tobytes()
+    assert square.tobytes() == got[:700].reshape(100, 7).tobytes()
+
+
+def test_at_matches_per_mode_splines(rng):
+    grid = RadialGrid(r_max=10.0, n=301)
+    _assert_at_matches_loop(_random_field(rng, grid, (0, 2, -1, 3, 1, -4)), rng)
+
+
+@pytest.mark.parametrize("modes", [(3,), (-2, -5)], ids=["single_m3", "negative_only"])
+def test_at_single_and_negative_modes(rng, modes):
+    grid = RadialGrid(r_max=10.0, n=301)
+    _assert_at_matches_loop(_random_field(rng, grid, modes), rng)
+
+
+def test_at_mode_zero_is_the_spline(rng):
+    grid = RadialGrid(r_max=10.0, n=301)
+    field = _random_field(rng, grid, (0,))
+    r = rng.uniform(0.0, 13.0, size=1000)
+    theta = rng.uniform(-np.pi, np.pi, size=1000)
+    assert field.at(r, theta).tobytes() == _loop_at(field, r, theta)[0].tobytes()
+
+
+def test_at_of_an_empty_field_is_zero(rng):
+    field = AngularField(RadialGrid(r_max=10.0, n=301))
+    r = rng.uniform(0.0, 13.0, size=(10, 3))
+    got = field.at(r, np.zeros_like(r))
+    assert got.shape == (10, 3) and got.dtype == complex and np.all(got == 0.0)

@@ -415,6 +415,19 @@ def test_lyapunov_matches_term_oracle(expansion, model, lab):
     assert got == pytest.approx(oracle, rel=1e-8)
 
 
+def test_lyapunov_scalar_k_equals_constant_field(expansion):
+    # a scalar k and the same constant on every node are one functional
+    P = prof.ParamPoint(b=0.05, lam=0.1, alpha=(0.02, -0.01))
+    L, n = 4.0, 128
+    pts = sim.box_points(L, n)
+    wv = prof.physical_field(expansion, P)(pts)
+    uv = wv * (1.0 + 1e-2 * np.exp(-np.sum(pts ** 2, axis=-1)))
+    u, w = sim.ComplexField2D(L, uv, 0.0), sim.ComplexField2D(L, wv, 0.0)
+    scalar = modfit.lyapunov_I(P, u, w, 20.0, sim.Stepper(L, n, 0.9))
+    field = modfit.lyapunov_I(P, u, w, 20.0, sim.Stepper(L, n, np.full((n, n), 0.9)))
+    assert scalar == pytest.approx(field, rel=1e-12)
+
+
 def test_virial_boundary_zero_eps(expansion, lab):
     grid = PolarGrid()
     dec = modfit.Decomposition(
