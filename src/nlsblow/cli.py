@@ -217,7 +217,8 @@ def cmd_simulate(cfg, out: Path) -> int:
     exp = _expansion_from(cfg, lab)
     L, n = cfg["grid2d"]["L"], cfg["grid2d"]["n"]
     si = dict(cfg["sim"])
-    field0 = sim.init_from_profile(exp, 0.0, si.pop("t_start"), L, n)
+    st = modeqs.existence_initial_state(si.pop("t_start"), exp.C0, 0.0)
+    field0 = sim.init_from_profile(prof.physical_field(exp, st), st.lam, st.t, L, n)
     k_vals = exp.model.k(sim.box_points(L, n))
     cfg_run = sim.SimConfig(**si)
     snap_dir = out / "snapshots"

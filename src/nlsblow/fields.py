@@ -181,10 +181,6 @@ class AngularField:
 
     __rmul__ = __mul__
 
-    def scale_radial(self, radial_values: np.ndarray) -> "AngularField":
-        rv = np.asarray(radial_values)
-        return AngularField(self.grid, {m: v * rv for m, v in self.comps.items()})
-
     def product(self, other: "AngularField") -> "AngularField":
         out: Dict[int, np.ndarray] = {}
         for ma, va in self.comps.items():

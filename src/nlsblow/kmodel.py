@@ -116,7 +116,10 @@ class InhomogeneityModel:
 
     # -- Taylor forms at the origin (angular callables on unit vectors) ----
 
-    def hess_form(self, ux, uy):
+    def hess_form(self, ux, uy, e=None):
+        """H(u,u) or, with basis index e, H(u,e)."""
+        if e is not None:
+            return self.hessian[0, e] * ux + self.hessian[1, e] * uy
         return (self.hessian[0, 0] * ux * ux + 2 * self.hessian[0, 1] * ux * uy
                 + self.hessian[1, 1] * uy * uy)
 

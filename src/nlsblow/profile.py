@@ -1,27 +1,40 @@
 """Refined blow-up profile built order by order in the parameters (b, λ, β, α).
 
-The conformal-frame profile is P = Q + Σ_j (T_j + i S_j) with T_j, S_j
-homogeneous of degree j, each obtained by inverting L+ or L- against sources
-assembled from the Taylor data of k.  The constants c0, β3 are exactly the
-solvability adjustments that keep every inversion off the kernels, and the
-pseudo-conformal law survives because (y_j y_l Q³, ΛQ) = 0.  The frozen
-``ProfileConstants`` come from ``derive_constants`` alone, and the profile
-and the modulation ODE share them.
+The conformal-frame profile P = Q + Σ_j (T_j + i S_j), T_j and S_j
+homogeneous of degree j, solves the profile equation
 
-Monomials in the parameters are dict keys.  One coefficient rule,
-``ProfileExpansion.coefficients``, weighs the terms: at P a term's
-coefficient is coeff(mono, P) = Π v^e over (b, λ, β1, β2, α1, α2), and its
-derivative in parameter i is e_i·coeff(mono - e_i, P).  The profile, the six
-parameter derivatives of the residual and the fit's samples (``modfit.Fit``)
-all sum the terms with it, so no numerical differentiation in parameter
-space ever happens.
+    i Σ_i law_i ∂_iP − (B·y + iλβ·∇k(α)/k(α)) P + ΔP − P + κ|P|²P = 0,
 
-``ParamPoint`` is the one modulation state of the package: the profile, the
-modulation ODE (``modeqs``), the orthogonality fit (``modfit``) and the CLI
-all pass it.  It carries (b, λ, β, α, γ) with both clocks s and t, its
-vector layout is [b, λ, β1, β2, α1, α2, γ, s, t] (``to_vector``; the
-modulation ODE integrates both clocks as states), and it owns the conformal
-phase -b|y|²/4 + β·y and that phase's gradient.
+κ = k(λy+α)/k(α), with the law table ``ProfileConstants.laws``: b_s = −b²,
+λ_s = −bλ, β_s = −bβ + B, α_s = 2λβ, B = λc0(α) + β3λ³.  The table feeds
+both ``build_expansion`` and the residual.  The part of the equation linear
+in the degree-j terms is −L+T_j − iL−S_j, so ``build_expansion`` takes the
+order-j source as the degree-j part of the equation at the lower terms, on
+monomial maps {monomial: AngularField} through a product truncated at
+degree j (κ from ``kmodel``'s Taylor forms), and solves each monomial with
+L+ or L−.  The constants c0, β3 (``derive_constants``, frozen and shared
+with the modulation ODE) keep every inversion off the kernels, and the
+pseudo-conformal law survives because (y_j y_l Q³, ΛQ) = 0.
+
+- Parity: each term of the equation maps an even power of (b, β) to a real
+  field and an odd one to an imaginary field, so the monomial picks L+ or
+  L−, and P̄ is P with its odd terms negated.  A split by (f ± f̄)/2 would
+  leave roundoff residues that the kernel check refuses.
+- Truncation: orders 2 and 3 keep every monomial at most linear in (β, α).
+  Order 4 is built on the ray b = λ/C0 with β = 0: its real part at α = 0
+  (a λ³α part would meet the ∂_jQ kernel, and no constant absorbs it), its
+  imaginary part at most linear in α.  So −iλβ·∇k(α)/k(α) and
+  1/k(α) = 1 + O(|α|²) drop out.
+
+One coefficient rule, ``ProfileExpansion.coefficients``, weighs the terms:
+coeff(mono, P) = Π v^e over (b, λ, β1, β2, α1, α2), with derivative
+e_i·coeff(mono − e_i, P) in parameter i.  The profile, the residual's
+Σ law_i ∂_iP (one synthesis) and the fit's samples (``modfit.Fit``) use it.
+
+``ParamPoint`` is the package's one modulation state, passed by the profile,
+the modulation ODE (``modeqs``, which integrates both clocks), the fit
+(``modfit``) and the CLI: (b, λ, β, α, γ) and the clocks s, t, in the vector
+layout [b, λ, β1, β2, α1, α2, γ, s, t]; it owns the phase -b|y|²/4 + β·y.
 """
 
 import math
@@ -38,6 +51,7 @@ from .linops import vector_norm
 from .radial import banded_matvec, quadrature
 
 Monomial = Tuple[int, int, int, int, int, int]   # powers of (b, λ, β1, β2, α1, α2)
+Series = Dict[Monomial, AngularField]            # a monomial map Σ coeff(mono, P)·field
 
 ETA_STAR_DEFAULT = 0.3
 
@@ -122,6 +136,18 @@ class ProfileConstants:
         """The momentum-law forcing λ c0(α) + β3 λ³."""
         return lam * self.c0(alpha) + self.beta3 * lam ** 3
 
+    def forcing(self) -> Dict[Monomial, np.ndarray]:
+        """B as {monomial: vector}: λα_j -> c0(e_j), λ³ -> β3."""
+        return {_mono(1, 4): self.c0_map[:, 0], _mono(1, 5): self.c0_map[:, 1],
+                _mono(1, 1, 1): self.beta3}
+
+    def laws(self) -> Tuple[Dict[Monomial, float], ...]:
+        """The law table: the rates in s of (b, λ, β1, β2, α1, α2), {monomial: coefficient}."""
+        beta = tuple({_mono(0, 2 + j): -1.0, **{m: float(v[j]) for m, v in self.forcing().items()}}
+                     for j in range(2))
+        return ({_mono(0, 0): -1.0}, {_mono(0, 1): -1.0}, *beta,
+                {_mono(1, 2): 2.0}, {_mono(1, 3): 2.0})
+
 
 def hessian_quartic_integral(model: InhomogeneityModel, lab: Lab) -> float:
     """∫ ∇²k(0)(y,y) Q⁴ dy (negative for a negative-definite Hessian)."""
@@ -141,10 +167,8 @@ def derive_constants(model: InhomogeneityModel, lab: Lab) -> ProfileConstants:
     r = lab.grid.nodes
     q4 = lab.Q.values ** 4
     rad3 = quadrature(r ** 2 * q4, lab.grid)
-    beta3 = np.zeros(2)
-    for j in range(2):
-        cj = angular_modes(lambda cx, sx, j=j: model.third_form(cx, sx, e=j), 2).get(0, 0.0)
-        beta3[j] = np.real(cj) * rad3 / (4.0 * m.massQ)
+    beta3 = np.array([np.real(angular_modes(partial(model.third_form, e=j), 2).get(0, 0.0))
+                      for j in range(2)]) * rad3 / (4.0 * m.massQ)
 
     d0_form = (2.0 * m.massQ / m.ymomQ) * H
     d1_form = (lab.y2Q_rho / (4.0 * lab.rho_Q)) * d0_form
@@ -211,10 +235,20 @@ def _solve_field(lab: Lab, op: str, src: AngularField) -> AngularField:
     return AngularField(lab.grid, out)
 
 
+def _mono(*params: int) -> Monomial:
+    """The monomial Π v_i over the listed parameter indices, repeats raising the power."""
+    return tuple(params.count(i) for i in range(6))
+
+
 def _coeff(mono: Monomial, P: ParamPoint) -> float:
     """The monomial's value at P: Π v^e over (b, λ, β1, β2, α1, α2)."""
     vals = (P.b, P.lam, P.beta[0], P.beta[1], P.alpha[0], P.alpha[1])
     return math.prod(v ** e for v, e in zip(vals, mono) if e)
+
+
+def _value(poly: dict, P: ParamPoint):
+    """A polynomial {monomial: coefficient} at P."""
+    return sum(c * _coeff(mono, P) for mono, c in poly.items())
 
 
 def _lap_field(lab: Lab, f: AngularField) -> AngularField:
@@ -251,12 +285,12 @@ class ProfileExpansion:
         return {mono: mono[idx] * _coeff(mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:], P)
                 if mono[idx] else 0.0 for mono in self.terms}
 
-    def combined(self, P: ParamPoint, include_Q: bool = True, idx: int = None) -> AngularField:
-        """Σ coefficient · field at P (with idx, ∂/∂ parameter idx), optionally plus Q."""
+    def combined(self, P: ParamPoint, include_Q: bool = True, coeffs=None) -> AngularField:
+        """Σ coefficient · field at P (or with the given coefficients), optionally plus Q."""
         out = AngularField(self.lab.grid)
         if include_Q:
             out = AngularField.radial(self.lab.grid, self.lab.Q.values)
-        for mono, c in self.coefficients(P, idx).items():
+        for mono, c in (self.coefficients(P) if coeffs is None else coeffs).items():
             if c != 0.0:
                 out = out + self.terms[mono] * c
         return out
@@ -308,10 +342,10 @@ class ProfileExpansion:
     def residual(self, P: ParamPoint, weight: float = 0.25) -> dict:
         """Weighted norms of the mismatch in the conformal-frame profile equation.
 
-        The equation is evaluated with the constructed forcing B in place of
-        the frozen laws, the exact parameter derivatives of the monomial map,
-        the same discrete Laplacian that built the fields, and the actual k
-        evaluator (not its Taylor polynomial).
+        The equation is evaluated with the law table that built the terms,
+        the exact parameter derivatives of the monomial map, the same
+        discrete Laplacian that built the fields, and the actual k evaluator
+        (not its Taylor polynomial).
         """
         P.check_small(self.eta_star)
         polar = self.lab.polar
@@ -333,132 +367,105 @@ class ProfileExpansion:
         lapP = sum(c * _lap_field(self.lab, self.terms[mono]).on_native(polar)
                    for mono, c in self.coefficients(P).items() if c != 0.0)
         lapP = lapP + _lap_field(self.lab, AngularField.radial(self.lab.grid, q)).on_native(polar)
-        d_b, d_lam, d_beta1, d_beta2, d_alpha1, d_alpha2 = (
-            self.combined(P, include_Q=False, idx=i).on_native(polar)
-            for i in range(6))
+        # Σ_i law_i ∂_iP from the law table, summed on the terms: one synthesis
+        rates = [_value(law, P) for law in self.constants.laws()]
+        slopes = [self.coefficients(P, i) for i in range(6)]
+        along = {mono: sum(v * d[mono] for v, d in zip(rates, slopes)) for mono in self.terms}
+        drift = self.combined(P, include_Q=False, coeffs=along).on_native(polar)
 
-        Bvec = self.constants.B(P.lam, P.alpha)
+        Bvec = _value(self.constants.forcing(), P)
         ct, st = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
         By = r * (Bvec[0] * ct + Bvec[1] * st)
         kappa, k_alpha = self._kappa(P, polar)
         gterm = P.lam * float(P.beta @ (self.model.grad_k(P.alpha) / k_alpha))
 
-        lhs = (-1j * P.b ** 2 * d_b
-               - 1j * P.lam * P.b * d_lam
-               + 2j * P.lam * (P.beta[0] * d_alpha1 + P.beta[1] * d_alpha2)
-               + 1j * ((-P.b * P.beta[0] + Bvec[0]) * d_beta1
-                       + (-P.b * P.beta[1] + Bvec[1]) * d_beta2)
+        lhs = (1j * drift
                - (By + 1j * gterm) * Pv
                + lapP - Pv + kappa * np.abs(Pv) ** 2 * Pv)
         return -lhs
 
 
+RAY_ORDER = 4      # the last order, built on the ray b = λ/C0 with β = 0
+
+
+def _even(mono: Monomial) -> bool:
+    """An even power of (b, β): the monomial's field is real (odd: imaginary)."""
+    return (mono[0] + mono[2] + mono[3]) % 2 == 0
+
+
+def _admitted(mono: Monomial, order: int, final: bool = False) -> bool:
+    """The truncation policy on the degree-`order` monomials (final), or on the
+    product monomials that can still reach one of them."""
+    n_beta, n_alpha = mono[2] + mono[3], mono[4] + mono[5]
+    if final and (sum(mono) != order or (order == RAY_ORDER and _even(mono) and n_alpha)):
+        return False
+    return sum(mono) <= order and n_beta + n_alpha <= 1 and not (order == RAY_ORDER and n_beta)
+
+
+def _sum(*series: Series) -> Series:
+    out: Series = {}
+    for part in series:
+        for mono, f in part.items():
+            out[mono] = out[mono] + f if mono in out else f
+    return out
+
+
+def _product(a: dict, b: Series, keep) -> Series:
+    """The product of two monomial maps (a's values fields or scalars), on the
+    monomials that `keep` admits."""
+    pairs = ((tuple(map(sum, zip(ma, mb))), fa, fb) for ma, fa in a.items() for mb, fb in b.items())
+    return _sum(*({mono: fa * fb} for mono, fa, fb in pairs if keep(mono)))
+
+
+def _taylor_fields(g, parts) -> Series:
+    """{monomial: rⁿ/n! · form(cosθ, sinθ)} from (monomial, n, form), each with
+    one ``from_angular`` so that modes which cancel are dropped."""
+    fields = {mono: AngularField.from_angular(g, g.nodes ** n / math.factorial(n), form, n)
+              for mono, n, form in parts}
+    return {mono: f for mono, f in fields.items() if f.comps}
+
+
+def _source(P: Series, order: int, kappa: Series, minus_By: Series, laws) -> Series:
+    """The degree-`order` part of i Σ_i law_i ∂_iP − (B·y)P + κ|P|²P at P = Q
+    plus the terms below `order` (ΔP − P has no part of that degree)."""
+    within, top = partial(_admitted, order=order), partial(_admitted, order=order, final=True)
+    drift = [_product(law, {m[:i] + (m[i] - 1,) + m[i + 1:]: f * (1j * m[i])
+                            for m, f in P.items() if m[i]}, top)
+             for i, law in enumerate(laws)]
+    P = {mono: f for mono, f in P.items() if within(mono)}    # products only raise powers
+    conj = {mono: f if _even(mono) else f * -1.0 for mono, f in P.items()}
+    return _sum(_product(kappa, _product(_product(P, P, within), conj, within), top),
+                _product(minus_By, P, top), *drift)
+
+
 def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
                     eta_star: float = ETA_STAR_DEFAULT) -> ProfileExpansion:
-    """Construct T2, S3, T3, T4, S4 and the adjusted constants for this k and C0.
+    """Generate T2, S3, T3, T4, S4 from the profile equation (module docstring).
 
-    Raises SolvabilityViolated if any elliptic system fails its kernel check,
-    which would mean the constants do not match the assembled sources.
+    SolvabilityViolated from a kernel check means the constants do not match.
     """
     consts = derive_constants(model, lab)
     g = lab.grid
-    r = g.nodes
-    q = lab.Q.values
-    q2, q3 = q ** 2, q ** 3
-    H = model.hessian
-    terms: Dict[Monomial, AngularField] = {}
-
-    def put(mono: Monomial, f: AngularField, imag: bool = False):
-        add = f * 1j if imag else f
-        terms[mono] = terms.get(mono, AngularField(g)) + add
-
-    def solve(op, src):
-        return _solve_field(lab, op, src)
-
-    if model.is_flat:
-        return ProfileExpansion(lab=lab, model=model, constants=consts, C0=C0,
-                                terms={}, eta_star=eta_star)
-
-    # ---- order 2: L+(T2) = ∇²k(0)(α,y)λQ³ + (λ²/2)∇²k(0)(y,y)Q³ - λ c0(α)·yQ
-    U20 = solve("plus", AngularField.from_angular(g, 0.5 * r ** 2 * q3, model.hess_form, 2))
-    put((0, 2, 0, 0, 0, 0), U20)
-    U2 = []
-    for j in range(2):
-        c0_ej = consts.c0_map[:, j]
-
-        def ang_h(cx, sx, j=j):
-            return H[0, j] * cx + H[1, j] * sx
-
-        def ang_c(cx, sx, v=c0_ej):
-            return v[0] * cx + v[1] * sx
-
-        src = AngularField.from_angular(g, r * q3, ang_h, 1) \
-            - AngularField.from_angular(g, r * q, ang_c, 1)
-        U2j = solve("plus", src)
-        U2.append(U2j)
-        mono = [0, 1, 0, 0, 0, 0]
-        mono[4 + j] = 1
-        put(tuple(mono), U2j)
-
-    # ---- order 3 imaginary: L-(S3) = -λb ∂_λT2 + 2βλ ∂_αT2
-    V0 = solve("minus", U20 * (-2.0))
-    put((1, 2, 0, 0, 0, 0), V0, imag=True)
-    for j in range(2):
-        Vj = solve("minus", U2[j] * (-1.0))
-        mono = [1, 1, 0, 0, 0, 0]
-        mono[4 + j] = 1
-        put(tuple(mono), Vj, imag=True)
-        mono = [0, 2, 0, 0, 0, 0]
-        mono[2 + j] = 1
-        put(tuple(mono), Vj * (-2.0), imag=True)     # W_j = -2 V_j
-
-    # ---- order 3 real: L+(T3) = ∇³k(0)(y,y,y)(λ³/6)Q³ + ∇³k(0)(y,y,α)(λ²/2)Q³ - β3λ³·yQ
-    def ang_b3(cx, sx):
-        return consts.beta3[0] * cx + consts.beta3[1] * sx
-
-    src30 = AngularField.from_angular(g, r ** 3 * q3 / 6.0, model.third_form, 3) \
-        - AngularField.from_angular(g, r * q, ang_b3, 1)
-    U30 = solve("plus", src30)
-    put((0, 3, 0, 0, 0, 0), U30)
-    U3 = []
-    for j in range(2):
-        src = AngularField.from_angular(
-            g, 0.5 * r ** 2 * q3, lambda cx, sx, j=j: model.third_form(cx, sx, e=j), 2)
-        U3j = solve("plus", src)
-        U3.append(U3j)
-        mono = [0, 2, 0, 0, 0, 0]
-        mono[4 + j] = 1
-        put(tuple(mono), U3j)
-
-    # ---- order 4 real: L+(T4) = f4 λ⁴ with b replaced by λ/C0.
-    # f4 collects the surviving pure-λ⁴ real terms: the b-derivative feedbacks
-    # of S3, the cubic cross terms of T2, and the 4th-order Taylor term of k.
-    # Each factor has only even modes, so f4 is orthogonal to the m = ±1
-    # kernel ∂_jQ and needs no solvability constant (the solve checks it).
-    hyy = AngularField.from_angular(g, r ** 2, model.hess_form, 2)
-    f4 = (V0 * (3.0 / C0 ** 2)
-          + (U20 * U20).scale_radial(3.0 * q)
-          + (hyy * U20).scale_radial(1.5 * q2)
-          + AngularField.from_angular(g, r ** 4 * q3 / 24.0, model.quartic_form, 4))
-    put((0, 4, 0, 0, 0, 0), solve("plus", f4))
-
-    # ---- order 4 imaginary: L-(S4) = -(λ²/C0) ∂_λT3
-    X0 = solve("minus", U30 * (-3.0 / C0))
-    put((0, 4, 0, 0, 0, 0), X0, imag=True)
-    for j in range(2):
-        Xj = solve("minus", U3[j] * (-2.0 / C0))
-        mono = [0, 3, 0, 0, 0, 0]
-        mono[4 + j] = 1
-        put(tuple(mono), Xj, imag=True)
-
+    # κ = 1 + Σ_n ∇ⁿk(0)(λy+α, …, λy+α)/n! within the policy: its λⁿ and λⁿ⁻¹α_j parts
+    forms = {2: model.hess_form, 3: model.third_form, 4: model.quartic_form}
+    taylor = [(_mono(*[1] * n), n, form) for n, form in forms.items()] + [
+        (_mono(*[1] * (n - 1), 4 + j), n - 1, partial(forms[n], e=j)) for n in (2, 3) for j in range(2)]
+    kappa = {_mono(): AngularField.radial(g, np.ones(g.n)), **_taylor_fields(g, taylor)}
+    minus_By = _taylor_fields(g, [(mono, 1, lambda cx, sx, v=v: -v[0] * cx - v[1] * sx)
+                                  for mono, v in consts.forcing().items()])
+    laws, terms = consts.laws(), {}
+    for order in range(2, RAY_ORDER + 1):
+        P = {_mono(): AngularField.radial(g, lab.Q.values), **terms}
+        parts = {(m, _even(m)): f for m, f in _source(P, order, kappa, minus_By, laws).items()}
+        if order == RAY_ORDER:      # b = λ/C0, each monomial keeping its parity
+            parts = _sum(*({((0, m[0] + m[1]) + m[2:], even): f * C0 ** -m[0]}
+                           for (m, even), f in parts.items()))
+        for (mono, even), f in parts.items():
+            sol = _solve_field(lab, "plus", f) if even else _solve_field(lab, "minus", f * -1j) * 1j
+            if sol.comps:
+                terms = _sum(terms, {mono: sol})
     return ProfileExpansion(lab=lab, model=model, constants=consts, C0=C0,
                             terms=terms, eta_star=eta_star)
-
-
-def field_pair(a: AngularField, b: AngularField) -> float:
-    """Real L²(R²) pairing 2π Σ_m ∫ a_m conj(b_m) r dr."""
-    return float(sum(quadrature((v * np.conj(b.comps[m])).real, a.grid)
-                     for m, v in a.comps.items() if m in b.comps))
 
 
 def conformal_ray(lam: float, C0: float, beta_scale=(0.0, 0.0),

@@ -217,23 +217,14 @@ def pseudo_conformal_field(Q_of_r: Callable, C0: float, t: float,
     return amp * np.exp(1j * (r ** 2 / (4.0 * t) - C0 ** 2 / t))
 
 
-def init_from_profile(expansion, gamma0: float, t1: float, L: float,
-                      n: int) -> ComplexField2D:
-    """Blow-up initial data u(t1,x) = (1/λ1)Q_P(x/λ1)e^{iγ1} on the box.
-
-    The parameters follow the backwards-integration data b1 = -t1/C0²,
-    λ1 = -t1/C0, α = β = 0, γ1 = γ0 - C0²/t1 with the expansion's own C0
-    (the k(α)^{1/2} prefactor is 1 at α = 0).
-    """
-    from .modeqs import existence_initial_state
-    from .profile import physical_field
-
-    st = existence_initial_state(t1, expansion.C0, gamma0)
+def init_from_profile(u1: Callable, lam1: float, t1: float, L: float, n: int) -> ComplexField2D:
+    """Initial data u(t1, x) = u1(x) on the box, from the point evaluator u1 of an
+    ansatz whose core scale is λ1 (refused under 8 grid spacings)."""
     h = 2.0 * L / n
-    if st.lam < 8.0 * h:
+    if lam1 < 8.0 * h:
         raise ResolutionBreach(
-            f"core scale λ = {st.lam:.4g} under 8 grid spacings (h = {h:.4g})")
-    return ComplexField2D(L, physical_field(expansion, st)(box_points(L, n)), t1)
+            f"core scale λ = {lam1:.4g} under 8 grid spacings (h = {h:.4g})")
+    return ComplexField2D(L, u1(box_points(L, n)), t1)
 
 
 @dataclass

@@ -39,3 +39,24 @@ def test_module_loads_only_the_modules_before_it(index):
     loaded = set(proc.stdout.split())
     assert f"nlsblow.{ORDER[index]}" in loaded
     assert loaded <= allowed, f"nlsblow.{ORDER[index]} loads {sorted(loaded - allowed)}"
+
+
+def test_sim_initializes_and_runs_without_the_profile_layers():
+    # init_from_profile takes any point evaluator, so the PDE layer stands
+    # alone: it loads no package module besides what `import nlsblow` loads
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import nlsblow\n"
+            "before = set(sys.modules)\n"
+            "from nlsblow import sim\n"
+            "u1 = lambda x: np.exp(-0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)) + 0j\n"
+            "f0 = sim.init_from_profile(u1, 1.0, -0.5, 8.0, 128)\n"
+            "res = sim.run(sim.SimConfig(c_dt=0.01, max_steps=4), f0, np.ones((128, 128)),\n"
+            "              1.0, 1.0)\n"
+            "assert res.reason == 'max_steps', res.reason\n"
+            "print(' '.join(sorted(m for m in set(sys.modules) - before\n"
+            "                      if m.split('.')[0] == 'nlsblow')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["nlsblow.sim"]

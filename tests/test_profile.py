@@ -8,6 +8,7 @@ from nlsblow import profile as prof
 from nlsblow.fields import AngularField
 from nlsblow.kmodel import InhomogeneityModel, HessianNotNegative, cutoff, homogeneous_model
 from nlsblow.linops import M_MAX, SolvabilityViolated
+from nlsblow.radial import quadrature
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,12 @@ def test_coefficient_derivatives_match_finite_differences(expansion):
             assert c == pytest.approx((c_up[mono] - c_down[mono]) / (2 * h), rel=1e-6, abs=1e-12)
 
 
+def _field_pair(a: AngularField, b: AngularField) -> float:
+    """Real L²(R²) pairing 2π Σ_m ∫ a_m conj(b_m) r dr."""
+    return float(sum(quadrature((v * np.conj(b.comps[m])).real, a.grid)
+                     for m, v in a.comps.items() if m in b.comps))
+
+
 def test_T2_T3_orthogonal_to_Q(lab, expansion):
     Qf = AngularField.radial(lab.grid, lab.Q.values)
     for mono in [(0, 2, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0)]:
@@ -146,7 +153,7 @@ def test_T2_T3_orthogonal_to_Q(lab, expansion):
         # strip the imaginary (S-part) before pairing
         real_part = AngularField(lab.grid, {m: v.real.astype(complex)
                                             for m, v in f.comps.items()})
-        rel = prof.field_pair(real_part, Qf) / (real_part.norm() * Qf.norm())
+        rel = _field_pair(real_part, Qf) / (real_part.norm() * Qf.norm())
         assert abs(rel) < 1e-7
 
 
@@ -330,3 +337,144 @@ def test_constants_rotate_with_k(lab, e1, e2, h_angle, third, k1, phi):
     b3_scale = max(np.max(np.abs(base.beta3)), 1e-4 * np.max(np.abs(model.third)))
     close(turned.beta3, R @ base.beta3, b3_scale)
     close(turned.a1, base.a1, abs(base.a1))
+
+
+# ----------------------------------------------------------------------
+# the generator against orders 2–4 written out by hand
+# ----------------------------------------------------------------------
+
+def _hand_terms(model: InhomogeneityModel, C0: float, lab) -> dict:
+    """T2, S3, T3, T4, S4 assembled source by source, each source derived by hand."""
+    consts = prof.derive_constants(model, lab)
+    g = lab.grid
+    r = g.nodes
+    q = lab.Q.values
+    q2, q3 = q ** 2, q ** 3
+    H = model.hessian
+    terms = {}
+
+    def put(mono, f, imag=False):
+        terms[mono] = terms.get(mono, AngularField(g)) + (f * 1j if imag else f)
+
+    def solve(op, src):
+        return prof._solve_field(lab, op, src)
+
+    def mono(b=0, lam=0, beta=None, alpha=None):
+        e = [b, lam, 0, 0, 0, 0]
+        if beta is not None:
+            e[2 + beta] = 1
+        if alpha is not None:
+            e[4 + alpha] = 1
+        return tuple(e)
+
+    # order 2: L+(T2) = ∇²k(0)(α,y)λQ³ + (λ²/2)∇²k(0)(y,y)Q³ - λ c0(α)·yQ
+    U20 = solve("plus", AngularField.from_angular(g, 0.5 * r ** 2 * q3, model.hess_form, 2))
+    put(mono(lam=2), U20)
+    U2 = []
+    for j in range(2):
+        c0_ej = consts.c0_map[:, j]
+        src = AngularField.from_angular(g, r * q3, lambda cx, sx, j=j: H[0, j] * cx + H[1, j] * sx, 1) \
+            - AngularField.from_angular(g, r * q, lambda cx, sx, v=c0_ej: v[0] * cx + v[1] * sx, 1)
+        U2.append(solve("plus", src))
+        put(mono(lam=1, alpha=j), U2[j])
+
+    # order 3 imaginary: L-(S3) = -λb ∂_λT2 + 2βλ ∂_αT2
+    V0 = solve("minus", U20 * (-2.0))
+    put(mono(b=1, lam=2), V0, imag=True)
+    for j in range(2):
+        Vj = solve("minus", U2[j] * (-1.0))
+        put(mono(b=1, lam=1, alpha=j), Vj, imag=True)
+        put(mono(lam=2, beta=j), Vj * (-2.0), imag=True)      # W_j = -2 V_j
+
+    # order 3 real: L+(T3) = ∇³k(0)(y,y,y)(λ³/6)Q³ + ∇³k(0)(y,y,α)(λ²/2)Q³ - β3λ³·yQ
+    b3 = consts.beta3
+    U30 = solve("plus", AngularField.from_angular(g, r ** 3 * q3 / 6.0, model.third_form, 3)
+                - AngularField.from_angular(g, r * q, lambda cx, sx: b3[0] * cx + b3[1] * sx, 1))
+    put(mono(lam=3), U30)
+    U3 = []
+    for j in range(2):
+        U3.append(solve("plus", AngularField.from_angular(
+            g, 0.5 * r ** 2 * q3, lambda cx, sx, j=j: model.third_form(cx, sx, e=j), 2)))
+        put(mono(lam=2, alpha=j), U3[j])
+
+    # order 4 real, b = λ/C0: the b-derivative feedbacks of S3, the cubic
+    # cross terms of T2 and the 4th-order Taylor term of k
+    hyy = AngularField.from_angular(g, r ** 2, model.hess_form, 2)
+    f4 = (V0 * (3.0 / C0 ** 2)
+          + (U20 * U20) * AngularField.radial(g, 3.0 * q)
+          + (hyy * U20) * AngularField.radial(g, 1.5 * q2)
+          + AngularField.from_angular(g, r ** 4 * q3 / 24.0, model.quartic_form, 4))
+    put(mono(lam=4), solve("plus", f4))
+
+    # order 4 imaginary: L-(S4) = -(λ²/C0) ∂_λT3
+    put(mono(lam=4), solve("minus", U30 * (-3.0 / C0)), imag=True)
+    for j in range(2):
+        put(mono(lam=3, alpha=j), solve("minus", U3[j] * (-2.0 / C0)), imag=True)
+    return {m: f for m, f in terms.items() if f.comps}
+
+
+def _tilted_model():
+    third = np.array([0.03, -0.02, 0.01, 0.03])[np.indices((2, 2, 2)).sum(axis=0)]
+    return InhomogeneityModel(hessian=np.array([[-0.22, 0.03], [0.03, -0.17]]), third=third,
+                              floor=0.5)
+
+
+@pytest.mark.parametrize("C0", [1.0, 0.7])
+@pytest.mark.parametrize("kind", ["test", "default", "tilted"])
+def test_generated_terms_match_hand_assembly(lab, model, kind, C0):
+    k = {"test": model, "default": InhomogeneityModel(hessian=-0.2 * np.eye(2)),
+         "tilted": _tilted_model()}[kind]
+    got = prof.build_expansion(k, C0, lab).terms
+    want = _hand_terms(k, C0, lab)
+    assert set(got) == set(want)
+    for mono, f in want.items():
+        assert set(got[mono].comps) == set(f.comps), mono
+        top = max(np.max(np.abs(v)) for v in f.comps.values())
+        gap = max(np.max(np.abs(got[mono].comps[m] - v)) for m, v in f.comps.items())
+        assert gap <= 1e-9 * top, (mono, gap / top)
+
+
+def _explicit_mismatch(exp, P, polar):
+    """The profile-equation residual with each parameter law written out."""
+    r = polar.r[:, None]
+    q = exp.lab.Q.values
+    Pv = exp.combined(P, include_Q=False).on_native(polar) + q[:, None]
+    lapP = sum(c * prof._lap_field(exp.lab, exp.terms[mono]).on_native(polar)
+               for mono, c in exp.coefficients(P).items() if c != 0.0)
+    lapP = lapP + prof._lap_field(exp.lab, AngularField.radial(exp.lab.grid, q)).on_native(polar)
+    d_b, d_lam, d_beta1, d_beta2, d_alpha1, d_alpha2 = (
+        exp.combined(P, False, exp.coefficients(P, i)).on_native(polar) for i in range(6))
+    Bvec = exp.constants.B(P.lam, P.alpha)
+    ct, st_ = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
+    By = r * (Bvec[0] * ct + Bvec[1] * st_)
+    kappa, k_alpha = exp._kappa(P, polar)
+    gterm = P.lam * float(P.beta @ (exp.model.grad_k(P.alpha) / k_alpha))
+    lhs = (-1j * P.b ** 2 * d_b
+           - 1j * P.lam * P.b * d_lam
+           + 2j * P.lam * (P.beta[0] * d_alpha1 + P.beta[1] * d_alpha2)
+           + 1j * ((-P.b * P.beta[0] + Bvec[0]) * d_beta1
+                   + (-P.b * P.beta[1] + Bvec[1]) * d_beta2)
+           - (By + 1j * gterm) * Pv
+           + lapP - Pv + kappa * np.abs(Pv) ** 2 * Pv)
+    return -lhs
+
+
+@pytest.mark.parametrize("P", [
+    prof.conformal_ray(0.05, 1.0, (0.3, -0.2), (-0.25, 0.35)),
+    prof.ParamPoint(b=0.06, lam=0.04, beta=[0.01, -0.02], alpha=[0.03, 0.01]),
+], ids=["on-ray", "off-ray"])
+def test_law_table_matches_explicit_laws(lab, expansion, P):
+    got = expansion._mismatch(P, lab.polar)
+    want = _explicit_mismatch(expansion, P, lab.polar)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@settings(deadline=None, max_examples=10)
+@given(e1=st.floats(-0.25, -0.15), e2=st.floats(-0.25, -0.15), phi=st.floats(0.0, np.pi),
+       third=st.lists(st.floats(-0.03, 0.03), min_size=4, max_size=4), k1=st.floats(0.45, 0.55))
+def test_band_residual_slope_is_five(lab, e1, e2, phi, third, k1):
+    # the perfbench k band: the generated profile leaves an O(λ⁵) residual on the ray
+    exp = prof.build_expansion(_band_edge_model((e1, e2), phi, third, k1), 1.0, lab)
+    res = [exp.residual(prof.conformal_ray(lam, 1.0))["L2w"] for lam in (0.02, 0.04)]
+    slope = np.log(res[1] / res[0]) / np.log(2.0)
+    assert 4.5 < slope < 5.5

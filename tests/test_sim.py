@@ -5,15 +5,22 @@ import struct
 import numpy as np
 import pytest
 
-from nlsblow import sim
+from nlsblow import profile as prof, sim
 from nlsblow.fields import AngularField
 from nlsblow.kmodel import InhomogeneityModel
+from nlsblow.modeqs import existence_initial_state
 
 
 def _q_of_r(lab):
     """Q(r) through the lab's cubic spline, 0 beyond r_max."""
     q = AngularField.radial(lab.grid, lab.Q.values)
     return lambda r: q.at(r, 0.0).real
+
+
+def _init_from_profile(expansion, gamma0, t1, L, n):
+    """The blow-up data at t1 from the expansion, through sim.init_from_profile."""
+    st = existence_initial_state(t1, expansion.C0, gamma0)
+    return sim.init_from_profile(prof.physical_field(expansion, st), st.lam, t1, L, n)
 
 
 def _grid(L, n):
@@ -126,8 +133,6 @@ def test_energy_drift_small(lab):
 
 @pytest.fixture(scope="module")
 def profile_expansion(lab):
-    from nlsblow import profile as prof
-
     model = InhomogeneityModel(hessian=-0.2 * np.eye(2))
     return prof.build_expansion(model, C0=1.0, lab=lab)
 
@@ -136,7 +141,7 @@ def test_init_from_profile_mass(lab, profile_expansion):
     L, n = 12.0, 1024
     devs = {}
     for t1 in (-0.4, -0.2):
-        f = sim.init_from_profile(profile_expansion, 0.0, t1, L, n)
+        f = _init_from_profile(profile_expansion, 0.0, t1, L, n)
         mass = np.sum(np.abs(f.values) ** 2) * f.h ** 2
         lam = -t1 / 1.0
         devs[t1] = abs(mass - lab.moments.massQ)
@@ -147,14 +152,14 @@ def test_init_from_profile_mass(lab, profile_expansion):
 
 
 def test_init_phase_equivariance(profile_expansion):
-    a = sim.init_from_profile(profile_expansion, 0.0, -0.3, 6.0, 512)
-    b = sim.init_from_profile(profile_expansion, 0.75, -0.3, 6.0, 512)
+    a = _init_from_profile(profile_expansion, 0.0, -0.3, 6.0, 512)
+    b = _init_from_profile(profile_expansion, 0.75, -0.3, 6.0, 512)
     assert np.allclose(b.values, a.values * np.exp(0.75j), atol=1e-12)
 
 
 def test_init_resolution_guard(profile_expansion):
     with pytest.raises(sim.ResolutionBreach):
-        sim.init_from_profile(profile_expansion, 0.0, -0.05, 12.0, 128)
+        _init_from_profile(profile_expansion, 0.0, -0.05, 12.0, 128)
 
 
 def test_momentum_zero_even_data(lab, profile_expansion):
@@ -162,7 +167,7 @@ def test_momentum_zero_even_data(lab, profile_expansion):
     L, n = 6.0, 512
     X, Y = _grid(L, n)
     kv = model.k(np.stack([X, Y], axis=-1))
-    f = sim.init_from_profile(profile_expansion, 0.0, -0.3, L, n)
+    f = _init_from_profile(profile_expansion, 0.0, -0.3, L, n)
     st = sim.Stepper(L, n, kv)
     mass0, _, _ = sim.conserved(f, None, st)
     for _ in range(60):
@@ -175,7 +180,7 @@ def test_momentum_zero_even_data(lab, profile_expansion):
 def test_run_termination_and_strides(lab, profile_expansion):
     L, n = 6.0, 512
     X, Y = _grid(L, n)
-    f0 = sim.init_from_profile(profile_expansion, 0.0, -0.3, L, n)
+    f0 = _init_from_profile(profile_expansion, 0.0, -0.3, L, n)
     cfg = sim.SimConfig(c_dt=0.02, lam_stop=0.2,
                         series_stride=4, snapshot_stride=16)
     res = sim.run(cfg, f0, np.ones((n, n)), lab.moments.gradQ, lab.moments.massQ)
@@ -225,7 +230,7 @@ def test_snapshot_roundtrip(tmp_path, lab):
 
 
 def test_spectral_tail_small(profile_expansion):
-    f = sim.init_from_profile(profile_expansion, 0.0, -0.3, 6.0, 512)
+    f = _init_from_profile(profile_expansion, 0.0, -0.3, 6.0, 512)
     assert sim.Stepper(f.L, f.n, 1.0).spectral_tail_fraction(f.values) < 1e-10
 
 
