@@ -39,11 +39,19 @@ def _bump_e(t):
 
 
 def cutoff(s):
-    """C^∞ transition: 1 for s <= 1, 0 for s >= 2."""
+    """C^∞ transition: 1 for s <= 1, 0 for s >= 2.
+
+    a/(a + b) of the bumps a = e(2 - s), b = e(s - 1) is exactly 1 for s <= 1
+    (b = 0) and exactly 0 for s >= 2 (a = 0), so only 1 < s < 2 evaluates it.
+    """
     s = np.asarray(s, dtype=float)
-    a = _bump_e(2.0 - s)
-    b = _bump_e(s - 1.0)
-    return a / (a + b + 1e-300)
+    out = np.where(s <= 1.0, 1.0, 0.0)
+    band = (s > 1.0) & (s < 2.0)
+    if np.any(band):
+        sb = s[band]
+        a = _bump_e(2.0 - sb)
+        out[band] = a / (a + _bump_e(sb - 1.0) + 1e-300)
+    return out
 
 
 def cutoff_deriv(s):

@@ -223,6 +223,8 @@ def operator_banded(lap: np.ndarray, m: int, potential: np.ndarray) -> np.ndarra
 
 SHOOTING_ITERS = 200   # most bisection steps of shooting_amplitude
 START_XTOL = 1e-2      # relative bracket width of the Newton start's bisection
+START_RTOL = 1e-8      # rtol of that bisection's shots: they only classify Q(0)
+START_ATOL = 1e-10     # atol of those shots
 
 
 def _shoot(a: float, r_max: float, rtol: float, atol: float, dense: bool = False):
@@ -291,8 +293,9 @@ def shooting_amplitude(r_max: float = 30.0, bracket=(2.0, 2.5), rtol: float = 1e
 def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
     """Ground state on the grid: a coarse shooting start, then Newton.
 
-    Shooting only brackets the start: bisection on Q(0) stops at relative
-    width START_XTOL, and the dense shot from the bracket's midpoint (held
+    Shooting only brackets the start: bisection on Q(0), with loose shots
+    (START_RTOL, START_ATOL), stops at relative width START_XTOL, and the
+    dense shot from the bracket's midpoint, at rtol 1e-12 (held
     at max(its last value, 0) past where it stops) seeds the iteration.
     Newton owns the accuracy: it solves the 4th-order collocation system
     (-Δ_h + 1)Q - Q^3 = 0 with Q'(0)=0 and Q(r_max)=0, so the returned
@@ -302,7 +305,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
         raise ValueError("tol must be positive")
     if grid.r_max < 15:
         raise ValueError("r_max >= 15 required for a trustworthy tail")
-    a = shooting_amplitude(grid.r_max, rtol=1e-12, xtol=START_XTOL)
+    a = shooting_amplitude(grid.r_max, rtol=START_RTOL, atol=START_ATOL, xtol=START_XTOL)
     flag, sol = _shoot(a, grid.r_max, 1e-12, 1e-14, dense=True)
     r = grid.nodes
     q = np.empty(grid.n)

@@ -12,6 +12,13 @@ absorbs.  `step` closes the state at once; `run` closes it only where a
 series row, a dt refresh or a snapshot reads it, and after the last step.
 Mass is conserved to roundoff by construction; the time step follows the
 collapsing scale through dt = c_dt · λ_est².
+
+A series row (mass, energy, momentum, ‖∇u‖ and λ_est) costs one fft2: by
+Parseval, ∫|∇u|² and the momentum are moments of |û|²
+(`Stepper.gradient_moments`), and mass and ∫k|u|⁴ come from |u|² on the grid.
+`conserved` takes the same invariants through the physical gradient
+(`Stepper.gradient`, three transforms); it is the reference path the rows
+are tested against.
 """
 
 import struct
@@ -92,7 +99,12 @@ def _phase(theta: np.ndarray) -> np.ndarray:
 
 
 class Stepper:
-    """Precomputed spectral machinery for one (L, n, k) combination."""
+    """Precomputed spectral machinery for one (L, n, k) combination.
+
+    `step_values` advances the split-step state; `gradient_moments` gives a
+    series row's gradient sums from one fft2, and `gradient` the physical
+    gradient behind the reference invariants of `conserved`.
+    """
 
     def __init__(self, L: float, n: int, k_values: np.ndarray, splitting_order: int = 2):
         self.L = float(L)
@@ -154,10 +166,24 @@ class Stepper:
         return u, carry
 
     def gradient(self, u: np.ndarray):
+        """(∂_x u, ∂_y u) on the grid, through one fft2 and two ifft2."""
         u_hat = _fft.fft2(u)
         ux = _fft.ifft2(1j * self.kx * u_hat, overwrite_x=True)
         uy = _fft.ifft2(1j * self.ky * u_hat, overwrite_x=True)
         return ux, uy
+
+    def gradient_moments(self, u: np.ndarray):
+        """(Σ|∇u|², Im Σ ∂_x u ū, Im Σ ∂_y u ū) over the grid, from one fft2.
+
+        By Parseval these are (Σ|k|²|û|², Σk_x|û|², Σk_y|û|²)/n².  The row
+        and column sums of |û|² are taken once, so each moment is a dot
+        product of length n.  u is not overwritten.
+        """
+        power = np.abs(_fft.fft2(u)) ** 2
+        px, py = power.sum(axis=1), power.sum(axis=0)      # over k_y, over k_x
+        kx, ky = self.kx.ravel(), self.ky.ravel()
+        n2 = float(self.n) ** 2
+        return (((kx * kx) @ px + (ky * ky) @ py) / n2, (kx @ px) / n2, (ky @ py) / n2)
 
     def spectral_tail_fraction(self, u: np.ndarray) -> float:
         """Fraction of u's spectral energy in the dealiased top third of wavenumbers."""
@@ -171,22 +197,16 @@ def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
     return ComplexField2D(field.L, stepper.nonlinear(u, carry), field.t + dt)
 
 
-def _norms(field: ComplexField2D, ux: np.ndarray, uy: np.ndarray):
-    """(∫|u|², ∫|∇u|²) of a field and its gradient."""
-    h2 = field.h ** 2
-    return (float(np.sum(np.abs(field.values) ** 2) * h2),
-            float(np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2) * h2))
-
-
-def _invariants(field: ComplexField2D, stepper: Stepper, ux: np.ndarray, uy: np.ndarray):
-    """(mass, ∫|∇u|², energy, momentum) of a field and its gradient."""
+def _invariants(field: ComplexField2D, stepper: Stepper, grad_sums):
+    """(mass, ∫|∇u|², energy, momentum) of a field, given its gradient's grid
+    sums (Σ|∇u|², Im Σ ∂_x u ū, Im Σ ∂_y u ū); mass and ∫k|u|⁴ come from |u|²."""
     u = field.values
     h2 = field.h ** 2
-    mass, grad2 = _norms(field, ux, uy)
-    energy = 0.5 * grad2 - float(0.25 * np.sum(stepper.k * np.abs(u) ** 4) * h2)
-    mom = np.array([float(np.sum((ux * np.conj(u)).imag) * h2),
-                    float(np.sum((uy * np.conj(u)).imag) * h2)])
-    return mass, grad2, energy, mom
+    rho = np.abs(u) ** 2
+    grad2 = float(grad_sums[0]) * h2
+    energy = 0.5 * grad2 - 0.25 * float(np.sum(stepper.k * rho * rho)) * h2
+    return (float(np.sum(rho)) * h2, grad2, energy,
+            np.array([float(grad_sums[1]) * h2, float(grad_sums[2]) * h2]))
 
 
 def _scale(mass: float, grad2: float, grad_ref: float, mass_ref: float) -> float:
@@ -194,17 +214,26 @@ def _scale(mass: float, grad2: float, grad_ref: float, mass_ref: float) -> float
 
 
 def conserved(field: ComplexField2D, k_values, stepper: Optional[Stepper] = None):
-    """(mass, energy, momentum): ∫|u|², ½∫|∇u|² - ¼∫k|u|⁴, Im∫∇u ū."""
+    """(mass, energy, momentum): ∫|u|², ½∫|∇u|² - ¼∫k|u|⁴, Im∫∇u ū.
+
+    The reference path: the gradient's sums come from the physical gradient.
+    """
     if stepper is None:
         stepper = Stepper(field.L, field.n, np.asarray(k_values, dtype=float))
-    mass, _, energy, mom = _invariants(field, stepper, *stepper.gradient(field.values))
+    u = field.values
+    ux, uy = stepper.gradient(u)
+    grad_sums = (np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2),
+                 np.sum((ux * np.conj(u)).imag), np.sum((uy * np.conj(u)).imag))
+    mass, _, energy, mom = _invariants(field, stepper, grad_sums)
     return mass, energy, mom
 
 
 def lambda_proxy(field: ComplexField2D, stepper: Stepper, grad_ref: float,
                  mass_ref: float) -> float:
-    """Scale estimate ||∇Q||·sqrt(mass ratio)/||∇u|| (refreshes the dt policy)."""
-    return _scale(*_norms(field, *stepper.gradient(field.values)), grad_ref, mass_ref)
+    """Scale estimate ||∇Q||·sqrt(mass ratio)/||∇u|| (refreshes the dt policy),
+    from the same one-fft2 invariants as a series row."""
+    mass, grad2, _, _ = _invariants(field, stepper, stepper.gradient_moments(field.values))
+    return _scale(mass, grad2, grad_ref, mass_ref)
 
 
 def pseudo_conformal_field(Q_of_r: Callable, C0: float, t: float,
@@ -258,7 +287,8 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
 
     def record_series() -> float:
         """Append the current state's row; returns its λ_est."""
-        mass, grad2, energy, mom = _invariants(field, stepper, *stepper.gradient(field.values))
+        mass, grad2, energy, mom = _invariants(field, stepper,
+                                               stepper.gradient_moments(field.values))
         lam_est = _scale(mass, grad2, grad_ref, mass_ref)
         for key, val in zip(series, (field.t, mass, energy, mom[0], mom[1],
                                      float(np.sqrt(grad2)), lam_est)):
@@ -268,7 +298,7 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
     emit_snapshot = snapshots.append if snapshot_sink is None else snapshot_sink
 
     # a series row's λ_est is lambda_proxy of the same state, so a dt refresh
-    # on a recorded step reuses it instead of taking a second gradient
+    # on a recorded step reuses it instead of taking a second fft2
     lam_est = record_series()
     dt = config.c_dt * lam_est ** 2
     emit_snapshot(field)

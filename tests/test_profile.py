@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from nlsblow import profile as prof
 from nlsblow.fields import AngularField
-from nlsblow.kmodel import InhomogeneityModel, HessianNotNegative, cutoff, homogeneous_model
+from nlsblow.kmodel import (InhomogeneityModel, HessianNotNegative, _bump_e, cutoff,
+                            homogeneous_model)
 from nlsblow.linops import M_MAX, SolvabilityViolated
 from nlsblow.radial import quadrature
 
@@ -64,6 +65,33 @@ def test_g_matches_einsum_forms(edge, rng):
     gap = np.max(np.abs(m._g(x) - want), axis=-1)
     assert np.all(gap <= 1e-14 * np.max(np.abs(want), axis=-1))
     assert m.validate() == []
+
+
+def _full_cutoff(s):
+    """The cutoff's formula on every point, band or not."""
+    a, b = _bump_e(2.0 - s), _bump_e(s - 1.0)
+    return a / (a + b + 1e-300)
+
+
+def test_cutoff_band_matches_full_formula():
+    # cutoff evaluates only 1 < s < 2; outside, the full formula is exactly
+    # 1 or 0, so both agree to the bit, at the band's edges, their
+    # neighbouring floats, scalar points, and in _g with a nonzero T
+    edges = [np.nextafter(e, d) for e in (1.0, 2.0) for d in (-np.inf, np.inf)]
+    s = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 1e3, *edges])
+    assert np.array_equal(cutoff(s), _full_cutoff(s))
+    for sj in s:
+        assert cutoff(sj) == _full_cutoff(sj) and np.ndim(cutoff(sj)) == 0
+    m = _band_edge_model((-0.25, -0.15), 0.7, (0.03, -0.03, 0.03, -0.03), 0.45)
+    phi = np.linspace(0.0, 2 * np.pi, 7)
+    x = s[:, None, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    x1, x2 = x[..., 0], x[..., 1]
+    T = m.third
+    cub = (x1 * x1 * (T[0, 0, 0] * x1 + 3.0 * T[0, 0, 1] * x2)
+           + x2 * x2 * (3.0 * T[0, 1, 1] * x1 + T[1, 1, 1] * x2)) / 6.0
+    full = 0.5 * m.hess_form(x1, x2) + cub * _full_cutoff(np.linalg.norm(x, axis=-1))
+    assert np.array_equal(m._g(x), full)
+    assert all(m._g(p) == f for p, f in zip(x.reshape(-1, 2), full.ravel()))
 
 
 def test_c0_against_direct_quadrature(lab):

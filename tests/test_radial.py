@@ -108,8 +108,28 @@ def test_coarse_start_only_seeds_newton(monkeypatch, r_max, n):
     grid = RadialGrid(r_max, n)
     coarse = solve_ground_state(grid).values
     monkeypatch.setattr(radial, "START_XTOL", 1e-15)   # the oracle's full-precision start
+    monkeypatch.setattr(radial, "START_RTOL", 1e-12)
+    monkeypatch.setattr(radial, "START_ATOL", 1e-14)
     full = solve_ground_state(grid).values
     assert np.max(np.abs(coarse - full)) <= 1e-10
+
+
+@pytest.mark.parametrize("r_max", [15.0, 20.0, 25.0, 30.0, 40.0])
+def test_loose_start_shots_keep_the_midpoint(r_max):
+    # the start's bisection only classifies shots: rtol 1e-8 ends on the
+    # same midpoint as the dense shot's 1e-12
+    loose = shooting_amplitude(r_max, rtol=radial.START_RTOL, atol=radial.START_ATOL,
+                               xtol=radial.START_XTOL)
+    tight = shooting_amplitude(r_max, rtol=1e-12, atol=1e-14, xtol=radial.START_XTOL)
+    assert loose == tight
+
+
+def test_loose_start_shots_keep_the_lab_bitwise(monkeypatch, lab):
+    assert (lab.grid.r_max, lab.grid.n) == (30.0, 8192)
+    monkeypatch.setattr(radial, "START_RTOL", 1e-12)
+    monkeypatch.setattr(radial, "START_ATOL", 1e-14)
+    tight = solve_ground_state(RadialGrid(30.0, 8192)).values
+    assert np.array_equal(lab.Q.values, tight)
 
 
 def test_bracket_failure():

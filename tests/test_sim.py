@@ -252,25 +252,79 @@ def test_run_emits_final_state_once():
 
 def test_run_takes_one_gradient_per_recorded_state(monkeypatch):
     # a dt refresh on a series step reuses the row's λ_est: steps 5, 10, 15, 20
-    # are recorded and 10, 20 are refreshes, so 1 + 4 gradients in all
+    # are recorded and 10, 20 are refreshes, so 1 + 4 gradients' moments in all
     L, n = 8.0, 64
     X, Y = _grid(L, n)
     f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
     st = sim.Stepper(L, n, np.ones((n, n)))
     grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
     calls = []
-    gradient = sim.Stepper.gradient
+    moments = sim.Stepper.gradient_moments
 
     def counting(self, u):
         calls.append(1)
-        return gradient(self, u)
+        return moments(self, u)
 
-    monkeypatch.setattr(sim.Stepper, "gradient", counting)
+    monkeypatch.setattr(sim.Stepper, "gradient_moments", counting)
     cfg = sim.SimConfig(c_dt=0.01, max_steps=20,
                         series_stride=5, dt_refresh_every=10, snapshot_stride=100)
     res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
     assert res.series["t"].size == 5
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_run_fft_count(monkeypatch, order):
+    # 2 transforms per sub-step, 1 per series row and 1 per dt refresh off a
+    # row: rows at steps 0, 4, …, 20; refreshes at 6, 12, 18, of which 12 is
+    # a row; snapshots and the closing of the state take none
+    L, n = 8.0, 32
+    X, Y = _grid(L, n)
+    f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
+    grad_ref = (2.0 / sim.lambda_proxy(f0, sim.Stepper(L, n, 1.0), 1.0, 1.0)) ** 2
+    calls = []
+    for name in ("fft2", "ifft2"):
+        transform = getattr(sim._fft, name)
+
+        def counting(*args, _transform=transform, **kwargs):
+            calls.append(1)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(sim._fft, name, counting)
+    cfg = sim.SimConfig(c_dt=0.01, max_steps=20, splitting_order=order,
+                        series_stride=4, dt_refresh_every=6, snapshot_stride=5)
+    res = sim.run(cfg, f0, 1.0, grad_ref=grad_ref, mass_ref=1.0)
+    assert res.series["t"].size == 6
+    assert len(calls) == 2 * 20 * (1 if order == 2 else 3) + 6 + 2
+
+
+@pytest.mark.parametrize("k_kind", ["array", "scalar"])
+def test_series_row_matches_conserved(k_kind):
+    # the row's one-fft2 invariants (Parseval) against conserved's physical
+    # gradient, on a smooth periodic field with momentum in both directions
+    L, n = 4.0, 64
+    X, Y = _grid(L, n)
+    rng = np.random.default_rng(3)
+    modes = rng.normal(size=(5, 5, 2)) @ np.array([1.0, 1j])
+    u = sum(modes[a, b] * np.exp(1j * np.pi * ((a - 2) * X + (b - 2) * Y) / L)
+            for a in range(5) for b in range(5))
+    f0 = sim.ComplexField2D(L, u, -0.5)
+    kv = 1.0 - 0.02 * (X ** 2 + Y ** 2) if k_kind == "array" else 0.8
+    st = sim.Stepper(L, n, kv)
+    grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
+    res = sim.run(sim.SimConfig(max_steps=0), f0, kv, grad_ref=grad_ref, mass_ref=1.0)
+    row = {key: val[0] for key, val in res.series.items()}
+    mass, energy, mom = sim.conserved(f0, kv)
+    ux, uy = st.gradient(u)
+    grad2 = np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2) * f0.h ** 2
+    assert row["mass"] == pytest.approx(mass, rel=1e-12)
+    assert row["energy"] == pytest.approx(energy, rel=1e-12)
+    assert row["grad_norm"] ** 2 == pytest.approx(grad2, rel=1e-12)
+    assert np.min(np.abs(mom)) > 1e-3 * np.max(np.abs(mom))
+    assert row["momentum_x"] == pytest.approx(mom[0], rel=1e-12)
+    assert row["momentum_y"] == pytest.approx(mom[1], rel=1e-12)
+    # run's first λ_est is lambda_proxy of field0, to the bit
+    assert row["lambda_proxy"] == sim.lambda_proxy(f0, st, grad_ref, 1.0)
 
 
 def test_read_snapshot_rejects_zero_n_header(tmp_path):
