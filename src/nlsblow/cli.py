@@ -311,9 +311,9 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
     if len(rows) >= 10:
         arr = np.array(rows)
         try:
-            fit = modfit.fit_rate(arr[:, 0], arr[:, 2])
-            report["fit"] = {"T_est": fit.T_est, "C0_est": fit.C0_est,
-                             "window": fit.window, "residual": fit.residual}
+            rate = modfit.fit_rate(arr[:, 0], arr[:, 2])
+            report["fit"] = {"T_est": rate.T_est, "C0_est": rate.C0_est,
+                             "window": rate.window, "residual": rate.residual}
         except (ValueError, modfit.NonMonotoneSeries) as err:
             report["fit_error"] = str(err)
     write_json(out / "analyze.json", report)

@@ -10,7 +10,9 @@ for m = 0..M_MAX and its kernel vectors once, when it builds its one
 ``LinearizedOps``.  The kernel modes -- L+ at m=1 (radial part Q') and L- at
 m=0 (Q itself) -- are solved by deflation: the source's left-kernel
 component (refused above SOLVABILITY_THRESHOLD) is removed, the banded
-system solved, and the solution projected orthogonal to the kernel.
+system solved, and the solution projected orthogonal to the kernel.  A
+complex source is solved as two real columns, its real and imaginary parts,
+in one ``solve_banded``, deflated and gauged together.
 """
 
 from typing import Literal
@@ -157,29 +159,18 @@ class LinearizedOps:
                 raise SolvabilityViolated(
                     f"source projection on kernel of L{op} (m={m}) is {defect:.2e} "
                     f"(> {SOLVABILITY_THRESHOLD:.0e}); check the source assembly")
-        if not np.iscomplexobj(g):
-            return self._solve_real(op, g, m)
-        # parts at roundoff level relative to the other are dropped
-        top = max(np.max(np.abs(g.real)), np.max(np.abs(g.imag)), 1e-300)
-        out = np.zeros(g.shape, dtype=complex)
-        if np.max(np.abs(g.real)) > 1e-13 * top:
-            out += self._solve_real(op, g.real, m)
-        if np.max(np.abs(g.imag)) > 1e-13 * top:
-            out += 1j * self._solve_real(op, g.imag, m)
-        return out
-
-    def _solve_real(self, op: OpName, g: np.ndarray, m: int) -> np.ndarray:
-        """L±f = g for a real source whose solvability is already checked."""
-        rhs = g.astype(float).copy()
+        rhs = np.stack([g.real, g.imag], axis=1) if np.iscomplexobj(g) else g.astype(float)
         rhs[-1] = 0.0                   # Dirichlet
         if abs(m) >= 1:
             rhs[0] = 0.0                # origin constraint row
         if self.is_kernel_mode(op, m):
-            return self._solve_kernel_mode(op, abs(m), rhs)
-        return solve_banded((2, 2), self.bands[op, abs(m)], rhs)
+            f = self._solve_kernel_mode(op, abs(m), rhs)
+        else:
+            f = solve_banded((2, 2), self.bands[op, abs(m)], rhs)
+        return f[:, 0] + 1j * f[:, 1] if f.ndim == 2 else f
 
     def _solve_kernel_mode(self, op: OpName, m: int, rhs: np.ndarray) -> np.ndarray:
-        """Deflated banded solve on a kernel mode.
+        """Deflated banded solve on a kernel mode, of one or two source columns.
 
         The banded factorization is backward stable, so after removing the
         left-kernel component of the source, the only contamination in the
@@ -187,10 +178,10 @@ class LinearizedOps:
         """
         w = self.kernel_vector(op, m, side="left")
         k = self.kernel_vector(op, m)
-        rhs = rhs - w * np.dot(w, rhs)
+        rhs = rhs - np.multiply.outer(w, w @ rhs)
         f = solve_banded((2, 2), self.bands[op, m], rhs)
         d = k * self.grid.nodes          # gauge pairing weight r dr
-        return f - k * (np.dot(d, f) / np.dot(d, k))
+        return f - np.multiply.outer(k, d @ f / np.dot(d, k))
 
     # -- derived objects ---------------------------------------------------
 

@@ -7,12 +7,13 @@ The leading-order closed system for the parameters, in the rescaled time s
     β_s = -bβ + B(λ, α),   γ_s = 1 + |β|² - d1(α,α),
     s_s = 1,               t_s = λ²,
 
-with the quadratic forms d0, d1 taken from the profile constants.  The β
-forcing B(λ, α) = c0(α)λ + β3λ³ is ``ProfileConstants.B`` itself, the same
-law the profile's residual uses.  The state is
-``profile.ParamPoint``, in its vector layout [b, λ, β1, β2, α1, α2, γ, s, t]:
-both clocks are integrated states, and either one can be the independent
-variable of ``integrate``.
+with the quadratic forms d0, d1 and the β forcing B(λ, α) = c0(α)λ + β3λ³
+from the profile constants.  The system is written once, as the table
+``ProfileConstants.laws`` that also builds the profile and its residual;
+``law_matrices`` turns it into the matrices ``modulation_rhs`` evaluates.
+The state is ``profile.ParamPoint``, in its vector layout
+[b, λ, β1, β2, α1, α2, γ, s, t]: both clocks are integrated states, and
+either one can be the independent variable of ``integrate``.
 
 The separate 2x2 system Z_s = [[0,-2],[ς/s²,0]] Z + F with its closed-form
 basis and variation-of-constants bound is the a-priori toolbox used to tame
@@ -56,21 +57,17 @@ def existence_initial_state(t1: float, C0: float, gamma0: float = 0.0) -> ParamP
                       s=C0 ** 2 / abs(t1), t=t1)
 
 
-def modulation_rhs(vec: np.ndarray, constants: ProfileConstants) -> np.ndarray:
+def law_matrices(constants: ProfileConstants):
+    """The law table as (exponents, coeffs): row i of coeffs weighs the monomials
+    whose powers of (b, λ, β1, β2, α1, α2) are the rows of exponents."""
+    laws = constants.laws()
+    monos = sorted({mono for law in laws for mono in law})
+    return np.array(monos), np.array([[law.get(mono, 0.0) for mono in monos] for law in laws])
+
+
+def modulation_rhs(vec: np.ndarray, exponents: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Right side of the closed modulation system in s (ParamPoint vector layout)."""
-    b, lam = vec[0], vec[1]
-    beta = vec[2:4]
-    alpha = vec[4:6]
-    c = constants
-    out = np.empty(9)
-    out[0] = -b * b + c.d0(alpha)
-    out[1] = -b * lam
-    out[2:4] = -b * beta + c.B(lam, alpha)
-    out[4:6] = 2.0 * beta * lam
-    out[6] = 1.0 + beta @ beta - c.d1(alpha)
-    out[7] = 1.0
-    out[8] = lam * lam
-    return out
+    return coeffs @ np.prod(vec[:6] ** exponents, axis=1)
 
 
 @dataclass
@@ -147,8 +144,10 @@ def integrate(state0: ParamPoint, constants: ProfileConstants, s_span=None,
     if abs(span[0] - v0[clock]) > 1e-12 * max(1.0, abs(span[0])):
         raise ValueError(f"{name}_span must start at the state's own {name}")
 
+    exponents, coeffs = law_matrices(constants)
+
     def rhs(x, v):
-        f = modulation_rhs(v, constants)
+        f = modulation_rhs(v, exponents, coeffs)
         return f / f[clock]
 
     def hit_lam_min(x, v):

@@ -5,9 +5,10 @@ homogeneous of degree j, solves the profile equation
 
     i Σ_i law_i ∂_iP − (B·y + iλβ·∇k(α)/k(α)) P + ΔP − P + κ|P|²P = 0,
 
-κ = k(λy+α)/k(α), with the law table ``ProfileConstants.laws``: b_s = −b²,
-λ_s = −bλ, β_s = −bβ + B, α_s = 2λβ, B = λc0(α) + β3λ³.  The table feeds
-both ``build_expansion`` and the residual.  The part of the equation linear
+κ = k(λy+α)/k(α), B = λc0(α) + β3λ³, and law_i the rates of (b, λ, β, α):
+rows 0–5 of ``ProfileConstants.laws``, the one table of the modulation
+system, whose 9 rows the modulation ODE (``modeqs``) integrates.  Rows 0–5
+feed ``build_expansion`` and the residual.  The part of the equation linear
 in the degree-j terms is −L+T_j − iL−S_j, so ``build_expansion`` takes the
 order-j source as the degree-j part of the equation at the lower terms, on
 monomial maps {monomial: AngularField} through a product truncated at
@@ -121,32 +122,31 @@ class ProfileConstants:
     d1_form: np.ndarray
     a1: float
 
-    def c0(self, alpha) -> np.ndarray:
-        return self.c0_map @ np.asarray(alpha)
-
-    def d0(self, alpha) -> float:
-        a = np.asarray(alpha)
-        return float(a @ self.d0_form @ a)
-
-    def d1(self, alpha) -> float:
-        a = np.asarray(alpha)
-        return float(a @ self.d1_form @ a)
-
-    def B(self, lam: float, alpha) -> np.ndarray:
-        """The momentum-law forcing λ c0(α) + β3 λ³."""
-        return lam * self.c0(alpha) + self.beta3 * lam ** 3
-
     def forcing(self) -> Dict[Monomial, np.ndarray]:
         """B as {monomial: vector}: λα_j -> c0(e_j), λ³ -> β3."""
         return {_mono(1, 4): self.c0_map[:, 0], _mono(1, 5): self.c0_map[:, 1],
                 _mono(1, 1, 1): self.beta3}
 
     def laws(self) -> Tuple[Dict[Monomial, float], ...]:
-        """The law table: the rates in s of (b, λ, β1, β2, α1, α2), {monomial: coefficient}."""
+        """The modulation system: the rates in s of [b, λ, β1, β2, α1, α2, γ, s, t],
+        each {monomial: coefficient}.
+
+        b_s = −b² + d0(α), λ_s = −bλ, β_s = −bβ + B, α_s = 2λβ,
+        γ_s = 1 + |β|² − d1(α), s_s = 1, t_s = λ².  The profile reads rows 0–5.
+        Beyond its truncation lie the rows γ, s and t, and the d0(α) entries
+        of b_s: quadratic in α, the generator's product drops them, and the
+        residual keeps them.
+        """
+        def form(F, sign):      # sign·α @ F @ α
+            return {_mono(4, 4): float(sign * F[0, 0]), _mono(5, 5): float(sign * F[1, 1]),
+                    _mono(4, 5): float(sign * (F[0, 1] + F[1, 0]))}
+
         beta = tuple({_mono(0, 2 + j): -1.0, **{m: float(v[j]) for m, v in self.forcing().items()}}
                      for j in range(2))
-        return ({_mono(0, 0): -1.0}, {_mono(0, 1): -1.0}, *beta,
-                {_mono(1, 2): 2.0}, {_mono(1, 3): 2.0})
+        return ({_mono(0, 0): -1.0, **form(self.d0_form, 1.0)}, {_mono(0, 1): -1.0}, *beta,
+                {_mono(1, 2): 2.0}, {_mono(1, 3): 2.0},
+                {_mono(): 1.0, _mono(2, 2): 1.0, _mono(3, 3): 1.0, **form(self.d1_form, -1.0)},
+                {_mono(): 1.0}, {_mono(1, 1): 1.0})
 
 
 def hessian_quartic_integral(model: InhomogeneityModel, lab: Lab) -> float:
@@ -368,7 +368,7 @@ class ProfileExpansion:
                    for mono, c in self.coefficients(P).items() if c != 0.0)
         lapP = lapP + _lap_field(self.lab, AngularField.radial(self.lab.grid, q)).on_native(polar)
         # Σ_i law_i ∂_iP from the law table, summed on the terms: one synthesis
-        rates = [_value(law, P) for law in self.constants.laws()]
+        rates = [_value(law, P) for law in self.constants.laws()[:6]]
         slopes = [self.coefficients(P, i) for i in range(6)]
         along = {mono: sum(v * d[mono] for v, d in zip(rates, slopes)) for mono in self.terms}
         drift = self.combined(P, include_Q=False, coeffs=along).on_native(polar)
@@ -379,9 +379,9 @@ class ProfileExpansion:
         kappa, k_alpha = self._kappa(P, polar)
         gterm = P.lam * float(P.beta @ (self.model.grad_k(P.alpha) / k_alpha))
 
-        lhs = (1j * drift
-               - (By + 1j * gterm) * Pv
-               + lapP - Pv + kappa * np.abs(Pv) ** 2 * Pv)
+        # the O(1) terms cancel to the residual first, so the small ones do not
+        # move their rounding
+        lhs = (lapP - Pv + kappa * np.abs(Pv) ** 2 * Pv) + (1j * drift - (By + 1j * gterm) * Pv)
         return -lhs
 
 
@@ -453,7 +453,7 @@ def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
     kappa = {_mono(): AngularField.radial(g, np.ones(g.n)), **_taylor_fields(g, taylor)}
     minus_By = _taylor_fields(g, [(mono, 1, lambda cx, sx, v=v: -v[0] * cx - v[1] * sx)
                                   for mono, v in consts.forcing().items()])
-    laws, terms = consts.laws(), {}
+    laws, terms = consts.laws()[:6], {}
     for order in range(2, RAY_ORDER + 1):
         P = {_mono(): AngularField.radial(g, lab.Q.values), **terms}
         parts = {(m, _even(m)): f for m, f in _source(P, order, kappa, minus_By, laws).items()}

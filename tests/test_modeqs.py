@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsblow import modeqs, profile as prof
+from nlsblow.config import RunConfig
 from nlsblow.kmodel import InhomogeneityModel
 
 
@@ -55,10 +57,46 @@ def test_integrate_rejects_zero_lambda(consts):
         modeqs.integrate(st, consts, s_span=(1.0, 2.0))
 
 
-def test_d0_sign(consts, rng):
-    for _ in range(10):
-        a = rng.normal(size=2)
-        assert consts.d0(a) <= 0.0
+def _hand_rhs(vec, c):
+    """The modulation system written out by hand: the oracle of the law table."""
+    b, lam = vec[0], vec[1]
+    beta = vec[2:4]
+    alpha = vec[4:6]
+    out = np.empty(9)
+    out[0] = -b * b + alpha @ c.d0_form @ alpha
+    out[1] = -b * lam
+    out[2:4] = -b * beta + lam * (c.c0_map @ alpha) + c.beta3 * lam ** 3
+    out[4:6] = 2.0 * beta * lam
+    out[6] = 1.0 + beta @ beta - alpha @ c.d1_form @ alpha
+    out[7] = 1.0
+    out[8] = lam * lam
+    return out
+
+
+nonzero = st.floats(-0.3, 0.3).filter(lambda x: abs(x) >= 1e-3)
+
+
+@settings(deadline=None, max_examples=40)
+@given(e1=st.floats(-0.25, -0.15), e2=st.floats(-0.25, -0.15), phi=st.floats(0.0, np.pi),
+       third=st.lists(st.floats(-0.03, 0.03), min_size=4, max_size=4),
+       k1=st.floats(0.45, 0.55), b=st.floats(-0.5, 0.5), lam=st.floats(1e-3, 0.5),
+       beta=st.lists(nonzero, min_size=2, max_size=2),
+       alpha=st.lists(nonzero, min_size=2, max_size=2),
+       clocks=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3))
+def test_law_table_matches_hand_written_rhs(lab, e1, e2, phi, third, k1, b, lam, beta,
+                                            alpha, clocks):
+    # k from the benchmark's band, as its config carries it
+    c, s = np.cos(phi), np.sin(phi)
+    hxy = c * s * (e1 - e2)
+    cfg = RunConfig()
+    cfg.data["kmodel"] = {"hessian": [[c * c * e1 + s * s * e2, hxy],
+                                      [hxy, s * s * e1 + c * c * e2]],
+                          "third": list(third), "k1": k1}
+    consts = prof.derive_constants(cfg.model(), lab)
+    vec = np.array([b, lam, *beta, *alpha, *clocks])
+    want = _hand_rhs(vec, consts)
+    got = modeqs.modulation_rhs(vec, *modeqs.law_matrices(consts))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_existence_data_stays_on_ray(consts):

@@ -106,7 +106,7 @@ def test_c0_against_direct_quadrature(lab):
     num = np.pi * simpson(-r * q ** 3 * lab.dQ * r, x=r)      # H=-I: H(e1,y) = -y1
     den = np.pi * simpson(r * q * lab.dQ * r, x=r)
     oracle = num / den
-    got = consts.c0(np.array([1.0, 0.0]))
+    got = consts.c0_map[:, 0]
     assert got[0] == pytest.approx(oracle, rel=1e-8)
     assert abs(got[1]) < 1e-12
     assert got[0] == pytest.approx(-lab.moments.quarticQ / (2 * lab.moments.massQ), rel=1e-9)
@@ -128,10 +128,11 @@ def test_constants_are_frozen(lab, expansion):
 
 
 def test_d0_negative(lab, model, rng):
-    consts = prof.derive_constants(model, lab)
+    # at b = λ = 0 the b row of the law table is d0(α), its α² entries
+    b_law = prof.derive_constants(model, lab).laws()[0]
     for _ in range(20):
-        a = rng.normal(size=2)
-        assert consts.d0(a) <= 0.0
+        P = prof.ParamPoint(b=0.0, lam=0.0, alpha=rng.normal(size=2))
+        assert prof._value(b_law, P) <= 0.0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -472,18 +473,19 @@ def _explicit_mismatch(exp, P, polar):
     lapP = lapP + prof._lap_field(exp.lab, AngularField.radial(exp.lab.grid, q)).on_native(polar)
     d_b, d_lam, d_beta1, d_beta2, d_alpha1, d_alpha2 = (
         exp.combined(P, False, exp.coefficients(P, i)).on_native(polar) for i in range(6))
-    Bvec = exp.constants.B(P.lam, P.alpha)
+    c = exp.constants
+    Bvec = P.lam * (c.c0_map @ P.alpha) + c.beta3 * P.lam ** 3
+    d0 = P.alpha @ c.d0_form @ P.alpha
     ct, st_ = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
     By = r * (Bvec[0] * ct + Bvec[1] * st_)
     kappa, k_alpha = exp._kappa(P, polar)
     gterm = P.lam * float(P.beta @ (exp.model.grad_k(P.alpha) / k_alpha))
-    lhs = (-1j * P.b ** 2 * d_b
+    lhs = (lapP - Pv + kappa * np.abs(Pv) ** 2 * Pv) + (1j * (-P.b ** 2 + d0) * d_b
            - 1j * P.lam * P.b * d_lam
            + 2j * P.lam * (P.beta[0] * d_alpha1 + P.beta[1] * d_alpha2)
            + 1j * ((-P.b * P.beta[0] + Bvec[0]) * d_beta1
                    + (-P.b * P.beta[1] + Bvec[1]) * d_beta2)
-           - (By + 1j * gterm) * Pv
-           + lapP - Pv + kappa * np.abs(Pv) ** 2 * Pv)
+           - (By + 1j * gterm) * Pv)
     return -lhs
 
 
