@@ -6,16 +6,18 @@ f_{-m} = conj(f_m).  Mode products are exact convolutions in m; parameter-
 space calculus on the profile expansion never touches these radial arrays.
 Off the grid, a field is interpolated in r by the package's only CubicSpline:
 ``spline`` builds it anew on each evaluation (nothing is cached), through
-all real and imaginary parts at once.  ``at`` is exactly 0 past
-r_max, evaluates the spline only at the points within r_max, AT_BLOCK points
-at a time, and sums the modes by Horner in z = e^{iθ} (one cos and one sin
-per point), so its last bits differ from a per-mode Σ f_m e^{imθ}; a
-mode-0-only field is its spline's values exactly.
+all real and imaginary parts at once.  ``at`` takes cartesian points y of
+shape (..., 2), is exactly 0 past r_max, evaluates the spline only at the
+points within r_max, AT_BLOCK points at a time, and sums the modes by Horner
+in z = e^{iθ} = (y₁ + i y₂)/r (z = 1 at r = 0; no angle is formed), so its
+last bits differ from a per-mode Σ f_m e^{imθ}; a mode-0-only field is its
+spline's values exactly.
 
 A PolarGrid is the (r, θ) product grid on which every sampled polar field
 lives: r_j = j·h on [0, r_max] (n_r nodes, r_0 = 0) and θ_k = 2πk/n_θ.
-Samples are arrays of shape (n_r, n_θ).  The grid owns the three operations
-on them, with these conventions:
+Samples are arrays of shape (n_r, n_θ), and ``points`` holds the nodes as
+cartesian points r(cos θ, sin θ), shape (n_r, n_θ, 2).  The grid owns the
+three operations on samples, with these conventions:
 
 - Modes: the FFT along θ divided by n_θ, so f(r, θ_k) = Σ_c F[:, c] e^{i m_c θ_k}.
   Columns are in np.fft order: column c carries m_c = c for c ≤ n_θ/2 and
@@ -80,6 +82,12 @@ class PolarGrid:
     @property
     def theta(self) -> np.ndarray:
         return np.arange(self.n_theta) * (2 * np.pi / self.n_theta)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The nodes as cartesian points r(cos θ, sin θ), shape (n_r, n_θ, 2)."""
+        unit = np.stack([np.cos(self.theta), np.sin(self.theta)], axis=-1)
+        return self.r[:, None, None] * unit
 
     @property
     def m(self) -> np.ndarray:
@@ -217,28 +225,28 @@ class AngularField:
         vals = np.array(list(self.comps.values())).reshape(len(self.comps), self.grid.n)
         return CubicSpline(self.grid.nodes, np.concatenate([vals.real, vals.imag]).T)
 
-    def at(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Evaluate at matched point arrays (spline in r, zero beyond r_max).
+    def at(self, y: np.ndarray) -> np.ndarray:
+        """Evaluate at cartesian points y of shape (..., 2) (spline in r, zero beyond r_max).
 
-        Horner in z = e^{iθ} from the top mode down to min(m_min, 0), then
-        times conj(z)^{|min(m_min, 0)|}.
+        Horner in z = (y₁ + i y₂)/r from the top mode down to min(m_min, 0),
+        then times conj(z)^{|min(m_min, 0)|}.
         """
-        r = np.asarray(r, dtype=float)
-        theta = np.broadcast_to(theta, r.shape)
-        out = np.zeros(r.shape, dtype=complex)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(y.shape[:-1], dtype=complex)
         if not self.comps:
             return out
+        y = y.reshape(-1, 2)
+        r = np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2)
         inside = np.flatnonzero(r <= self.grid.r_max)
         spl, nm = self.spline(), len(self.comps)
         column = {m: j for j, m in enumerate(self.comps)}
         top, low = max(max(column), 0), min(min(column), 0)
         for start in range(0, inside.size, AT_BLOCK):
             idx = inside[start:start + AT_BLOCK]
-            vals = np.ascontiguousarray(spl(np.clip(r.flat[idx], 0.0, self.grid.r_max)).T)
-            th = theta.flat[idx]
-            z = np.empty(idx.size, dtype=complex)
-            np.cos(th, out=z.real)
-            np.sin(th, out=z.imag)
+            ri = r[idx]
+            vals = np.ascontiguousarray(spl(ri).T)
+            z = np.ones(idx.size, dtype=complex)
+            np.divide(y[idx, 0] + 1j * y[idx, 1], ri, out=z, where=ri > 0)
             acc = np.zeros(idx.size, dtype=complex)
             for m in range(top, low - 1, -1):
                 if m < top:

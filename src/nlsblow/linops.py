@@ -76,7 +76,7 @@ class LinearizedOps:
         q2 = Q.values ** 2
         pot = {"plus": 1.0 - 3.0 * q2, "minus": 1.0 - q2}
         self.lap = tuple(laplacian_banded(self.grid, m) for m in range(M_MAX + 1))
-        self.bands = {(op, m): operator_banded(self.lap[m], m, pot[op])
+        self.bands = {(op, m): operator_banded(self.lap[m], m, pot[op], self.grid.h)
                       for op in pot for m in range(M_MAX + 1)}
         self.kernels = {}
         for op, m in KERNEL_MODES:

@@ -30,8 +30,10 @@ field is cubic-spline prefiltered once, when its ``FieldSampler`` is built,
 so each evaluation only interpolates.
 
 A ``Fit`` holds one expansion on one polar fit grid, within the lab's radius
-(the lab's splines extrapolate past it), with each term's mode samples on
-the grid's radii, weighed at P by ``ProfileExpansion.coefficients``.  Its
+(the lab's splines extrapolate past it).  Each term's (value, ∂_r) mode
+samples on the grid's radii, Q's first, form one (2, term, r, mode) array;
+P_P, ∂_r P_P and the six ∂_p P_P are ``tensordot``s of its parts with the
+weights of ``ProfileExpansion.coefficients``.  The fit samples u at α + λ·``points``.  Its
 methods give the windows, ε, the conditions and their Jacobian at P, and one
 fit serves every ``decompose(u, guess, fit)`` of a run.  Along a run the
 parameters follow the modulation ODE, so ``nlsblow analyze`` guesses each
@@ -116,7 +118,8 @@ def _radial_samples(f: AngularField, r: np.ndarray) -> dict:
 
 
 class Fit:
-    """One expansion on one polar fit grid, with its per-term mode samples built once."""
+    """One expansion on one polar fit grid, with its per-term mode samples built once:
+    ``samples[:, term, :, c]`` are the term's (value, ∂_r) at mode ``m[c]``."""
 
     def __init__(self, expansion: ProfileExpansion, grid: PolarGrid = PolarGrid()):
         lab = expansion.lab
@@ -125,44 +128,39 @@ class Fit:
             raise ValueError(f"fit r_max = {grid.r_max} exceeds the lab's r_max = "
                              f"{lab.grid.r_max}")
         # the im/r term reads m off the FFT column, which aliases once 2|m| >= n_θ
-        top = max((f.max_mode() for f in expansion.terms.values()), default=0)
+        top = max(f.max_mode() for f in expansion.terms.values())
         if 2 * top >= grid.n_theta:
             raise ValueError(f"n_theta = {grid.n_theta} cannot resolve the expansion's "
                              f"modes up to |m| = {top}; it must exceed {2 * top}")
         self.expansion = expansion
         self.grid = grid
         self.model = expansion.model
-        q, dq = _radial_samples(AngularField.radial(lab.grid, lab.Q.values), grid.r)[0]
-        rho, _ = _radial_samples(AngularField.radial(lab.grid, lab.rho.values), grid.r)[0]
-        self.q, self.dq, self.rho = q.real, dq.real, rho.real
-        self.samples = {mono: _radial_samples(f, grid.r) for mono, f in expansion.terms.items()}
+        self.rho = _radial_samples(AngularField.radial(lab.grid, lab.rho.values), grid.r)[0][0].real
+        self.m = np.array(sorted({m for f in expansion.terms.values() for m in f.comps}))
+        column = {m: c for c, m in enumerate(self.m)}
+        self.samples = np.zeros((2, len(expansion.terms), grid.n_r, self.m.size), dtype=complex)
+        for t, f in enumerate(expansion.terms.values()):
+            for m, vd in _radial_samples(f, grid.r).items():
+                self.samples[:, t, :, column[m]] = vd
+
+    def _modes(self, weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Σ_term weights[..., term]·samples[term] in FFT columns, shape (..., n_r, n_θ)."""
+        part = np.tensordot(weights, samples, axes=1)
+        modes = np.zeros(part.shape[:-1] + (self.grid.n_theta,), dtype=complex)
+        modes[..., self.m % self.grid.n_theta] = part
+        return modes
 
     def eval_with_grad(self, P: ParamPoint):
         """P_P values, ∂_r P_P and (1/r)∂_θ P_P on the fit grid."""
         g = self.grid
-        modes_v = np.zeros((g.n_r, g.n_theta), dtype=complex)
-        modes_d = np.zeros_like(modes_v)
-        modes_v[:, 0] = self.q
-        modes_d[:, 0] = self.dq
-        for mono, c in self.expansion.coefficients(P).items():
-            if c == 0.0:
-                continue
-            for m, (v, dv) in self.samples[mono].items():
-                modes_v[:, m % g.n_theta] += c * v
-                modes_d[:, m % g.n_theta] += c * dv
+        coeffs = np.array(list(self.expansion.coefficients(P).values()))
+        modes_v, modes_d = (self._modes(coeffs, part) for part in self.samples)
         return g.samples(modes_v), g.samples(modes_d), g.samples(g.over_r_dtheta(modes_v))
 
     def parameter_derivatives(self, P: ParamPoint) -> np.ndarray:
         """∂P_P/∂(b, λ, β1, β2, α1, α2) on the fit grid, shape (6, n_r, n_θ)."""
-        g = self.grid
-        modes = np.zeros((6, g.n_r, g.n_theta), dtype=complex)
-        for i in range(6):
-            for mono, c in self.expansion.coefficients(P, i).items():
-                if c == 0.0:
-                    continue
-                for m, (v, _) in self.samples[mono].items():
-                    modes[i, :, m % g.n_theta] += c * v
-        return g.samples(modes)
+        slopes = np.array([list(self.expansion.coefficients(P, i).values()) for i in range(6)])
+        return self.grid.samples(self._modes(slopes, self.samples[0]))
 
     def window_fields(self, P: ParamPoint) -> dict:
         """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ, ρ1/ρ2 and e^{iφ} at parameters P."""
@@ -171,7 +169,7 @@ class Fit:
         theta = grid.theta[None, :]
         Pv, dPr, dPth = self.eval_with_grad(P)
         ct, st = np.cos(theta), np.sin(theta)
-        eip = np.exp(1j * P.phase(r, theta))
+        eip = np.exp(1j * P.phase(grid.points))
         QP = Pv * eip
         u_r, u_th = P.phase_gradient(r, theta)
         grad_r = (dPr + 1j * Pv * u_r) * eip
@@ -185,12 +183,7 @@ class Fit:
 
     def epsilon_at(self, P: ParamPoint, usample: "FieldSampler"):
         """ε = √k(α) λ e^{-iγ} u(α + λy) - Q_P on the fit grid, and the windows at P."""
-        grid = self.grid
-        r = grid.r[:, None]
-        ct = np.cos(grid.theta)[None, :]
-        st = np.sin(grid.theta)[None, :]
-        pts = np.stack([P.alpha[0] + P.lam * r * ct, P.alpha[1] + P.lam * r * st], axis=-1)
-        uvals = usample(pts)
+        uvals = usample(P.alpha + P.lam * self.grid.points)
         k_alpha = float(self.model.k(P.alpha))
         w = self.window_fields(P)
         eps = np.sqrt(k_alpha) * P.lam * uvals * np.exp(-1j * P.gamma) - w["QP"]

@@ -13,7 +13,8 @@ in the degree-j terms is −L+T_j − iL−S_j, so ``build_expansion`` takes the
 order-j source as the degree-j part of the equation at the lower terms, on
 monomial maps {monomial: AngularField} through a product truncated at
 degree j (κ from ``kmodel``'s Taylor forms), and solves each monomial with
-L+ or L−.  The constants c0, β3 (``derive_constants``, frozen and shared
+L+ or L−.  Q is the map's constant term, at the empty monomial ``_mono()``
+and first in order.  The constants c0, β3 (``derive_constants``, frozen and shared
 with the modulation ODE) keep every inversion off the kernels, and the
 pseudo-conformal law survives because (y_j y_l Q³, ΛQ) = 0.
 
@@ -28,14 +29,15 @@ pseudo-conformal law survives because (y_j y_l Q³, ΛQ) = 0.
   1/k(α) = 1 + O(|α|²) drop out.
 
 One coefficient rule, ``ProfileExpansion.coefficients``, weighs the terms:
-coeff(mono, P) = Π v^e over (b, λ, β1, β2, α1, α2), with derivative
-e_i·coeff(mono − e_i, P) in parameter i.  The profile, the residual's
+coeff(mono, P) = Π v^e over (b, λ, β1, β2, α1, α2) (1 for Q), with
+derivative e_i·coeff(mono − e_i, P) in parameter i (0 for Q).  The profile, the residual's
 Σ law_i ∂_iP (one synthesis) and the fit's samples (``modfit.Fit``) use it.
 
 ``ParamPoint`` is the package's one modulation state, passed by the profile,
 the modulation ODE (``modeqs``, which integrates both clocks), the fit
 (``modfit``) and the CLI: (b, λ, β, α, γ) and the clocks s, t, in the vector
 layout [b, λ, β1, β2, α1, α2, γ, s, t]; it owns the phase -b|y|²/4 + β·y.
+Profiles and phases take cartesian points y; ``modulated`` forms no angle.
 """
 
 import math
@@ -99,11 +101,10 @@ class ParamPoint:
         if self.size > eta_star:
             raise ValueError(f"|P| = {self.size:.3f} exceeds the smallness radius {eta_star}")
 
-    def phase(self, r, theta) -> np.ndarray:
-        """The conformal phase -b|y|²/4 + β·y at polar points (r, θ)."""
-        r = np.asarray(r)
-        return (-self.b * r ** 2 / 4.0
-                + r * (self.beta[0] * np.cos(theta) + self.beta[1] * np.sin(theta)))
+    def phase(self, y) -> np.ndarray:
+        """The conformal phase -b|y|²/4 + β·y at cartesian points y of shape (..., 2)."""
+        y = np.asarray(y)
+        return -self.b * (y[..., 0] ** 2 + y[..., 1] ** 2) / 4.0 + y @ self.beta
 
     def phase_gradient(self, r, theta):
         """Polar components of ∇phase: u_r = -(b/2) r + β·ê_r, u_θ = β·ê_θ."""
@@ -224,15 +225,15 @@ def energy_for_C0(C0: float, model: InhomogeneityModel, lab: Lab) -> float:
 # ----------------------------------------------------------------------
 
 def _solve_field(lab: Lab, op: str, src: AngularField) -> AngularField:
+    """Solve L± on each mode of a real field (f_{-m} = conj(f_m)); L± depends on
+    |m| only, so a −m mode takes the conjugate of the +m solution."""
     # each mode carries the roundoff of the θ-FFT that built the whole source,
     # so a mode's kernel defect is measured against the largest mode
     scale = max(vector_norm(v) for v in src.comps.values()) if src.comps else 0.0
-    out = {}
-    for m, v in src.comps.items():
-        if np.max(np.abs(v)) == 0.0:
-            continue
-        out[m] = lab.ops.solve(op, v, abs(m), scale)
-    return AngularField(lab.grid, out)
+    sols = {m: lab.ops.solve(op, v, abs(m), scale) for m, v in src.comps.items()
+            if (m >= 0 or -m not in src.comps) and np.max(np.abs(v)) > 0.0}
+    return AngularField(lab.grid, {m: sols[m] if m in sols else np.conj(sols[-m])
+                                   for m in src.comps if m in sols or -m in sols})
 
 
 def _mono(*params: int) -> Monomial:
@@ -241,9 +242,9 @@ def _mono(*params: int) -> Monomial:
 
 
 def _coeff(mono: Monomial, P: ParamPoint) -> float:
-    """The monomial's value at P: Π v^e over (b, λ, β1, β2, α1, α2)."""
+    """The monomial's value at P: Π v^e over (b, λ, β1, β2, α1, α2) (1 for Q's _mono())."""
     vals = (P.b, P.lam, P.beta[0], P.beta[1], P.alpha[0], P.alpha[1])
-    return math.prod(v ** e for v, e in zip(vals, mono) if e)
+    return math.prod((v ** e for v, e in zip(vals, mono) if e), start=1.0)
 
 
 def _value(poly: dict, P: ParamPoint):
@@ -263,7 +264,7 @@ def _lap_field(lab: Lab, f: AngularField) -> AngularField:
 
 @dataclass
 class ProfileExpansion:
-    """The monomial map of the refined profile plus everything to evaluate it."""
+    """The monomial map of the refined profile (Q first) plus everything to evaluate it."""
 
     lab: Lab
     model: InhomogeneityModel
@@ -285,11 +286,9 @@ class ProfileExpansion:
         return {mono: mono[idx] * _coeff(mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:], P)
                 if mono[idx] else 0.0 for mono in self.terms}
 
-    def combined(self, P: ParamPoint, include_Q: bool = True, coeffs=None) -> AngularField:
-        """Σ coefficient · field at P (or with the given coefficients), optionally plus Q."""
+    def combined(self, P: ParamPoint, coeffs=None) -> AngularField:
+        """Σ coefficient · field at P (or with the given coefficients)."""
         out = AngularField(self.lab.grid)
-        if include_Q:
-            out = AngularField.radial(self.lab.grid, self.lab.Q.values)
         for mono, c in (self.coefficients(P) if coeffs is None else coeffs).items():
             if c != 0.0:
                 out = out + self.terms[mono] * c
@@ -297,13 +296,13 @@ class ProfileExpansion:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_P(self, P: ParamPoint, r, theta) -> np.ndarray:
-        """The conformal-frame profile P_P at matched polar point arrays."""
-        return self.combined(P).at(r, theta)
+    def eval_P(self, P: ParamPoint, y) -> np.ndarray:
+        """The conformal-frame profile P_P at cartesian points y of shape (..., 2)."""
+        return self.combined(P).at(y)
 
-    def eval_QP(self, P: ParamPoint, r, theta) -> np.ndarray:
+    def eval_QP(self, P: ParamPoint, y) -> np.ndarray:
         """Q_P = P_P · e^{i(-b|y|²/4 + β·y)} (Σ = Re, Θ = Im)."""
-        return self.eval_P(P, r, theta) * np.exp(1j * P.phase(r, theta))
+        return self.eval_P(P, y) * np.exp(1j * P.phase(y))
 
     def mass(self, P: ParamPoint) -> float:
         """∫|Q_P|², exact in the mode algebra (equals ∫Q² + O(P⁴))."""
@@ -311,9 +310,7 @@ class ProfileExpansion:
 
     def _kappa(self, P: ParamPoint, polar: PolarGrid):
         """(k(λy+α)/k(α) on the polar grid, k(α))."""
-        r = polar.r[:, None]
-        ct, st = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
-        x = np.stack([P.lam * r * ct + P.alpha[0], P.lam * r * st + P.alpha[1]], axis=-1)
+        x = P.lam * polar.points + P.alpha
         k_alpha = float(self.model.k(P.alpha))
         return self.model.k(x) / k_alpha, k_alpha
 
@@ -359,23 +356,18 @@ class ProfileExpansion:
 
     def _mismatch(self, P: ParamPoint, polar: PolarGrid) -> np.ndarray:
         """The profile-equation residual ψ sampled on the polar grid."""
-        r = polar.r[:, None]
-        q = self.lab.Q.values
-        Pv = self.combined(P, include_Q=False).on_native(polar) + q[:, None]
+        Pv = self.combined(P).on_native(polar)
         # Δ amplifies roundoff by 1/h², and at λ ~ 0.01 the norm of ψ resolves
         # the order of summation, so the monomials are summed after synthesis
         lapP = sum(c * _lap_field(self.lab, self.terms[mono]).on_native(polar)
                    for mono, c in self.coefficients(P).items() if c != 0.0)
-        lapP = lapP + _lap_field(self.lab, AngularField.radial(self.lab.grid, q)).on_native(polar)
         # Σ_i law_i ∂_iP from the law table, summed on the terms: one synthesis
         rates = [_value(law, P) for law in self.constants.laws()[:6]]
         slopes = [self.coefficients(P, i) for i in range(6)]
         along = {mono: sum(v * d[mono] for v, d in zip(rates, slopes)) for mono in self.terms}
-        drift = self.combined(P, include_Q=False, coeffs=along).on_native(polar)
+        drift = self.combined(P, coeffs=along).on_native(polar)
 
-        Bvec = _value(self.constants.forcing(), P)
-        ct, st = np.cos(polar.theta)[None, :], np.sin(polar.theta)[None, :]
-        By = r * (Bvec[0] * ct + Bvec[1] * st)
+        By = polar.points @ _value(self.constants.forcing(), P)
         kappa, k_alpha = self._kappa(P, polar)
         gterm = P.lam * float(P.beta @ (self.model.grad_k(P.alpha) / k_alpha))
 
@@ -453,10 +445,9 @@ def build_expansion(model: InhomogeneityModel, C0: float, lab: Lab,
     kappa = {_mono(): AngularField.radial(g, np.ones(g.n)), **_taylor_fields(g, taylor)}
     minus_By = _taylor_fields(g, [(mono, 1, lambda cx, sx, v=v: -v[0] * cx - v[1] * sx)
                                   for mono, v in consts.forcing().items()])
-    laws, terms = consts.laws()[:6], {}
+    laws, terms = consts.laws()[:6], {_mono(): AngularField.radial(g, lab.Q.values)}
     for order in range(2, RAY_ORDER + 1):
-        P = {_mono(): AngularField.radial(g, lab.Q.values), **terms}
-        parts = {(m, _even(m)): f for m, f in _source(P, order, kappa, minus_By, laws).items()}
+        parts = {(m, _even(m)): f for m, f in _source(terms, order, kappa, minus_By, laws).items()}
         if order == RAY_ORDER:      # b = λ/C0, each monomial keeping its parity
             parts = _sum(*({((0, m[0] + m[1]) + m[2:], even): f * C0 ** -m[0]}
                            for (m, even), f in parts.items()))
@@ -478,11 +469,8 @@ def conformal_ray(lam: float, C0: float, beta_scale=(0.0, 0.0),
 
 def modulated(F, lam: float, alpha, gamma: float, k_alpha: float,
               pts: np.ndarray) -> np.ndarray:
-    """The ansatz k(α)^{-1/2} λ^{-1} F(|x-α|/λ, arg(x-α)) e^{iγ} at points x = pts[..., :2]."""
-    pts = np.asarray(pts, dtype=float)
-    dx = pts[..., 0] - alpha[0]
-    dy = pts[..., 1] - alpha[1]
-    vals = F(np.hypot(dx, dy) / lam, np.arctan2(dy, dx))
+    """The ansatz k(α)^{-1/2} λ^{-1} F((x-α)/λ) e^{iγ} at points x = pts[..., :2]."""
+    vals = F((np.asarray(pts, dtype=float)[..., :2] - alpha) / lam)
     return vals * np.exp(1j * gamma) / (np.sqrt(k_alpha) * lam)
 
 

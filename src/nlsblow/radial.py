@@ -104,13 +104,10 @@ def fit_tail_rate(grid: RadialGrid, values: np.ndarray) -> float:
     return float(coef[0])
 
 
-def quadrature(values: np.ndarray, grid: RadialGrid, radial_weight_power: int = 0) -> float:
-    """2π ∫_0^r_max f(r) r^(p+1) dr by composite Simpson on the grid's nodes."""
-    p = int(radial_weight_power)
-    if p < 0:
-        raise ValueError("weight power must be >= 0")
+def quadrature(values: np.ndarray, grid: RadialGrid) -> float:
+    """2π ∫_0^r_max f(r) r dr by composite Simpson on the grid's nodes."""
     r = grid.nodes
-    return float(2.0 * np.pi * simpson(np.asarray(values) * r ** (p + 1), x=r))
+    return float(2.0 * np.pi * simpson(np.asarray(values) * r, x=r))
 
 
 # ----------------------------------------------------------------------
@@ -197,14 +194,16 @@ def banded_matvec(ab: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def operator_banded(lap: np.ndarray, m: int, potential: np.ndarray) -> np.ndarray:
-    """-Δ_m + potential(r) from the mode-m band lap (row 0: origin stencil / f(0)=0)."""
+def operator_banded(lap: np.ndarray, m: int, potential: np.ndarray, h: float) -> np.ndarray:
+    """-Δ_m + potential(r) from the mode-m band lap, spacing h (row 0: origin / f(0)=0)."""
     ab = -lap
     pot = np.broadcast_to(potential, (lap.shape[1],))
     if m == 0:
         ab[2, :] += pot
     else:
-        ab[2, 0] = 1.0   # keep f(0)=0 row (the -lap already put -1 there)
+        # the f(0)=0 row (the -lap put -1 there), as large as the rows below it,
+        # so that partial pivoting keeps it and a solution has f(0) = 0 exactly
+        ab[2, 0] = 1.0 / (h * h)
         ab[2, 1:] += pot[1:]
         ab[1, 0] = 0.0
         ab[0, 0] = 0.0
@@ -335,7 +334,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
             break
         if rnorm > 4.0 * best:   # stalled at the roundoff floor
             break
-        jac_banded = operator_banded(lap, 0, 1.0 - 3.0 * q ** 2)
+        jac_banded = operator_banded(lap, 0, 1.0 - 3.0 * q ** 2, grid.h)
         q = q + solve_banded((2, 2), jac_banded, -res)
     q = best_q
     if best > tol:
@@ -356,6 +355,6 @@ def moments(Q: RadialFunction) -> Moments:
     return Moments(
         massQ=quadrature(q * q, g),
         quarticQ=quadrature(q ** 4, g),
-        ymomQ=quadrature(q * q, g, 2),
+        ymomQ=quadrature(g.nodes ** 2 * q * q, g),
         gradQ=quadrature(dq * dq, g),
     )

@@ -97,13 +97,15 @@ def test_weights_are_the_integral_rule(rng, n_r):
         assert np.sum(grid.weights * vals) == pytest.approx(grid.integral(vals), rel=1e-13)
 
 
-def _loop_at(field, r, theta):
-    """Reference: one spline pair per mode, evaluated at every point.
+def _loop_at(field, y):
+    """Reference: one spline pair per mode, evaluated at every point through its
+    polar coordinates r = |y|, θ = arg y.
 
     Returns the sum and Σ_m |f_m(r)|, the scale of its roundoff.
     """
     from scipy.interpolate import CubicSpline
 
+    r, theta = np.sqrt(y[..., 0] ** 2 + y[..., 1] ** 2), np.arctan2(y[..., 1], y[..., 0])
     nodes, r_max = field.grid.nodes, field.grid.r_max
     out = np.zeros(r.shape, dtype=complex)
     scale = np.zeros(r.shape)
@@ -117,6 +119,10 @@ def _loop_at(field, r, theta):
     return out, scale
 
 
+def _cartesian(r, theta):
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
 def _random_field(rng, grid, modes):
     return AngularField(grid, {m: rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
                                for m in modes})
@@ -127,13 +133,15 @@ def _assert_at_matches_loop(field, rng):
     r_max = field.grid.r_max
     n_pts = 2 * AT_BLOCK + 123
     r = rng.uniform(0.0, 13.0, size=n_pts)
-    r[:4] = (0.0, r_max, np.nextafter(r_max, 20.0), 12.5)
     theta = rng.uniform(-np.pi, np.pi, size=n_pts)
-    got = field.at(r, theta)
-    ref, scale = _loop_at(field, r, theta)
+    y = _cartesian(r, theta)
+    y[:4] = ((0.0, 0.0), (r_max, 0.0), (np.nextafter(r_max, 20.0), 0.0), (0.0, -12.5))
+    r = np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2)
+    got = field.at(y)
+    ref, scale = _loop_at(field, y)
     assert np.all(np.abs(got - ref) <= 16 * np.finfo(float).eps * scale)
     assert np.all(got[r > r_max] == 0.0)
-    square = field.at(r[:700].reshape(100, 7), theta[:700].reshape(100, 7))
+    square = field.at(y[:700].reshape(100, 7, 2))
     assert square.tobytes() == got[:700].reshape(100, 7).tobytes()
 
 
@@ -151,13 +159,20 @@ def test_at_single_and_negative_modes(rng, modes):
 def test_at_mode_zero_is_the_spline(rng):
     grid = RadialGrid(r_max=10.0, n=301)
     field = _random_field(rng, grid, (0,))
-    r = rng.uniform(0.0, 13.0, size=1000)
-    theta = rng.uniform(-np.pi, np.pi, size=1000)
-    assert field.at(r, theta).tobytes() == _loop_at(field, r, theta)[0].tobytes()
+    y = _cartesian(rng.uniform(0.0, 13.0, size=1000), rng.uniform(-np.pi, np.pi, size=1000))
+    assert field.at(y).tobytes() == _loop_at(field, y)[0].tobytes()
 
 
 def test_at_of_an_empty_field_is_zero(rng):
     field = AngularField(RadialGrid(r_max=10.0, n=301))
     r = rng.uniform(0.0, 13.0, size=(10, 3))
-    got = field.at(r, np.zeros_like(r))
+    got = field.at(np.stack([r, np.zeros_like(r)], axis=-1))
     assert got.shape == (10, 3) and got.dtype == complex and np.all(got == 0.0)
+
+
+def test_points_are_the_nodes_in_cartesian_form():
+    grid = PolarGrid(r_max=5.0, n_r=11, n_theta=8)
+    y = grid.points
+    assert y.shape == (11, 8, 2)
+    assert y[..., 0].tobytes() == (grid.r[:, None] * np.cos(grid.theta)[None, :]).tobytes()
+    assert y[..., 1].tobytes() == (grid.r[:, None] * np.sin(grid.theta)[None, :]).tobytes()

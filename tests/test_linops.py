@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nlsblow import profile as prof
 from nlsblow.config import RunConfig
-from nlsblow.linops import SOLVABILITY_THRESHOLD, SolvabilityViolated, ModeError, norm2d
+from nlsblow.linops import M_MAX, SOLVABILITY_THRESHOLD, SolvabilityViolated, ModeError, norm2d
 from nlsblow.radial import quadrature
 
 
@@ -84,12 +84,14 @@ def test_solve_kernel_source_raises(lab):
 
 def test_solve_complex_kernel_source_raises(lab, rng):
     # a solvable complex source plus a kernel component of 1e-6 of its norm,
-    # all of it in the smaller imaginary part
+    # all of it in the smaller imaginary part (the added part raises the norm
+    # by a factor 1 + 5e-13, so the defect is 1e-6 to that, not above it)
     w = lab.ops.kernel_vector("plus", 1, side="left")
     g = _random_decaying(lab, rng, 1) + 0.01j * _random_decaying(lab, rng, 1)
     g = g - w * np.dot(w, g)
     g = g + 1e-6j * np.linalg.norm(g) * w
-    assert lab.ops.solvability_defect("plus", g, 1) > 100 * SOLVABILITY_THRESHOLD
+    assert lab.ops.solvability_defect("plus", g, 1) == pytest.approx(100 * SOLVABILITY_THRESHOLD,
+                                                                     rel=1e-9)
     with pytest.raises(SolvabilityViolated):
         lab.ops.solve("plus", g, m=1)
 
@@ -138,6 +140,19 @@ def test_complex_source_is_one_two_column_solve(lab, rng, op, m):
     assert np.all(lab.ops.solve(op, re + 0j, m).imag == 0.0)
 
 
+@pytest.mark.parametrize("op", ["plus", "minus"])
+@pytest.mark.parametrize("m", range(1, M_MAX + 1))
+def test_solution_meets_its_origin_row(lab, rng, op, m):
+    # the constraint row f(0) = 0 of an m >= 1 band stays the pivot of column 0
+    re, im = (_random_decaying(lab, rng, m) for _ in range(2))
+    if lab.ops.is_kernel_mode(op, m):
+        w = lab.ops.kernel_vector(op, m, side="left")
+        re, im = (f - w * np.dot(w, f) for f in (re, im))
+    assert lab.ops.solve(op, re, m)[0] == 0.0
+    assert lab.ops.solve(op, re + 1j * im, m)[0] == 0.0
+    assert lab.ops.kernel_vector("plus", 1)[0] == 0.0
+
+
 def test_solve_gauge_orthogonality(lab, rng):
     g = _random_decaying(lab, rng, 1)
     w = lab.ops.kernel_vector("plus", 1, side="left")
@@ -171,7 +186,7 @@ def test_cancellation(lab):
     # (|y|²Q³, ΛQ) = ∫|y|²Q⁴ - (1/4)∫div(|y|²y)Q⁴ = ∫|y|²Q⁴ - ∫|y|²Q⁴ = 0
     r = lab.grid.nodes
     q = lab.Q.values
-    y2q4 = quadrature(q ** 4, lab.grid, 2)
+    y2q4 = quadrature(r ** 2 * q ** 4, lab.grid)
     direct = lab.ops.cancellation_moment(0, 0) + lab.ops.cancellation_moment(1, 1)
     assert abs(direct - (y2q4 - y2q4)) / scale < 1e-8
 
@@ -229,7 +244,7 @@ def test_banded_matvec_matches_sparse_product(lab_small, rng, m):
     f = rng.normal(size=n)
     fc = rng.normal(size=n) + 1j * rng.normal(size=n)
     lap = laplacian_banded(g, m)
-    for ab in (lap, operator_banded(lap, m, 1.0 - 3.0 * lab_small.Q.values ** 2)):
+    for ab in (lap, operator_banded(lap, m, 1.0 - 3.0 * lab_small.Q.values ** 2, g.h)):
         A = sp.diags([ab[2 - k, k:] if k >= 0 else ab[2 - k, :n + k] for k in (2, 1, 0, -1, -2)],
                      [2, 1, 0, -1, -2], shape=(n, n), format="csr")
         assert banded_matvec(ab, f).tobytes() == (A @ f).tobytes()

@@ -110,18 +110,46 @@ def test_expansion_sampler_matches_per_mode_splines(expansion, fit):
     lab = expansion.lab
     nodes, r = lab.grid.nodes, fit.grid.r
     q = CubicSpline(nodes, lab.Q.values)
-    assert fit.q.tobytes() == q(r).tobytes()
-    assert fit.dq.tobytes() == q.derivative()(r).tobytes()
+    col = {m: c for c, m in enumerate(fit.m)}
+    assert fit.samples[0, 0, :, col[0]].real.tobytes() == q(r).tobytes()
+    assert fit.samples[1, 0, :, col[0]].real.tobytes() == q.derivative()(r).tobytes()
     assert fit.rho.tobytes() == CubicSpline(nodes, lab.rho.values)(r).tobytes()
-    assert list(fit.samples) == list(expansion.terms)
-    for mono, f in expansion.terms.items():
-        assert list(fit.samples[mono]) == list(f.comps)
+    assert fit.samples.shape[1] == len(expansion.terms)
+    for t, f in enumerate(expansion.terms.values()):
+        assert set(np.flatnonzero(np.any(fit.samples[:, t] != 0.0, axis=(0, 1)))) \
+            == {col[m] for m in f.comps}
         for m, v in f.comps.items():
             sre, sim_ = CubicSpline(nodes, v.real), CubicSpline(nodes, v.imag)
-            val, dval = fit.samples[mono][m]
+            val, dval = fit.samples[:, t, :, col[m]]
             assert val.tobytes() == (sre(r) + 1j * sim_(r)).tobytes()
             ref_d = sre.derivative()(r) + 1j * sim_.derivative()(r)
             assert dval.tobytes() == ref_d.tobytes()
+
+
+def _loop_synthesis(fit, P):
+    """Reference: each term's modes added one at a time, per term and per mode."""
+    g, exp = fit.grid, fit.expansion
+    samples = {mono: modfit._radial_samples(f, g.r) for mono, f in exp.terms.items()}
+    value, d_r = (np.zeros((g.n_r, g.n_theta), dtype=complex) for _ in range(2))
+    d_params = np.zeros((6, g.n_r, g.n_theta), dtype=complex)
+    for mono, c in exp.coefficients(P).items():
+        for m, (v, dv) in samples[mono].items():
+            value[:, m % g.n_theta] += c * v
+            d_r[:, m % g.n_theta] += c * dv
+    for i in range(6):
+        for mono, c in exp.coefficients(P, i).items():
+            for m, (v, _) in samples[mono].items():
+                d_params[i, :, m % g.n_theta] += c * v
+    return g.samples(value), g.samples(d_r), g.samples(d_params)
+
+
+def test_stacked_synthesis_matches_term_loops(fit):
+    P = prof.ParamPoint(b=0.07, lam=0.11, beta=[0.004, -0.003], alpha=[0.02, -0.01])
+    value, d_r, d_params = _loop_synthesis(fit, P)
+    got_value, got_d_r, _ = fit.eval_with_grad(P)
+    for got, want in ((got_value, value), (got_d_r, d_r), (fit.parameter_derivatives(P), d_params)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_field_sampler_matches_two_pass_interpolation(rng):

@@ -27,6 +27,10 @@ def expansion(lab, model):
     return prof.build_expansion(model, C0=1.0, lab=lab)
 
 
+def _cartesian(r, theta):
+    return np.stack(np.broadcast_arrays(r * np.cos(theta), r * np.sin(theta)), axis=-1)
+
+
 def test_model_validates(model):
     assert model.validate() == []
 
@@ -149,8 +153,28 @@ def test_a1_cross_check_random_hessians(lab, seed):
 
 def test_monomial_degree_bookkeeping(expansion):
     for mono, f in expansion.terms.items():
-        assert sum(mono) in (2, 3, 4)
+        assert sum(mono) in (0, 2, 3, 4)
         assert f.max_mode() <= M_MAX
+
+
+def _is_real_field(f, sign=1.0):
+    """f_{-m} = sign·conj(f_m) exactly for every mode: sign +1 a real field, -1 imaginary."""
+    return all(-m in f.comps and np.array_equal(f.comps[-m], sign * np.conj(v))
+               for m, v in f.comps.items())
+
+
+def test_solutions_are_exactly_real_fields(lab, model, monkeypatch):
+    # L± depends on |m| only: the −m mode of a real source is solved as the
+    # conjugate of +m, so every solution, and every term below the ray order
+    # (one parity each), is conjugate-symmetric to the bit
+    solve_field, solutions = prof._solve_field, []
+    monkeypatch.setattr(prof, "_solve_field",
+                        lambda *args: solutions.append(solve_field(*args)) or solutions[-1])
+    expansion = prof.build_expansion(model, C0=1.0, lab=lab)
+    assert solutions and all(_is_real_field(f) for f in solutions)
+    for mono, f in expansion.terms.items():
+        if sum(mono) < prof.RAY_ORDER:
+            assert _is_real_field(f, 1.0 if prof._even(mono) else -1.0), mono
 
 
 def test_coefficient_derivatives_match_finite_differences(expansion):
@@ -197,12 +221,12 @@ def test_S3_solvability_projection(lab, expansion):
 
 def test_flat_model_trivial(lab):
     exp = prof.build_expansion(homogeneous_model(), C0=1.0, lab=lab)
-    assert exp.terms == {}
+    assert list(exp.terms) == [prof._mono()]
     P = prof.ParamPoint(b=0.05, lam=0.1)
     r = np.array([0.0, 1.0, 2.5])
     th = np.zeros(3)
-    vals = exp.eval_P(P, r, th)
-    q = AngularField.radial(lab.grid, lab.Q.values).at(r, 0.0).real
+    vals = exp.eval_P(P, _cartesian(r, th))
+    q = AngularField.radial(lab.grid, lab.Q.values).at(_cartesian(r, 0.0)).real
     assert np.allclose(vals.real, q, atol=1e-10)
     assert np.allclose(vals.imag, 0.0)
 
@@ -210,9 +234,48 @@ def test_flat_model_trivial(lab):
 def test_eval_at_origin_point_is_Q(expansion, lab):
     P = prof.ParamPoint(b=0.0, lam=0.0)
     r = np.linspace(0, 10, 50)
-    vals = expansion.eval_QP(P, r, np.zeros_like(r))
-    q = AngularField.radial(lab.grid, lab.Q.values).at(r, 0.0).real
+    vals = expansion.eval_QP(P, _cartesian(r, 0.0))
+    q = AngularField.radial(lab.grid, lab.Q.values).at(_cartesian(r, 0.0)).real
     assert np.allclose(vals, q, atol=1e-10)
+
+
+def test_Q_is_the_constant_term(expansion, lab):
+    P = prof.ParamPoint(b=0.07, lam=0.11, beta=[0.004, -0.003], alpha=[0.02, -0.01])
+    assert list(expansion.terms)[0] == prof._mono()
+    Q = expansion.terms[prof._mono()]
+    assert list(Q.comps) == [0]
+    assert Q.comps[0].tobytes() == lab.Q.values.astype(complex).tobytes()
+    assert expansion.coefficients(P)[prof._mono()] == 1.0
+    assert all(expansion.coefficients(P, i)[prof._mono()] == 0.0 for i in range(6))
+
+
+def _polar_physical_field(expansion, P, pts):
+    """Reference: u through the polar coordinates of x − α, one spline pair per mode,
+    and the phase in (r, θ)."""
+    from scipy.interpolate import CubicSpline
+
+    dx, dy = pts[..., 0] - P.alpha[0], pts[..., 1] - P.alpha[1]
+    r, th = np.hypot(dx, dy) / P.lam, np.arctan2(dy, dx)
+    nodes, r_max = expansion.lab.grid.nodes, expansion.lab.grid.r_max
+    inside, rc = r <= r_max, np.clip(r, 0.0, r_max)
+    vals = np.zeros(r.shape, dtype=complex)
+    for m, v in expansion.combined(P).comps.items():
+        fm = CubicSpline(nodes, v.real)(rc) + 1j * CubicSpline(nodes, v.imag)(rc)
+        vals += np.where(inside, fm, 0.0) * np.exp(1j * m * th)
+    phase = -P.b * r ** 2 / 4.0 + r * (P.beta[0] * np.cos(th) + P.beta[1] * np.sin(th))
+    k_alpha = float(expansion.model.k(P.alpha))
+    return vals * np.exp(1j * phase) * np.exp(1j * P.gamma) / (np.sqrt(k_alpha) * P.lam)
+
+
+def test_physical_field_matches_polar_path(expansion):
+    from nlsblow.sim import box_points
+
+    P = prof.ParamPoint(b=0.06, lam=0.09, beta=[0.004, -0.003], alpha=[0.01, 0.02], gamma=0.37)
+    pts = box_points(6.0, 512)
+    got = prof.physical_field(expansion, P)(pts)
+    want = _polar_physical_field(expansion, P, pts)
+    assert got.shape == (512, 512)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_solvability_violated_on_bad_source(lab):
@@ -275,8 +338,8 @@ def test_rotation_equivariance(lab):
     P2 = prof.ParamPoint(b=0.05, lam=0.1, alpha=np.array([0.01, 0.02]))  # R @ alpha
     r = np.linspace(0.0, 8.0, 40)
     th = np.full_like(r, 0.7)
-    v1 = e1.eval_P(P1, r, th)
-    v2 = e2.eval_P(P2, r, th + np.pi / 2)   # evaluate at R y
+    v1 = e1.eval_P(P1, _cartesian(r, th))
+    v2 = e2.eval_P(P2, _cartesian(r, th + np.pi / 2))   # evaluate at R y
     assert np.allclose(v1, v2, atol=1e-10)
 
 
@@ -324,8 +387,8 @@ def test_phase_gradient_is_gradient_of_phase(rng):
     th = rng.uniform(0.0, 2 * np.pi, size=20)
     u_r, u_th = P.phase_gradient(r, th)
     h = 1e-6
-    d_r = (P.phase(r + h, th) - P.phase(r - h, th)) / (2 * h)
-    d_th = (P.phase(r, th + h) - P.phase(r, th - h)) / (2 * h * r)
+    d_r = (P.phase(_cartesian(r + h, th)) - P.phase(_cartesian(r - h, th))) / (2 * h)
+    d_th = (P.phase(_cartesian(r, th + h)) - P.phase(_cartesian(r, th - h))) / (2 * h * r)
     assert np.max(np.abs(u_r - d_r)) < 1e-8
     assert np.max(np.abs(u_th - d_th)) < 1e-8
 
@@ -455,7 +518,7 @@ def test_generated_terms_match_hand_assembly(lab, model, kind, C0):
          "tilted": _tilted_model()}[kind]
     got = prof.build_expansion(k, C0, lab).terms
     want = _hand_terms(k, C0, lab)
-    assert set(got) == set(want)
+    assert set(got) == set(want) | {prof._mono()}
     for mono, f in want.items():
         assert set(got[mono].comps) == set(f.comps), mono
         top = max(np.max(np.abs(v)) for v in f.comps.values())
@@ -466,13 +529,11 @@ def test_generated_terms_match_hand_assembly(lab, model, kind, C0):
 def _explicit_mismatch(exp, P, polar):
     """The profile-equation residual with each parameter law written out."""
     r = polar.r[:, None]
-    q = exp.lab.Q.values
-    Pv = exp.combined(P, include_Q=False).on_native(polar) + q[:, None]
+    Pv = exp.combined(P).on_native(polar)
     lapP = sum(c * prof._lap_field(exp.lab, exp.terms[mono]).on_native(polar)
                for mono, c in exp.coefficients(P).items() if c != 0.0)
-    lapP = lapP + prof._lap_field(exp.lab, AngularField.radial(exp.lab.grid, q)).on_native(polar)
     d_b, d_lam, d_beta1, d_beta2, d_alpha1, d_alpha2 = (
-        exp.combined(P, False, exp.coefficients(P, i)).on_native(polar) for i in range(6))
+        exp.combined(P, exp.coefficients(P, i)).on_native(polar) for i in range(6))
     c = exp.constants
     Bvec = P.lam * (c.c0_map @ P.alpha) + c.beta3 * P.lam ** 3
     d0 = P.alpha @ c.d0_form @ P.alpha

@@ -14,7 +14,7 @@ from nlsblow.modeqs import existence_initial_state
 def _q_of_r(lab):
     """Q(r) through the lab's cubic spline, 0 beyond r_max."""
     q = AngularField.radial(lab.grid, lab.Q.values)
-    return lambda r: q.at(r, 0.0).real
+    return lambda r: q.at(np.stack([r, np.zeros_like(r)], axis=-1)).real
 
 
 def _init_from_profile(expansion, gamma0, t1, L, n):
