@@ -28,6 +28,8 @@ import numpy as np
 import scipy.integrate
 from scipy.integrate import solve_ivp
 
+from .profile import ParamPoint, ProfileConstants
+
 
 def quad(*args, **kwargs):
     # tight-tolerance tails of oscillatory integrands trip the roundoff
@@ -36,7 +38,6 @@ def quad(*args, **kwargs):
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         return scipy.integrate.quad(*args, **kwargs)
 
-from .profile import ParamPoint, ProfileConstants
 
 RTOL_DEFAULT = 1e-10
 ATOL_DEFAULT = 1e-12

@@ -420,3 +420,138 @@ def test_propagator_cache_keeps_current_step(order, lengths):
     for dt in (0.01, 0.01, 0.008, 0.0065, 0.01, 0.003):
         f = sim.step(f, dt, st)
         assert len(st._prop_cache) == lengths
+
+
+# the contiguous split-step core of the unpadded layout, kept as the bitwise
+# reference of the padded one
+def _reference_nonlinear(st, u, tau):
+    theta = u.real * u.real
+    theta += u.imag * u.imag
+    theta *= st.k
+    theta *= tau
+    out = sim._phase(theta)
+    out *= u
+    return out
+
+
+def _reference_linear(st, u, tau):
+    u_hat = sim._fft.fft2(u, overwrite_x=True)
+    u_hat *= st._propagator(tau)
+    return sim._fft.ifft2(u_hat, overwrite_x=True)
+
+
+def _reference_step_values(st, u, dt, carry):
+    for tau in [w * dt for w in st._weights]:
+        u = _reference_linear(st, _reference_nonlinear(st, u, carry + 0.5 * tau), tau)
+        carry = 0.5 * tau
+    return u, carry
+
+
+def _reference_gradient_moments(st, u):
+    power = np.abs(sim._fft.fft2(u)) ** 2
+    px, py = power.sum(axis=1), power.sum(axis=0)
+    kx, ky = st.kx.ravel(), st.ky.ravel()
+    n2 = float(st.n) ** 2
+    return (((kx * kx) @ px + (ky * ky) @ py) / n2, (kx @ px) / n2, (ky @ py) / n2)
+
+
+def _reference_tail_fraction(st, u):
+    power = np.abs(sim._fft.fft2(u)) ** 2
+    return float(np.sum(power[st._dealias_mask]) / (np.sum(power) + 1e-300))
+
+
+def _reference_gradient(st, u):
+    u_hat = sim._fft.fft2(u)
+    return (sim._fft.ifft2(1j * st.kx * u_hat, overwrite_x=True),
+            sim._fft.ifft2(1j * st.ky * u_hat, overwrite_x=True))
+
+
+def _rough_data(L, n, seed):
+    X, Y = _grid(L, n)
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.exp(-(X ** 2 + Y ** 2) / 4.0) * (1.5 + 0.3 * noise)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 64])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("k_kind", ["scalar", "array"])
+def test_step_values_bitwise_matches_contiguous_reference(n, order, k_kind):
+    # chained steps with carries, the closing half-step and the spectral
+    # diagnostics, on the stepped (padded) state and on a contiguous copy
+    L = 8.0
+    X, Y = _grid(L, n)
+    kv = 0.8 if k_kind == "scalar" else 1.0 - 0.01 * (X ** 2 + Y ** 2)
+    st = sim.Stepper(L, n, kv, splitting_order=order)
+    u0 = _rough_data(L, n, seed=n)
+    before = u0.copy()
+    u, carry = u0, 0.0
+    ref, ref_carry = u0.copy(), 0.0
+    for dt in (0.01, 0.01, 0.007, 0.013):
+        u, carry = st.step_values(u, dt, carry)
+        ref, ref_carry = _reference_step_values(st, ref, dt, ref_carry)
+        assert carry == ref_carry
+        assert _same_bits(u, ref)
+    assert _same_bits(u0, before)
+    assert _same_bits(st.nonlinear(u, carry), _reference_nonlinear(st, ref, ref_carry))
+    for v in (u, np.ascontiguousarray(u)):
+        assert st.gradient_moments(v) == _reference_gradient_moments(st, ref)
+        assert st.spectral_tail_fraction(v) == _reference_tail_fraction(st, ref)
+        for d, want in zip(st.gradient(v), _reference_gradient(st, ref)):
+            assert _same_bits(d, want)
+    assert _same_bits(u, ref)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_step_values_copies_back_out_of_place_transforms(monkeypatch, order):
+    # a transform that ignores overwrite_x returns new memory: linear copies
+    # the result into its state, so the steps keep their bits
+    L, n = 8.0, 16
+    st = sim.Stepper(L, n, 0.8, splitting_order=order)
+    u0 = _rough_data(L, n, seed=5)
+    ref, ref_carry = _reference_step_values(st, u0.copy(), 0.01, 0.0)
+    for name in ("fft2", "ifft2"):
+        transform = getattr(sim._fft, name)
+        monkeypatch.setattr(sim._fft, name,
+                            lambda x, overwrite_x=False, _t=transform: _t(x))
+    u, carry = st.step_values(u0, 0.01)
+    assert carry == ref_carry
+    assert _same_bits(u, ref)
+
+
+def test_step_values_returns_padded_view():
+    # the stepped state is the (n, n) view of an (n, n + ROW_PAD) buffer
+    # whose padding stays exactly zero through steps and the closing sub-step
+    L, n = 8.0, 16
+    X, Y, kv = _inhomogeneous(L, n)
+    st = sim.Stepper(L, n, kv, splitting_order=4)
+    u, carry = _rough_data(L, n, seed=2), 0.0
+    for _ in range(3):
+        u, carry = st.step_values(u, 0.01, carry)
+        assert u.shape == (n, n)
+        assert u.strides == (16 * (n + sim.ROW_PAD), 16)
+        assert u.base.shape == (n, n + sim.ROW_PAD)
+        assert not np.any(u.base[:, n:])
+    closed = st.nonlinear(u, carry)
+    assert closed.strides == u.strides and closed.base is not u.base
+    assert not np.any(closed.base[:, n:])
+
+
+def test_snapshot_of_padded_view_writes_contiguous_bytes(tmp_path):
+    L, n = 8.0, 32
+    st = sim.Stepper(L, n, 0.8)
+    u, carry = st.step_values(_rough_data(L, n, seed=4), 0.01)
+    padded = sim.ComplexField2D(L, st.nonlinear(u, carry), -0.49)
+    assert padded.values.strides[0] == 16 * (n + sim.ROW_PAD)
+    contiguous = sim.ComplexField2D(L, np.ascontiguousarray(padded.values), padded.t)
+    sim.write_snapshot(tmp_path / "padded.bin", padded)
+    sim.write_snapshot(tmp_path / "contiguous.bin", contiguous)
+    raw = (tmp_path / "padded.bin").read_bytes()
+    assert raw == (tmp_path / "contiguous.bin").read_bytes()
+    assert raw == struct.pack("<Qdd", n, L, -0.49) + contiguous.values.astype("<c16").tobytes()
+    back = sim.read_snapshot(tmp_path / "padded.bin")
+    assert _same_bits(back.values, contiguous.values) and back.t == padded.t
