@@ -7,14 +7,16 @@ with H symmetric negative (semi)definite, T a symmetric 3-tensor, and w a
 C^∞ cutoff that is 1 on |x|<=1 and 0 on |x|>=2.  By construction k(0)=1,
 ∇k(0)=0, ∇²k(0)=H, ∇³k(0)=T, and the fourth-order Taylor form is
 ∇⁴k(0)(y,y,y,y) = 3 H(y,y)² / (1-k1).  k decays to the floor k1 at infinity.
+
+Each Taylor form is written once, as a polynomial in (ux, uy): `hess_form`
+and `third_form` are the only contractions of H and T.  w′ is exact.
 """
 
-from dataclasses import dataclass, field
-from typing import Tuple
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-CUTOFF_FD_STEP = 1e-6    # step of cutoff_deriv's centered difference
 VALIDATE_SAMPLES = 4000  # points of validate's k1 <= k <= 1 check
 VALIDATE_SEED = 0        # seed of those points
 
@@ -24,12 +26,7 @@ class HessianNotNegative(ValueError):
 
 
 def _sym3(T: np.ndarray) -> np.ndarray:
-    import itertools
-
-    out = np.zeros((2, 2, 2))
-    for p in itertools.permutations((0, 1, 2)):
-        out += np.transpose(T, p)
-    return out / 6.0
+    return sum(np.transpose(T, p) for p in itertools.permutations((0, 1, 2))) / 6.0
 
 
 def _bump_e(t):
@@ -38,27 +35,27 @@ def _bump_e(t):
     return np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
 
 
-def cutoff(s):
-    """C^∞ transition: 1 for s <= 1, 0 for s >= 2.
-
-    a/(a + b) of the bumps a = e(2 - s), b = e(s - 1) is exactly 1 for s <= 1
-    (b = 0) and exactly 0 for s >= 2 (a = 0), so only 1 < s < 2 evaluates it.
-    """
+def _on_band(s, below: float, f):
+    """`below` for s <= 1, 0 for s >= 2, and f(a, b, s) of the bumps
+    a = e(2 - s), b = e(s - 1) on 1 < s < 2 only."""
     s = np.asarray(s, dtype=float)
-    out = np.where(s <= 1.0, 1.0, 0.0)
+    out = np.where(s <= 1.0, below, 0.0)
     band = (s > 1.0) & (s < 2.0)
     if np.any(band):
         sb = s[band]
-        a = _bump_e(2.0 - sb)
-        out[band] = a / (a + _bump_e(sb - 1.0) + 1e-300)
+        out[band] = f(_bump_e(2.0 - sb), _bump_e(sb - 1.0), sb)
     return out
 
 
+def cutoff(s):
+    """C^∞ transition w = a/(a + b): exactly 1 for s <= 1 (b = 0), 0 for s >= 2 (a = 0)."""
+    return _on_band(s, 1.0, lambda a, b, s: a / (a + b + 1e-300))
+
+
 def cutoff_deriv(s):
-    # the cutoff only multiplies the cubic Taylor term; a centered difference
-    # of the C^∞ bump is accurate far beyond the places this derivative matters
-    s = np.asarray(s, dtype=float)
-    return (cutoff(s + CUTOFF_FD_STEP) - cutoff(s - CUTOFF_FD_STEP)) / (2 * CUTOFF_FD_STEP)
+    """w′ = -(e′(2 - s)·b + a·e′(s - 1))/(a + b)² with e′(t) = e(t)/t²; 0 off 1 < s < 2."""
+    return _on_band(s, 0.0, lambda a, b, s: -(a / (2 - s) ** 2 * b + a * b / (s - 1) ** 2)
+                    / (a + b) ** 2)
 
 
 @dataclass
@@ -90,15 +87,10 @@ class InhomogeneityModel:
     # -- scalar fields ---------------------------------------------------
 
     def _g(self, x: np.ndarray) -> np.ndarray:
-        # H and T are symmetric, so the forms are plain polynomials in x1, x2:
-        # T(x,x,x) = T111 x1³ + 3 T112 x1² x2 + 3 T122 x1 x2² + T222 x2³
+        # |x| comes last: held across both forms, it raised `profile`'s peak RSS 4 MB
         x1, x2 = x[..., 0], x[..., 1]
-        T = self.third
-        quad = 0.5 * self.hess_form(x1, x2)
-        cub = (x1 * x1 * (T[0, 0, 0] * x1 + 3.0 * T[0, 0, 1] * x2)
-               + x2 * x2 * (3.0 * T[0, 1, 1] * x1 + T[1, 1, 1] * x2)) / 6.0
-        s = np.linalg.norm(x, axis=-1)
-        return quad + cub * cutoff(s)
+        return (0.5 * self.hess_form(x1, x2)
+                + self.third_form(x1, x2) / 6.0 * cutoff(np.linalg.norm(x, axis=-1)))
 
     def k(self, x) -> np.ndarray:
         """k at points x of shape (..., 2)."""
@@ -109,34 +101,36 @@ class InhomogeneityModel:
         return self.floor + c * np.exp(self._g(x) / c)
 
     def grad_k(self, x) -> np.ndarray:
+        """∇k at points x of shape (..., 2): k's exponential times
+        ∇g = Hx + ½T(x,x,·)w(s) + T(x,x,x)/6 · w′(s)·x/s."""
         x = np.asarray(x, dtype=float)
-        c = 1.0 - self.floor
         if self.is_flat:
             return np.zeros(x.shape)
+        x1, x2 = x[..., 0], x[..., 1]
         s = np.linalg.norm(x, axis=-1)
-        grad_g = np.einsum("ij,...j->...i", self.hessian, x)
-        grad_g = grad_g + 0.5 * np.einsum("ijl,...j,...l->...i", self.third, x, x) * cutoff(s)[..., None]
-        cub = np.einsum("...i,...j,...l,ijl->...", x, x, x, self.third) / 6.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial = np.where(s > 0, cutoff_deriv(s) / np.where(s > 0, s, 1.0), 0.0)
-        grad_g = grad_g + (cub * radial)[..., None] * x
-        return np.exp(self._g(x) / c)[..., None] * grad_g
+        w = cutoff(s)
+        radial = self.third_form(x1, x2) / 6.0 * cutoff_deriv(s) / np.maximum(s, 1.0)  # w′(s<=1) = 0
+        grad_g = np.stack([self.hess_form(x1, x2, e) + 0.5 * self.third_form(x1, x2, e) * w
+                           + radial * x[..., e] for e in (0, 1)], axis=-1)
+        return np.exp(self._g(x) / (1.0 - self.floor))[..., None] * grad_g
 
-    # -- Taylor forms at the origin (angular callables on unit vectors) ----
+    # -- Taylor forms at the origin, polynomials in (ux, uy) -----------------
 
     def hess_form(self, ux, uy, e=None):
         """H(u,u) or, with basis index e, H(u,e)."""
+        H = self.hessian
         if e is not None:
-            return self.hessian[0, e] * ux + self.hessian[1, e] * uy
-        return (self.hessian[0, 0] * ux * ux + 2 * self.hessian[0, 1] * ux * uy
-                + self.hessian[1, 1] * uy * uy)
+            return H[0, e] * ux + H[1, e] * uy
+        return H[0, 0] * ux * ux + 2 * H[0, 1] * ux * uy + H[1, 1] * uy * uy
 
     def third_form(self, ux, uy, e=None):
-        """T(u,u,u) or, with basis index e, T(u,u,e)."""
-        u = np.stack([ux, uy], axis=-1)
-        if e is None:
-            return np.einsum("...i,...j,...l,ijl->...", u, u, u, self.third)
-        return np.einsum("...i,...j,ij->...", u, u, self.third[:, :, e])
+        """T(u,u,u) or, with basis index e, T(u,u,e); T is symmetric, so
+        T(u,u,u) = T111 u1³ + 3 T112 u1² u2 + 3 T122 u1 u2² + T222 u2³."""
+        T = self.third
+        if e is not None:
+            return T[0, 0, e] * ux * ux + 2 * T[0, 1, e] * ux * uy + T[1, 1, e] * uy * uy
+        return (ux * ux * (T[0, 0, 0] * ux + 3.0 * T[0, 0, 1] * uy)
+                + uy * uy * (3.0 * T[0, 1, 1] * ux + T[1, 1, 1] * uy))
 
     def quartic_form(self, ux, uy):
         """∇⁴k(0)(u,u,u,u) for the canonical family: 3 H(u,u)² / (1-k1)."""
@@ -176,7 +170,3 @@ class InhomogeneityModel:
             issues.append(f"k drops below floor k1 (min {kv.min():.6f})")
         return issues
 
-
-def homogeneous_model() -> InhomogeneityModel:
-    """k ≡ 1 (H = 0, T = 0): the classical translation-invariant case."""
-    return InhomogeneityModel(hessian=np.zeros((2, 2)), third=np.zeros((2, 2, 2)), floor=0.5)

@@ -48,16 +48,14 @@ import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
 from .fields import AngularField, PolarGrid
-from .profile import ParamPoint, ProfileExpansion, modulated
-from .sim import ComplexField2D, Stepper, box_points
+from .profile import ParamPoint, ProfileExpansion
+from .sim import ComplexField2D, Stepper
 
 TOL_FACTOR = 1e-9      # Newton tolerance on the conditions, times ∫Q²
 EPS_L2_FACTOR = 0.1    # largest accepted ‖ε‖_L2, times ‖Q‖_L2
 MAX_ITER = 40
 SPLINE_ORDER = 3       # interpolation of a simulation field on the fit grid
 FIT_WINDOW_FRAC = 0.5  # trailing share of the λ series that fit_rate fits
-RANDOM_EPS_L2 = 1e-3   # ‖ε‖_L2 of constrained_random_eps
-RANDOM_EPS_BUMPS = 6   # Gaussian bumps summed by constrained_random_eps
 
 
 class NewtonDiverged(RuntimeError):
@@ -88,7 +86,6 @@ def _quintic_blend():
 
 
 _BLEND = _quintic_blend()
-_BLEND_D = np.polynomial.polynomial.polyder(_BLEND)
 
 
 def phi_prime(r):
@@ -96,12 +93,6 @@ def phi_prime(r):
     r = np.asarray(r, dtype=float)
     mid = np.polynomial.polynomial.polyval(r, _BLEND)
     return np.where(r <= 1.0, r, np.where(r >= 2.0, 3.0 - np.exp(-r), mid))
-
-
-def phi_second(r):
-    r = np.asarray(r, dtype=float)
-    mid = np.polynomial.polynomial.polyval(r, _BLEND_D)
-    return np.where(r <= 1.0, 1.0, np.where(r >= 2.0, np.exp(-r), mid))
 
 
 # ----------------------------------------------------------------------
@@ -457,37 +448,3 @@ def virial_boundary(dec: Decomposition, A: float, ymomQ: float) -> float:
     term = 0.5 / lam * g.integral((A * psi * dr_eps * np.conj(dec.epsilon)).imag)
     return float(-(b / lam) * ymomQ / 4.0 + term)
 
-
-def constrained_random_eps(dec_windows: dict, grid: PolarGrid, rng) -> np.ndarray:
-    """A random smooth ε satisfying the 7 conditions and the mass direction."""
-    r = grid.r[:, None]
-    th = grid.theta[None, :]
-    eps = np.zeros((grid.n_r, grid.n_theta), dtype=complex)
-    for _ in range(RANDOM_EPS_BUMPS):
-        c = rng.normal(size=2) + 1j * rng.normal(size=2)
-        m = rng.integers(0, 4)
-        width = rng.uniform(1.0, 3.0)
-        eps += (c[0] * np.cos(m * th) + c[1] * np.sin(m * th)) \
-            * (r ** m * np.exp(-r ** 2 / (2 * width ** 2)))
-    pairs = condition_window_pairs(dec_windows, grid)
-    nw = len(pairs)
-    gram = np.empty((nw, nw))
-    vals = np.empty(nw)
-    for i, (a_i, b_i) in enumerate(pairs):
-        vals[i] = grid.integral(a_i * eps.real + b_i * eps.imag)
-        for j, (a_j, b_j) in enumerate(pairs):
-            gram[i, j] = grid.integral(a_i * a_j + b_i * b_j)
-    coef = np.linalg.solve(gram, vals)
-    for c, (a_i, b_i) in zip(coef, pairs):
-        eps -= c * (a_i + 1j * b_i)
-    scale = np.sqrt(grid.integral(np.abs(eps) ** 2))
-    return eps * (RANDOM_EPS_L2 / scale)
-
-
-def rescaled_perturbation(eps: np.ndarray, grid: PolarGrid, params: ParamPoint,
-                          model, L: float, n: int) -> np.ndarray:
-    """ũ(x) = k(α)^{-1/2} λ^{-1} ε((x-α)/λ) e^{iγ} sampled on the box."""
-    # spectral in θ, spline in r, zero beyond r_max
-    field = AngularField(grid.radial, dict(zip(grid.m, grid.modes(eps).T)))
-    return modulated(field.at, params.lam, params.alpha, params.gamma,
-                     float(model.k(params.alpha)), box_points(L, n))

@@ -8,10 +8,11 @@ N(a)·N(b) = N(a + b) and adjacent nonlinear sub-steps merge ("first same as
 last"): a Strang step costs one nonlinear sub-step, a triple jump three.
 `Stepper.step_values` therefore returns the state with its last nonlinear
 half-step still pending, as a carry that the next step's first sub-step
-absorbs.  `step` closes the state at once; `run` closes it only where a
+absorbs.  `run` steps the bare array and closes the state only where a
 series row, a dt refresh or a snapshot reads it, and after the last step.
-Mass is conserved to roundoff by construction; the time step follows the
-collapsing scale through dt = c_dt · λ_est².
+Mass is conserved to roundoff by construction, so Σ|u|² turns non-finite
+only through a non-finite sample: that one reduction is each step's NaN
+test.  The time step follows the collapsing scale through dt = c_dt · λ_est².
 
 A series row (mass, energy, momentum, ‖∇u‖ and λ_est) costs one fft2: by
 Parseval, ∫|∇u|² and the momentum are moments of |û|²
@@ -254,12 +255,6 @@ def _in_place(transform, u: np.ndarray):
         u[...] = out
 
 
-def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
-    """One closed splitting step; the new field's NaN scan aborts it."""
-    u, carry = stepper.step_values(field.values, dt)
-    return ComplexField2D(field.L, stepper.nonlinear(u, carry), field.t + dt)
-
-
 def _invariants(field: ComplexField2D, stepper: Stepper, grad_sums):
     """(mass, ∫|∇u|², energy, momentum) of a field, given its gradient's grid
     sums (Σ|∇u|², Im Σ ∂_x u ū, Im Σ ∂_y u ū); mass and ∫k|u|⁴ come from |u|²."""
@@ -340,13 +335,13 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
     stepper = Stepper(field0.L, field0.n, np.asarray(k_values, dtype=float),
                       splitting_order=config.splitting_order)
     field = field0                 # the last closed state; no step writes into it
-    state, carry = field, 0.0      # the stepped state: the current one is N(carry)·state
+    u, t, carry = field0.values, field0.t, 0.0     # the current state is N(carry)·u at t
     series = {k: [] for k in ("t", "mass", "energy", "momentum_x", "momentum_y",
                               "grad_norm", "lambda_proxy")}
     snapshots = []
 
     def close() -> ComplexField2D:
-        return ComplexField2D(state.L, stepper.nonlinear(state.values, carry), state.t)
+        return ComplexField2D(field0.L, stepper.nonlinear(u, carry), t)
 
     def record_series() -> float:
         """Append the current state's row; returns its λ_est."""
@@ -371,19 +366,22 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
         if config.lam_stop is not None and lam_est < config.lam_stop:
             reason = "lam_stop"
             break
-        if lam_est < 4.0 * state.h:
+        if lam_est < 4.0 * field0.h:
             raise ResolutionBreach(
-                f"λ_est = {lam_est:.4g} fell under 4 grid spacings at t = {state.t:.6g}")
+                f"λ_est = {lam_est:.4g} fell under 4 grid spacings at t = {t:.6g}")
         if config.t_stop is not None:
-            remaining = config.t_stop - state.t
+            remaining = config.t_stop - t
             if remaining <= 1e-14 * max(1.0, abs(config.t_stop)):
                 reason = "t_stop"
                 break
             dt_step = min(dt, remaining)
         else:
             dt_step = dt
-        u, carry = stepper.step_values(state.values, dt_step, carry)
-        state = ComplexField2D(state.L, u, state.t + dt_step)      # scans for NaN
+        u, carry = stepper.step_values(u, dt_step, carry)
+        t += dt_step
+        buf = stepper._padded(u)        # Σ|u|² over the buffer: its padding is 0
+        if not np.isfinite(np.vdot(buf, buf)):
+            raise BlowupNaN(f"non-finite field samples at t = {t:.6g}")
         recorded = (istep + 1) % config.series_stride == 0
         refresh = (istep + 1) % config.dt_refresh_every == 0
         snapped = (istep + 1) % config.snapshot_stride == 0

@@ -1,5 +1,7 @@
-"""Import layering: each module loads only the modules below it in one order."""
+"""Import layering: each module loads only the modules below it in one order,
+and uses every name it imports."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +62,26 @@ def test_sim_initializes_and_runs_without_the_profile_layers():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["nlsblow.sim"]
+
+
+def _unused_imports(path: Path) -> list:
+    """Names the module imports (at any depth) and never loads, less `__all__`."""
+    tree = ast.parse(path.read_text())
+    imported, used, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used | exported)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "nlsblow").glob("*.py")), ids=lambda p: p.stem)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path) == []

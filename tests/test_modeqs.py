@@ -17,9 +17,7 @@ def consts(lab):
 
 @pytest.fixture(scope="module")
 def consts_zero(lab):
-    from nlsblow.kmodel import homogeneous_model
-
-    return prof.derive_constants(homogeneous_model(), lab)
+    return prof.derive_constants(InhomogeneityModel(hessian=np.zeros((2, 2))), lab)
 
 
 RTOL = modeqs.RTOL_DEFAULT

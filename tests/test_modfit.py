@@ -9,6 +9,8 @@ from nlsblow import modfit, profile as prof, sim
 from nlsblow.fields import PolarGrid
 from nlsblow.kmodel import InhomogeneityModel
 
+from helpers import RANDOM_EPS_L2, constrained_random_eps, phi_second, rescaled_perturbation
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -92,7 +94,7 @@ def _perturbed_field(expansion, P, eps, grid):
 def test_projected_perturbation_recovery(expansion, fit, rng):
     P = prof.ParamPoint(b=0.05, lam=0.1, gamma=0.2)
     grid = fit.grid
-    eps = modfit.constrained_random_eps(fit.window_fields(P), grid, rng)
+    eps = constrained_random_eps(fit.window_fields(P), grid, rng)
     u_pert = _perturbed_field(expansion, P, eps, grid)
 
     guess = replace(P, lam=P.lam * 1.01)
@@ -215,8 +217,8 @@ def test_root_off_the_manifold_is_refused(expansion, fit, rng):
     # exceeds EPS_L2_FACTOR·‖Q‖_L2 ≈ 0.34
     P = prof.ParamPoint(b=0.05, lam=0.1, gamma=0.2)
     grid = fit.grid
-    eps = modfit.constrained_random_eps(fit.window_fields(P), grid, rng) \
-        * (0.5 / modfit.RANDOM_EPS_L2)
+    eps = constrained_random_eps(fit.window_fields(P), grid, rng) \
+        * (0.5 / RANDOM_EPS_L2)
     assert 0.5 > modfit.EPS_L2_FACTOR * np.sqrt(expansion.lab.moments.massQ)
     with pytest.raises(modfit.NewtonDiverged, match="eps_L2"):
         modfit.decompose(_perturbed_field(expansion, P, eps, grid), P, fit)
@@ -392,7 +394,7 @@ def test_phi_cutoff_smooth():
     assert np.allclose(psi[r >= 2.0], 3.0 - np.exp(-r[r >= 2.0]))
     dpsi = np.gradient(psi, r)
     # C¹ across the blend: numerical derivative stays close to phi_second
-    assert np.max(np.abs(dpsi[5:-5] - modfit.phi_second(r)[5:-5])) < 5e-3
+    assert np.max(np.abs(dpsi[5:-5] - phi_second(r)[5:-5])) < 5e-3
 
 
 def test_lyapunov_zero_perturbation(expansion, model, lab):
@@ -479,8 +481,8 @@ def test_coercivity_random_draws(expansion, fit, model, lab, rng):
     kv = model.k(np.stack([X, Y], axis=-1))
     ratios = []
     for _ in range(12):
-        eps = modfit.constrained_random_eps(w, grid, rng)
-        ut = modfit.rescaled_perturbation(eps, grid, P, model, L, n)
+        eps = constrained_random_eps(w, grid, rng)
+        ut = rescaled_perturbation(eps, grid, P, model, L, n)
         u = sim.ComplexField2D(L, wv + ut, 0.0)
         I = modfit.lyapunov_I(P, u, sim.ComplexField2D(L, wv, 0.0), 20.0,
                               sim.Stepper(L, n, kv))

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlsblow import profile as prof
 from nlsblow.fields import AngularField
-from nlsblow.kmodel import (InhomogeneityModel, HessianNotNegative, _bump_e, cutoff,
-                            homogeneous_model)
+from nlsblow.kmodel import InhomogeneityModel, HessianNotNegative, _bump_e, cutoff, cutoff_deriv
 from nlsblow.linops import M_MAX, SolvabilityViolated
 from nlsblow.radial import quadrature
 
@@ -96,6 +95,72 @@ def test_cutoff_band_matches_full_formula():
     full = 0.5 * m.hess_form(x1, x2) + cub * _full_cutoff(np.linalg.norm(x, axis=-1))
     assert np.array_equal(m._g(x), full)
     assert all(m._g(p) == f for p, f in zip(x.reshape(-1, 2), full.ravel()))
+
+
+BAND_EDGES = [
+    ((-0.25, -0.25), 0.0, (0.03, 0.03, 0.03, 0.03), 0.45),
+    ((-0.15, -0.15), 0.0, (-0.03, -0.03, -0.03, -0.03), 0.55),
+    ((-0.25, -0.15), 0.7, (0.03, -0.03, 0.03, -0.03), 0.45),
+    ((-0.15, -0.25), 2.9, (-0.03, 0.03, -0.03, 0.03), 0.55),
+]
+
+
+def _rings(rng, size=1000):
+    """Points on |x| <= 1, 1 < |x| < 2 and 2 <= |x| < 6, one ring per row."""
+    radii = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 6.0]])
+    rho = rng.uniform(radii[:, :1], radii[:, 1:], size=(3, size))
+    phi = rng.uniform(0.0, 2 * np.pi, size=(3, size))
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
+
+
+@pytest.mark.parametrize("edge", BAND_EDGES)
+def test_forms_match_einsum_contractions(edge, rng):
+    # the polynomial forms against the tensor contractions they replace
+    m = _band_edge_model(*edge)
+    x = _rings(rng)
+    x1, x2 = x[..., 0], x[..., 1]
+    scale = np.max(np.abs(x), axis=(-1, -2)) ** 3
+    cub = np.einsum("...i,...j,...l,ijl->...", x, x, x, m.third)
+    assert np.all(np.max(np.abs(m.third_form(x1, x2) - cub), axis=-1) <= 1e-15 * scale)
+    for e in range(2):
+        cub_e = np.einsum("...i,...j,ij->...", x, x, m.third[:, :, e])
+        assert np.all(np.max(np.abs(m.third_form(x1, x2, e) - cub_e), axis=-1) <= 1e-15 * scale)
+        hx = np.einsum("ij,...j->...i", m.hessian, x)[..., e]
+        assert np.all(np.max(np.abs(m.hess_form(x1, x2, e) - hx), axis=-1)
+                      <= 1e-15 * np.max(np.abs(x), axis=(-1, -2)))
+
+
+def test_cutoff_deriv_is_exact_in_the_band():
+    # against the complex-step derivative Im w(s + iδ)/δ of the cutoff's
+    # formula, which has no difference error
+    s = np.concatenate([np.linspace(1.0, 2.0, 10001)[1:-1],
+                        [np.nextafter(1.0, 2.0), 1.001, 1.999, np.nextafter(2.0, 1.0)]])
+    delta = 1e-30
+    sc = s + 1j * delta
+    a, b = np.exp(-1.0 / (2.0 - sc)), np.exp(-1.0 / (sc - 1.0))
+    want = (a / (a + b)).imag / delta
+    assert np.max(np.abs(cutoff_deriv(s) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_cutoff_deriv_is_zero_off_the_band():
+    edges = [np.nextafter(e, d) for e in (1.0, 2.0) for d in (-np.inf, np.inf)]
+    s = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 1e3, edges[0], edges[3]])
+    assert np.all(cutoff_deriv(s) == 0.0) and np.all(cutoff_deriv(-s) == 0.0)
+    assert cutoff_deriv(1.0) == 0.0 and np.ndim(cutoff_deriv(1.0)) == 0
+
+
+@pytest.mark.parametrize("edge", BAND_EDGES)
+def test_grad_k_matches_central_differences(edge, rng):
+    # inside the cutoff, across it and beyond it, each ring against its own
+    # scale; h = 1e-5 balances the difference's truncation and roundoff
+    m = _band_edge_model(*edge)
+    x = _rings(rng)
+    h = 1e-5
+    fd = np.stack([(m.k(x + h * e) - m.k(x - h * e)) / (2 * h) for e in np.eye(2)], axis=-1)
+    grad = m.grad_k(x)
+    gap = np.max(np.abs(grad - fd), axis=(-1, -2))
+    assert np.all(gap <= 1e-8 * np.max(np.abs(grad), axis=(-1, -2)))
+    assert np.array_equal(InhomogeneityModel(hessian=np.zeros((2, 2))).grad_k(x), np.zeros(x.shape))
 
 
 def test_c0_against_direct_quadrature(lab):
@@ -220,7 +285,7 @@ def test_S3_solvability_projection(lab, expansion):
 
 
 def test_flat_model_trivial(lab):
-    exp = prof.build_expansion(homogeneous_model(), C0=1.0, lab=lab)
+    exp = prof.build_expansion(InhomogeneityModel(hessian=np.zeros((2, 2))), C0=1.0, lab=lab)
     assert list(exp.terms) == [prof._mono()]
     P = prof.ParamPoint(b=0.05, lam=0.1)
     r = np.array([0.0, 1.0, 2.5])

@@ -10,6 +10,8 @@ from nlsblow.fields import AngularField
 from nlsblow.kmodel import InhomogeneityModel
 from nlsblow.modeqs import existence_initial_state
 
+from helpers import step
+
 
 def _q_of_r(lab):
     """Q(r) through the lab's cubic spline, 0 beyond r_max."""
@@ -43,7 +45,26 @@ def test_step_raises_blowup_nan_naming_t():
     f = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2)) + 0j, -0.25)
     st = sim.Stepper(L, n, np.full((n, n), np.nan))
     with pytest.raises(sim.BlowupNaN, match=r"at t = -0\.249$"):
-        sim.step(f, 0.001, st)
+        step(f, 0.001, st)
+
+
+def test_run_raises_blowup_nan_at_the_first_poisoned_step():
+    # one NaN node of k poisons the first step's nonlinear phase; run's
+    # per-step Σ|u|² test stops there with the closed field's message
+    L, n = 8.0, 128
+    f0 = sim.init_from_profile(lambda x: np.exp(-(x[..., 0] ** 2 + x[..., 1] ** 2)) + 0j,
+                               1.0, -0.25, L, n)
+    k = np.ones((n, n))
+    k[5, 7] = np.nan
+    cfg = sim.SimConfig(c_dt=0.01, max_steps=10)
+    dt = cfg.c_dt * sim.lambda_proxy(f0, sim.Stepper(L, n, k), 1.0, 1.0) ** 2
+    with pytest.raises(sim.BlowupNaN) as closed:
+        step(f0, dt, sim.Stepper(L, n, k))
+    snaps = []
+    with pytest.raises(sim.BlowupNaN) as ran:
+        sim.run(cfg, f0, k, 1.0, 1.0, snapshot_sink=snaps.append)
+    assert str(ran.value) == str(closed.value) == f"non-finite field samples at t = {f0.t + dt:.6g}"
+    assert len(snaps) == 1 and snaps[0] is f0
 
 
 def test_free_gaussian_linear_regime():
@@ -57,7 +78,7 @@ def test_free_gaussian_linear_regime():
     st = sim.Stepper(L, n, np.ones((n, n)))
     T, dt = 0.4, 0.002
     for _ in range(int(round(T / dt))):
-        f = sim.step(f, dt, st)
+        f = step(f, dt, st)
     z = 1.0 + 4j * a * T
     exact = amp / z * np.exp(-a * (X ** 2 + Y ** 2) / z)
     assert np.max(np.abs(f.values - exact)) / amp < 1e-6
@@ -69,7 +90,7 @@ def test_pseudo_conformal_short_window(lab):
     f = sim.ComplexField2D(L, sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.5, X, Y), -0.5)
     st = sim.Stepper(L, n, np.ones((n, n)), splitting_order=4)
     while f.t < -0.4 - 1e-12:
-        f = sim.step(f, min(0.002, -0.4 - f.t), st)
+        f = step(f, min(0.002, -0.4 - f.t), st)
     exact = sim.pseudo_conformal_field(_q_of_r(lab), 1.0, f.t, X, Y)
     assert np.max(np.abs(f.values - exact)) < 2e-4
 
@@ -83,7 +104,7 @@ def test_dt_halving_second_order(lab):
         st = sim.Stepper(L, n, np.ones((n, n)))
         nsteps = int(round(0.06 / dt))
         for _ in range(nsteps):
-            f = sim.step(f, dt, st)
+            f = step(f, dt, st)
         exact = sim.pseudo_conformal_field(_q_of_r(lab), 1.0, f.t, X, Y)
         errs.append(np.max(np.abs(f.values - exact)))
     ratio = errs[0] / errs[1]
@@ -100,7 +121,7 @@ def test_mass_conservation_inhomogeneous(lab):
     st = sim.Stepper(L, n, kv)
     m0 = np.sum(np.abs(f.values) ** 2) * f.h ** 2
     for _ in range(100):
-        f = sim.step(f, 0.002, st)
+        f = step(f, 0.002, st)
     m1 = np.sum(np.abs(f.values) ** 2) * f.h ** 2
     assert abs(m1 - m0) / m0 < 1e-9 * 100 * 0.002 + 1e-12
 
@@ -113,9 +134,9 @@ def test_time_reversal(lab):
     st = sim.Stepper(L, n, np.ones((n, n)))
     f = f0.copy()
     for _ in range(40):
-        f = sim.step(f, 0.003, st)
+        f = step(f, 0.003, st)
     for _ in range(40):
-        f = sim.step(f, -0.003, st)
+        f = step(f, -0.003, st)
     assert np.max(np.abs(f.values - f0.values)) / np.max(np.abs(f0.values)) < 1e-7
 
 
@@ -126,7 +147,7 @@ def test_energy_drift_small(lab):
     st = sim.Stepper(L, n, np.ones((n, n)), splitting_order=4)
     _, e0, _ = sim.conserved(f, None, st)
     for _ in range(100):
-        f = sim.step(f, 0.0005, st)
+        f = step(f, 0.0005, st)
     _, e1, _ = sim.conserved(f, None, st)
     assert abs(e1 - e0) / abs(e0) < 1e-6
 
@@ -171,7 +192,7 @@ def test_momentum_zero_even_data(lab, profile_expansion):
     st = sim.Stepper(L, n, kv)
     mass0, _, _ = sim.conserved(f, None, st)
     for _ in range(60):
-        f = sim.step(f, 0.001, st)
+        f = step(f, 0.001, st)
         _, _, mom = sim.conserved(f, None, st)
         lam = sim.lambda_proxy(f, st, lab.moments.gradQ, lab.moments.massQ)
         assert np.max(np.abs(mom)) <= 1e-6 * mass0 / lam
@@ -353,7 +374,7 @@ def test_dt_halving_fourth_order(lab):
         f = sim.ComplexField2D(L, sim.pseudo_conformal_field(_q_of_r(lab), 1.0, -0.5, X, Y), -0.5)
         st = sim.Stepper(L, n, np.ones((n, n)), splitting_order=4)
         for _ in range(int(round(0.04 / dt))):
-            f = sim.step(f, dt, st)
+            f = step(f, dt, st)
         exact = sim.pseudo_conformal_field(_q_of_r(lab), 1.0, f.t, X, Y)
         errs.append(np.max(np.abs(f.values - exact)))
     ratio = errs[0] / errs[1]
@@ -387,7 +408,7 @@ def test_run_merged_steps_match_closed_steps(order, snapshot_stride):
     dt = cfg.c_dt * res.series["lambda_proxy"][0] ** 2
     replay, f = {f0.t: f0.values}, f0
     while cfg.t_stop - f.t > 1e-14:
-        f = sim.step(f, min(dt, cfg.t_stop - f.t), st)
+        f = step(f, min(dt, cfg.t_stop - f.t), st)
         replay[f.t] = f.values
     assert len(replay) == 32
     assert [s.t for s in res.snapshots][-1] == f.t
@@ -418,7 +439,7 @@ def test_propagator_cache_keeps_current_step(order, lengths):
     f = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2)) + 0j, -0.5)
     st = sim.Stepper(L, n, kv, splitting_order=order)
     for dt in (0.01, 0.01, 0.008, 0.0065, 0.01, 0.003):
-        f = sim.step(f, dt, st)
+        f = step(f, dt, st)
         assert len(st._prop_cache) == lengths
 
 
