@@ -218,7 +218,6 @@ def cmd_simulate(cfg, out: Path) -> int:
     L, n = cfg["grid2d"]["L"], cfg["grid2d"]["n"]
     si = dict(cfg["sim"])
     st = modeqs.existence_initial_state(si.pop("t_start"), exp.C0, 0.0)
-    field0 = sim.init_from_profile(prof.physical_field(exp, st), st.lam, st.t, L, n)
     k_vals = exp.model.k(sim.box_points(L, n))
     cfg_run = sim.SimConfig(**si)
     snap_dir = out / "snapshots"
@@ -233,8 +232,11 @@ def cmd_simulate(cfg, out: Path) -> int:
         sim.write_snapshot(snap_dir / name, field)
         snap_files.append("snapshots/" + name)
 
-    result = sim.run(cfg_run, field0, k_vals, lab.moments.gradQ, lab.moments.massQ,
-                     snapshot_sink=sink)
+    # the initial field is passed inline, so that run holds its only reference
+    # and it is freed once run has stepped past it
+    result = sim.run(cfg_run, sim.init_from_profile(prof.physical_field(exp, st), st.lam,
+                                                    st.t, L, n),
+                     k_vals, lab.moments.gradQ, lab.moments.massQ, snapshot_sink=sink)
     header = list(result.series.keys())
     rows = zip(*[result.series[k] for k in header])
     write_csv(out / "series.csv", header, rows)

@@ -93,7 +93,8 @@ SCHEMA = {
     "profile.weight": (0.25, _R, "must be a number"),
     "sim.c_dt": (0.05, _POS, "must be positive"),
     "sim.t_start": (-0.3, _NEG, "must be negative (blow-up at t = 0)"),
-    "sim.t_stop": (None, _nullable(_R), "must be null or a number"),
+    # the blow-up time: data that do not collapse run past it and never end
+    "sim.t_stop": (0.0, _nullable(_R), "must be null or a number"),
     "sim.lam_stop": (None, _nullable(_POS), "must be null or positive"),
     "sim.splitting_order": (2, _int(lambda n: n in (2, 4)), "must be 2 or 4"),
     "sim.dt_refresh_every": (10, _STRIDE, "must be an integer >= 1"),

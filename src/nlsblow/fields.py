@@ -5,13 +5,17 @@ shared radial grid.  Real fields carry conjugate-symmetric components
 f_{-m} = conj(f_m).  Mode products are exact convolutions in m; parameter-
 space calculus on the profile expansion never touches these radial arrays.
 Off the grid, a field is interpolated in r by the package's only CubicSpline:
-``spline`` builds it anew on each evaluation (nothing is cached), through
-all real and imaginary parts at once.  ``at`` takes cartesian points y of
+``spline`` builds it anew on each evaluation (nothing is cached; a caller
+that evaluates many point sets passes one spline to each), through all real
+and imaginary parts at once.  ``at`` takes cartesian points y of
 shape (..., 2), is exactly 0 past r_max, evaluates the spline only at the
 points within r_max, AT_BLOCK points at a time, and sums the modes by Horner
 in z = e^{iθ} = (y₁ + i y₂)/r (z = 1 at r = 0; no angle is formed), so its
 last bits differ from a per-mode Σ f_m e^{imθ}; a mode-0-only field is its
-spline's values exactly.
+spline's values exactly.  Each point's value is independent of the other
+points of the call, so ``in_blocks`` can take any pointwise evaluator of
+the package (``kmodel``'s k, ``profile.modulated``) through a box AT_BLOCK
+points at a time without changing a bit.
 
 A PolarGrid is the (r, θ) product grid on which every sampled polar field
 lives: r_j = j·h on [0, r_max] (n_r nodes, r_0 = 0) and θ_k = 2πk/n_θ.
@@ -34,7 +38,7 @@ three operations on samples, with these conventions:
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 from scipy.integrate import simpson
@@ -42,8 +46,28 @@ from scipy.interpolate import CubicSpline
 
 from .radial import RadialGrid, derivative, quadrature
 
-AT_BLOCK = 2 ** 15     # points per spline evaluation in AngularField.at
+AT_BLOCK = 2 ** 15     # points per evaluation in AngularField.at and in_blocks
 WEIGHT_BLOCK = 32      # unit vectors per Simpson evaluation in PolarGrid.weights
+
+
+def in_blocks(fn: Callable, y: np.ndarray, dtype) -> np.ndarray:
+    """fn of the cartesian points y of shape (..., 2), at most AT_BLOCK points at a time.
+
+    fn maps an (m, 2) block of points to its m values, each point's value
+    independent of the others, so the result, of shape y.shape[:-1], is
+    fn(y) bit for bit and no temporary outgrows a block.  The blocks are
+    near-equal, so none holds a lone point when y holds more: numpy's
+    matmul takes another path on one row (β·y in ``ParamPoint.phase``), and
+    its bits differ from the many-row path.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape[:-1], dtype=dtype)
+    points, values = y.reshape(-1, 2), out.reshape(-1)
+    count = max(1, -(-values.size // AT_BLOCK))
+    bounds = [values.size * j // count for j in range(count + 1)]
+    for start, stop in zip(bounds, bounds[1:]):
+        values[start:stop] = fn(points[start:stop])
+    return out if out.ndim else out[()]
 
 
 def angular_modes(fn: Callable, max_deg: int) -> Dict[int, complex]:
@@ -225,11 +249,12 @@ class AngularField:
         vals = np.array(list(self.comps.values())).reshape(len(self.comps), self.grid.n)
         return CubicSpline(self.grid.nodes, np.concatenate([vals.real, vals.imag]).T)
 
-    def at(self, y: np.ndarray) -> np.ndarray:
+    def at(self, y: np.ndarray, spline: Optional[CubicSpline] = None) -> np.ndarray:
         """Evaluate at cartesian points y of shape (..., 2) (spline in r, zero beyond r_max).
 
         Horner in z = (y₁ + i y₂)/r from the top mode down to min(m_min, 0),
-        then times conj(z)^{|min(m_min, 0)|}.
+        then times conj(z)^{|min(m_min, 0)|}.  ``spline``, this field's
+        ``spline()``, saves rebuilding it on each call.
         """
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape[:-1], dtype=complex)
@@ -238,7 +263,8 @@ class AngularField:
         y = y.reshape(-1, 2)
         r = np.sqrt(y[:, 0] ** 2 + y[:, 1] ** 2)
         inside = np.flatnonzero(r <= self.grid.r_max)
-        spl, nm = self.spline(), len(self.comps)
+        spl = self.spline() if spline is None else spline
+        nm = len(self.comps)
         column = {m: j for j, m in enumerate(self.comps)}
         top, low = max(max(column), 0), min(min(column), 0)
         for start in range(0, inside.size, AT_BLOCK):
@@ -250,7 +276,7 @@ class AngularField:
             acc = np.zeros(idx.size, dtype=complex)
             for m in range(top, low - 1, -1):
                 if m < top:
-                    acc *= z
+                    acc = acc * z        # `*=` rounds a one-element product otherwise
                 j = column.get(m)
                 if j is not None:
                     acc.real += vals[j]
@@ -258,6 +284,6 @@ class AngularField:
             if low < 0:
                 np.conjugate(z, out=z)
                 for _ in range(-low):
-                    acc *= z
+                    acc = acc * z
             out.flat[idx] = acc
         return out

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import in_blocks
+
 VALIDATE_SAMPLES = 4000  # points of validate's k1 <= k <= 1 check
 VALIDATE_SEED = 0        # seed of those points
 
@@ -93,11 +95,14 @@ class InhomogeneityModel:
                 + self.third_form(x1, x2) / 6.0 * cutoff(np.linalg.norm(x, axis=-1)))
 
     def k(self, x) -> np.ndarray:
-        """k at points x of shape (..., 2)."""
+        """k at points x of shape (..., 2), fields.AT_BLOCK points at a time."""
         x = np.asarray(x, dtype=float)
-        c = 1.0 - self.floor
         if self.is_flat:
             return np.ones(x.shape[:-1])
+        return in_blocks(self._k_block, x, float)
+
+    def _k_block(self, x: np.ndarray) -> np.ndarray:
+        c = 1.0 - self.floor
         return self.floor + c * np.exp(self._g(x) / c)
 
     def grad_k(self, x) -> np.ndarray:

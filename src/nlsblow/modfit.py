@@ -47,7 +47,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
 
-from .fields import AngularField, PolarGrid
+from .fields import AT_BLOCK, AngularField, PolarGrid
 from .profile import ParamPoint, ProfileExpansion
 from .sim import ComplexField2D, Stepper
 
@@ -390,13 +390,20 @@ def fit_rate(ts, lams) -> FitReport:
 # diagnostics: the mixed energy/Morawetz functional and the virial boundary
 # ----------------------------------------------------------------------
 
+def _square_sum(v: np.ndarray) -> float:
+    """Σ|v|² as np.vdot(v, v), whose two flattened copies of a padded view become one."""
+    c = np.ascontiguousarray(v)
+    return np.vdot(c, c).real
+
+
 def lyapunov_I(dec_params: ParamPoint, u: ComplexField2D, w: ComplexField2D,
                A: float, stepper: Stepper) -> float:
     """I = ½∫|∇ũ|² + ½∫|ũ|²/λ² - ∫k[F(w+ũ)-F(w)-F'(w)ũ] + boundary term.
 
     F(v) = |v|⁴/4; the boundary term is ½(b/λ) Im ∫ A∇φ((x-α)/(Aλ))·∇ũ ū.
     ``stepper`` is a Stepper on the box of u, holding the k samples (or a
-    scalar k).  Each integral is one contraction over the box.
+    scalar k).  Each integral is one contraction over the box; the
+    pointwise factors are formed fields.AT_BLOCK points (whole rows) at a time.
     """
     if A < 10:
         raise ValueError("A must be at least 10")
@@ -406,33 +413,43 @@ def lyapunov_I(dec_params: ParamPoint, u: ComplexField2D, w: ComplexField2D,
     lam, b, alpha = dec_params.lam, dec_params.b, dec_params.alpha
     ut = u.values - w.values
     h2 = u.h ** 2
-    ux, uy = stepper.gradient(ut)
-    kin = 0.5 * (np.vdot(ux, ux).real + np.vdot(uy, uy).real) * h2
     low = 0.5 * np.vdot(ut, ut).real * h2 / lam ** 2
-    # k[F(w+ũ) - F(w) - F'(w)ũ] with F(v) = |v|⁴/4 and F'(w)ũ = Re(|w|² w ũ̄)
-    aw = w.values.real ** 2 + w.values.imag ** 2
-    nonlin = u.values.real ** 2 + u.values.imag ** 2
-    nonlin *= nonlin
-    nonlin -= aw * aw
-    nonlin *= 0.25
-    cross = w.values.real * ut.real
-    cross += w.values.imag * ut.imag
-    cross *= aw
-    nonlin -= cross
+    block = max(1, AT_BLOCK // u.n)            # whole rows, about AT_BLOCK points
+    rows = [slice(i, i + block) for i in range(0, u.n, block)]
+    # k[F(w+ũ) - F(w) - F'(w)ũ] with F(v) = |v|⁴/4 and F'(w)ũ = Re(|w|² w ũ̄),
+    # formed AT_BLOCK points at a time into the one integrand
+    nonlin = np.empty(ut.shape)
+    for r in rows:
+        uv, wv, utv = u.values[r], w.values[r], ut[r]
+        aw = wv.real ** 2 + wv.imag ** 2
+        nl = uv.real ** 2 + uv.imag ** 2
+        nl *= nl
+        nl -= aw * aw
+        nl *= 0.25
+        cross = wv.real * utv.real
+        cross += wv.imag * utv.imag
+        cross *= aw
+        nl -= cross
+        nonlin[r] = nl
     k = stepper.k
     pot = (np.vdot(k, nonlin) if k.ndim else k * nonlin.sum()) * h2
+    del nonlin
+    ux, uy = stepper.gradient(ut)
+    kin = 0.5 * (_square_sum(ux) + _square_sum(uy)) * h2
     # A∇φ(z)·∇ũ with z = (x-α)/(Aλ) and ∇φ(z) = ψ(|z|) z/|z|, on the box axes
     x = -u.L + u.h * np.arange(u.n)
     zx = ((x - alpha[0]) / (A * lam))[:, None]
     zy = ((x - alpha[1]) / (A * lam))[None, :]
-    rz = np.hypot(zx, zy)
-    psi_over_r = np.ones_like(rz)     # ψ(r) = r for r ≤ 1, the origin's limit included
-    far = rz > 1.0
-    psi_over_r[far] = phi_prime(rz[far]) / rz[far]
     ux *= zx
     uy *= zy
     ux += uy
-    ux *= psi_over_r
+    del uy
+    for r in rows:
+        rz = np.hypot(zx[r], zy)
+        psi_over_r = np.ones_like(rz)     # ψ(r) = r for r ≤ 1, the origin's limit included
+        far = rz > 1.0
+        psi_over_r[far] = phi_prime(rz[far]) / rz[far]
+        ux[r] *= psi_over_r
     bterm = 0.5 * (b / lam) * A * np.vdot(ut, ux).imag * h2
     return float(kin + low - pot + bterm)
 

@@ -47,7 +47,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .fields import AngularField, PolarGrid, angular_modes
+from .fields import AngularField, PolarGrid, angular_modes, in_blocks
 from .kmodel import InhomogeneityModel
 from .lab import Lab
 from .linops import vector_norm
@@ -296,13 +296,12 @@ class ProfileExpansion:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_P(self, P: ParamPoint, y) -> np.ndarray:
-        """The conformal-frame profile P_P at cartesian points y of shape (..., 2)."""
-        return self.combined(P).at(y)
-
-    def eval_QP(self, P: ParamPoint, y) -> np.ndarray:
-        """Q_P = P_P · e^{i(-b|y|²/4 + β·y)} (Σ = Re, Θ = Im)."""
-        return self.eval_P(P, y) * np.exp(1j * P.phase(y))
+    def QP_evaluator(self, P: ParamPoint):
+        """y -> Q_P(y) = P_P(y) · e^{i(-b|y|²/4 + β·y)} (Σ = Re, Θ = Im), a point
+        evaluator holding P_P's one spline."""
+        field = self.combined(P)
+        spline = field.spline()
+        return lambda y: field.at(y, spline) * np.exp(1j * P.phase(y))
 
     def mass(self, P: ParamPoint) -> float:
         """∫|Q_P|², exact in the mode algebra (equals ∫Q² + O(P⁴))."""
@@ -469,12 +468,17 @@ def conformal_ray(lam: float, C0: float, beta_scale=(0.0, 0.0),
 
 def modulated(F, lam: float, alpha, gamma: float, k_alpha: float,
               pts: np.ndarray) -> np.ndarray:
-    """The ansatz k(α)^{-1/2} λ^{-1} F((x-α)/λ) e^{iγ} at points x = pts[..., :2]."""
-    vals = F((np.asarray(pts, dtype=float)[..., :2] - alpha) / lam)
-    return vals * np.exp(1j * gamma) / (np.sqrt(k_alpha) * lam)
+    """The ansatz k(α)^{-1/2} λ^{-1} F((x-α)/λ) e^{iγ} at points x = pts[..., :2],
+    fields.AT_BLOCK points at a time."""
+    rotation, scale = np.exp(1j * gamma), np.sqrt(k_alpha) * lam
+
+    def block(x):
+        return F((x - alpha) / lam) * rotation / scale
+
+    return in_blocks(block, np.asarray(pts, dtype=float)[..., :2], complex)
 
 
 def physical_field(expansion: ProfileExpansion, P: ParamPoint):
     """u(x) = k(α)^{-1/2} λ^{-1} Q_P((x-α)/λ) e^{iγ} as a point evaluator."""
     k_alpha = float(expansion.model.k(P.alpha))
-    return partial(modulated, partial(expansion.eval_QP, P), P.lam, P.alpha, P.gamma, k_alpha)
+    return partial(modulated, expansion.QP_evaluator(P), P.lam, P.alpha, P.gamma, k_alpha)

@@ -30,6 +30,21 @@ stepped states (`step_values`, `nonlinear`) are such views, and a snapshot
 file holds only the view.  Each transform and pointwise product does the
 same arithmetic on the same values as on (n, n) arrays, so the results are
 bitwise those of the unpadded layout.
+
+The box-sized arrays of a run, each alive only while it is read:
+
+- across a step: the state u (padded complex), the cached propagator of
+  each sub-step length (padded complex, 1 for Strang, 2 for the triple
+  jump), the k samples (n² real) and the dealiasing mask (n² bytes);
+- within a step: one padded buffer per nonlinear sub-step, its output, in
+  whose imaginary part θ = τk|u|² is built; the input state lives until
+  the step returns, and a dt refresh builds a new propagator from one n²
+  real temporary;
+- on a step that closes the state: the closed state (padded complex); for
+  its series row or refresh |u|² and k|u|⁴ (n² real each), then the
+  spectrum copy (padded complex) and |û|² (n² real);
+- field0 until the first step, when the state moves into the padded
+  layout; past that only a reference that the caller keeps holds it.
 """
 
 import os
@@ -52,8 +67,10 @@ class BlowupNaN(RuntimeError):
 def box_points(L: float, n: int) -> np.ndarray:
     """The (n, n, 2) nodes (x_i, x_j), x_j = -L + j·h with h = 2L/n, of the box."""
     x = -L + (2.0 * L / n) * np.arange(n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    return np.stack([X, Y], axis=-1)
+    points = np.empty((n, n, 2))
+    points[..., 0] = x[:, None]
+    points[..., 1] = x[None, :]
+    return points
 
 
 @dataclass
@@ -107,9 +124,11 @@ class SimConfig:
 ROW_PAD = 4
 
 
-def _phase(theta: np.ndarray) -> np.ndarray:
-    """e^{iθ} of a real array, as cos θ + i sin θ written into one buffer."""
-    out = np.empty(theta.shape, dtype=complex)
+def _phase(theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """e^{iθ} of a real array, as cos θ + i sin θ written into one complex
+    buffer (a new one, or out); θ may be out.imag, which sin overwrites last."""
+    if out is None:
+        out = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
@@ -125,7 +144,7 @@ class Stepper:
     Each transform runs in place on the (n, n) view of a zero-padded
     (n, n + ROW_PAD) buffer (see the module docstring).  `nonlinear` takes
     the states it made as they are and copies any other input into the
-    layout once; `linear` transforms its input in place; the spectral
+    layout once; `linear` transforms such a state in place; the spectral
     diagnostics copy their input and leave it unwritten.
     """
 
@@ -139,7 +158,6 @@ class Stepper:
         freq = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
         self.kx = freq[:, None]
         self.ky = freq[None, :]
-        self.k2 = self.kx ** 2 + self.ky ** 2
         self._padded_shape = (self.n, self.n + ROW_PAD)
         f = np.fft.fftfreq(n)
         self._dealias_mask = (np.abs(f[:, None]) > 1.0 / 3.0) | (np.abs(f[None, :]) > 1.0 / 3.0)
@@ -151,10 +169,13 @@ class Stepper:
         self._prop_cache = {}
 
     def _propagator(self, tau: float) -> np.ndarray:
-        """e^{-iτ|k|²}, dealiased, computed once per sub-step length τ."""
+        """e^{-iτ|k|²}, dealiased, computed once per sub-step length τ, as the
+        view of a padded buffer whose padding is 0."""
         prop = self._prop_cache.get(tau)
         if prop is None:
-            prop = _phase(-tau * self.k2)
+            theta = self.kx ** 2 + self.ky ** 2
+            theta *= -tau
+            prop = _phase(theta, out=self._zeros())
             prop[self._dealias_mask] = 0.0
             self._prop_cache[tau] = prop
         return prop
@@ -163,37 +184,54 @@ class Stepper:
         """The (n, n) view of a new zero buffer in the padded layout."""
         return np.zeros(self._padded_shape, dtype=complex)[:, :self.n]
 
-    def _padded(self, u: np.ndarray) -> np.ndarray:
-        """u's padded buffer when u is the (n, n) view of one, else a new
-        padded buffer holding a copy of u."""
+    def _buffer(self, u: np.ndarray) -> Optional[np.ndarray]:
+        """u's padded buffer when u is the (n, n) view of one, else None."""
         base = u.base
         if (isinstance(base, np.ndarray) and base.shape == self._padded_shape
                 and base.dtype == complex and u.strides == base.strides
                 and u.ctypes.data == base.ctypes.data):
             return base
-        view = self._zeros()
-        view[...] = u
-        return view.base
+        return None
+
+    def _padded(self, u: np.ndarray) -> np.ndarray:
+        """u's padded buffer, or a new padded buffer holding a copy of u."""
+        buf = self._buffer(u)
+        if buf is None:
+            view = self._zeros()
+            view[...] = u
+            buf = view.base
+        return buf
 
     def nonlinear(self, u: np.ndarray, tau: float) -> np.ndarray:
         """N(τ)u = u·e^{iτk|u|²}, as the view of a new padded buffer.
 
-        θ and the product run over the whole buffer; its padding stays 0
-        because |0|² = 0, and k multiplies the view only.
+        θ = τk|u|² is built in the output's imaginary part (its real part
+        holds Im(u)² on the way), so no real temporary is allocated.  θ and
+        the product run over the whole buffer; its padding stays 0 because
+        |0|² = 0, and k multiplies the view only.
         """
         buf = self._padded(u)
-        theta = buf.real * buf.real
-        theta += buf.imag * buf.imag
+        out = np.empty(self._padded_shape, dtype=complex)
+        theta = out.imag
+        np.multiply(buf.real, buf.real, out=theta)
+        np.multiply(buf.imag, buf.imag, out=out.real)
+        theta += out.real
         theta[:, :self.n] *= self.k
         theta *= tau
-        out = _phase(theta)
+        _phase(theta, out=out)
         out *= buf
         return out[:, :self.n]
 
     def linear(self, u: np.ndarray, tau: float) -> np.ndarray:
-        """L(τ)u = e^{iτΔ}u through one fft2/ifft2 pair, written into u."""
+        """L(τ)u = e^{iτΔ}u through one fft2/ifft2 pair, written into u, a
+        state that `nonlinear` made.
+
+        The propagator multiplies u's whole contiguous buffer: both
+        paddings are 0, so they stay 0.
+        """
         _in_place(_fft.fft2, u)
-        u *= self._propagator(tau)
+        buf = self._buffer(u)
+        buf *= self._propagator(tau).base
         _in_place(_fft.ifft2, u)
         return u
 
@@ -219,13 +257,14 @@ class Stepper:
         return u_hat
 
     def gradient(self, u: np.ndarray):
-        """(∂_x u, ∂_y u) on the grid, through one fft2 and two ifft2."""
+        """(∂_x u, ∂_y u) on the grid, through one fft2 and two ifft2; ∂_y u
+        is formed in û's buffer."""
         u_hat = self._spectrum(u)
-        ux, uy = self._zeros(), self._zeros()
-        for d, kk in ((ux, self.kx), (uy, self.ky)):
+        ux = self._zeros()
+        for d, kk in ((ux, self.kx), (u_hat, self.ky)):
             np.multiply(1j * kk, u_hat, out=d)
             _in_place(_fft.ifft2, d)
-        return ux, uy
+        return ux, u_hat
 
     def gradient_moments(self, u: np.ndarray):
         """(Σ|∇u|², Im Σ ∂_x u ū, Im Σ ∂_y u ū) over the grid, from one fft2.
@@ -234,7 +273,8 @@ class Stepper:
         and column sums of |û|² are taken once, so each moment is a dot
         product of length n.  u is not overwritten.
         """
-        power = np.abs(self._spectrum(u)) ** 2
+        power = np.abs(self._spectrum(u))
+        np.square(power, out=power)
         px, py = power.sum(axis=1), power.sum(axis=0)      # over k_y, over k_x
         kx, ky = self.kx.ravel(), self.ky.ravel()
         n2 = float(self.n) ** 2
@@ -242,7 +282,8 @@ class Stepper:
 
     def spectral_tail_fraction(self, u: np.ndarray) -> float:
         """Fraction of u's spectral energy in the dealiased top third of wavenumbers."""
-        power = np.abs(self._spectrum(u)) ** 2
+        power = np.abs(self._spectrum(u))
+        np.square(power, out=power)
         return float(np.sum(power[self._dealias_mask]) / (np.sum(power) + 1e-300))
 
 
@@ -260,9 +301,12 @@ def _invariants(field: ComplexField2D, stepper: Stepper, grad_sums):
     sums (Σ|∇u|², Im Σ ∂_x u ū, Im Σ ∂_y u ū); mass and ∫k|u|⁴ come from |u|²."""
     u = field.values
     h2 = field.h ** 2
-    rho = np.abs(u) ** 2
+    rho = np.abs(u)
+    np.square(rho, out=rho)
     grad2 = float(grad_sums[0]) * h2
-    energy = 0.5 * grad2 - 0.25 * float(np.sum(stepper.k * rho * rho)) * h2
+    quartic = stepper.k * rho
+    quartic *= rho
+    energy = 0.5 * grad2 - 0.25 * float(np.sum(quartic)) * h2
     return (float(np.sum(rho)) * h2, grad2, energy,
             np.array([float(grad_sums[1]) * h2, float(grad_sums[2]) * h2]))
 
@@ -327,24 +371,25 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
 
     The box (L, n) is field0's.  Snapshot emission is synchronous (single
     writer, bounded by construction); a custom sink may stream fields to disk
-    instead of keeping them in memory.
+    instead of keeping them in memory.  Across a step the run holds only the
+    state; a closed state lives until its row, refresh and snapshot are taken.
     """
-    if config.lam_stop is not None and config.lam_stop <= 4.0 * field0.h:
+    L, h = field0.L, field0.h
+    if config.lam_stop is not None and config.lam_stop <= 4.0 * h:
         raise ValueError(f"lam_stop = {config.lam_stop:.4g} must exceed 4 grid spacings "
-                         f"(4h = {4.0 * field0.h:.4g})")
-    stepper = Stepper(field0.L, field0.n, np.asarray(k_values, dtype=float),
+                         f"(4h = {4.0 * h:.4g})")
+    stepper = Stepper(L, field0.n, np.asarray(k_values, dtype=float),
                       splitting_order=config.splitting_order)
-    field = field0                 # the last closed state; no step writes into it
     u, t, carry = field0.values, field0.t, 0.0     # the current state is N(carry)·u at t
     series = {k: [] for k in ("t", "mass", "energy", "momentum_x", "momentum_y",
                               "grad_norm", "lambda_proxy")}
     snapshots = []
 
     def close() -> ComplexField2D:
-        return ComplexField2D(field0.L, stepper.nonlinear(u, carry), t)
+        return ComplexField2D(L, stepper.nonlinear(u, carry), t)
 
-    def record_series() -> float:
-        """Append the current state's row; returns its λ_est."""
+    def record_series(field: ComplexField2D) -> float:
+        """Append field's row; returns its λ_est."""
         mass, grad2, energy, mom = _invariants(field, stepper,
                                                stepper.gradient_moments(field.values))
         lam_est = _scale(mass, grad2, grad_ref, mass_ref)
@@ -357,16 +402,19 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
 
     # a series row's λ_est is lambda_proxy of the same state, so a dt refresh
     # on a recorded step reuses it instead of taking a second fft2
-    lam_est = record_series()
+    lam_est = record_series(field0)
     dt = config.c_dt * lam_est ** 2
-    emit_snapshot(field)
-    recorded = snapped = closed = True      # the current state is already emitted
+    emit_snapshot(field0)
+    u = stepper._zeros()      # the state moves into the padded layout now, so that
+    u[...] = field0.values    # field0 is free to go if the caller holds no reference
+    del field0
+    recorded = snapped = True      # the current state is already emitted
     reason = "max_steps"
     for istep in range(config.max_steps):
         if config.lam_stop is not None and lam_est < config.lam_stop:
             reason = "lam_stop"
             break
-        if lam_est < 4.0 * field0.h:
+        if lam_est < 4.0 * h:
             raise ResolutionBreach(
                 f"λ_est = {lam_est:.4g} fell under 4 grid spacings at t = {t:.6g}")
         if config.t_stop is not None:
@@ -385,21 +433,22 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
         recorded = (istep + 1) % config.series_stride == 0
         refresh = (istep + 1) % config.dt_refresh_every == 0
         snapped = (istep + 1) % config.snapshot_stride == 0
-        closed = recorded or refresh or snapped
-        if closed:
+        if recorded or refresh or snapped:
             field = close()
-        lam_row = record_series() if recorded else None
-        if refresh:
-            lam_est = lam_row if recorded else lambda_proxy(field, stepper, grad_ref, mass_ref)
-            dt = config.c_dt * lam_est ** 2
-        if snapped:
-            emit_snapshot(field)
-    if not closed:
+            lam_row = record_series(field) if recorded else None
+            if refresh:
+                lam_est = lam_row if recorded else lambda_proxy(field, stepper, grad_ref,
+                                                                mass_ref)
+                dt = config.c_dt * lam_est ** 2
+            if snapped:
+                emit_snapshot(field)
+            del field
+    if not (recorded and snapped):
         field = close()
-    if not recorded:
-        record_series()
-    if not snapped:
-        emit_snapshot(field)
+        if not recorded:
+            record_series(field)
+        if not snapped:
+            emit_snapshot(field)
     return RunResult(series={k: np.array(v) for k, v in series.items()},
                      snapshots=snapshots, reason=reason)
 

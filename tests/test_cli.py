@@ -311,6 +311,18 @@ def _simulate_small(tmp_path, out, t_stop):
     return cfgfile
 
 
+def test_simulate_default_stop_rules_end_at_blow_up_time(tmp_path):
+    # with neither t_stop nor lam_stop in the config, the run ends at t = 0
+    cfgfile = tmp_path / "cfg.yaml"
+    cfgfile.write_text("grid2d:\n  L: 4.0\n  n: 256\nenergy:\n  C0: 1.0\n"
+                       "profile:\n  eta_star: 0.55\n")
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert json.loads((out / "simulate.json").read_text())["reason"] == "t_stop"
+    last = (out / "series.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == 0.0
+
+
 def test_simulate_replaces_earlier_snapshots(tmp_path):
     out = tmp_path / "s"
     _simulate_small(tmp_path, out, -0.28)

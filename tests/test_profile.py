@@ -1,10 +1,12 @@
 """Profile construction: constants, solvability, invariants, residual scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsblow import profile as prof
+from nlsblow import fields, profile as prof
 from nlsblow.fields import AngularField
 from nlsblow.kmodel import InhomogeneityModel, HessianNotNegative, _bump_e, cutoff, cutoff_deriv
 from nlsblow.linops import M_MAX, SolvabilityViolated
@@ -290,7 +292,7 @@ def test_flat_model_trivial(lab):
     P = prof.ParamPoint(b=0.05, lam=0.1)
     r = np.array([0.0, 1.0, 2.5])
     th = np.zeros(3)
-    vals = exp.eval_P(P, _cartesian(r, th))
+    vals = exp.combined(P).at(_cartesian(r, th))
     q = AngularField.radial(lab.grid, lab.Q.values).at(_cartesian(r, 0.0)).real
     assert np.allclose(vals.real, q, atol=1e-10)
     assert np.allclose(vals.imag, 0.0)
@@ -299,7 +301,7 @@ def test_flat_model_trivial(lab):
 def test_eval_at_origin_point_is_Q(expansion, lab):
     P = prof.ParamPoint(b=0.0, lam=0.0)
     r = np.linspace(0, 10, 50)
-    vals = expansion.eval_QP(P, _cartesian(r, 0.0))
+    vals = expansion.QP_evaluator(P)(_cartesian(r, 0.0))
     q = AngularField.radial(lab.grid, lab.Q.values).at(_cartesian(r, 0.0)).real
     assert np.allclose(vals, q, atol=1e-10)
 
@@ -341,6 +343,51 @@ def test_physical_field_matches_polar_path(expansion):
     want = _polar_physical_field(expansion, P, pts)
     assert got.shape == (512, 512)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _point_shapes(count):
+    """(count, 2) and (a, count // a, 2) with a the least factor of count above 1."""
+    a = next(d for d in range(2, count + 1) if count % d == 0)
+    return [(count, 2), (a, count // a, 2)]
+
+
+@pytest.mark.parametrize("count", [fields.AT_BLOCK - 1, fields.AT_BLOCK, fields.AT_BLOCK + 1,
+                                   5 * fields.AT_BLOCK // 2])
+def test_blocked_evaluators_match_one_shot(expansion, model, monkeypatch, rng, count):
+    # k and physical_field go through the points fields.AT_BLOCK at a time;
+    # one block holding every point gives the same bits.  The sets of up to
+    # AT_BLOCK + 1 points lie within the profile's r_max (λ·30 = 7.5), so
+    # every point reaches AngularField.at's Horner products, whose rounding
+    # must not depend on the blocks; the largest set also reaches past r_max.
+    # All sets cross the cutoff's band 1 < |x| < 2.
+    P = prof.ParamPoint(b=0.06, lam=0.25, beta=[0.004, -0.003], alpha=[0.01, 0.02], gamma=0.37)
+    half = 5.0 if count <= fields.AT_BLOCK + 1 else 9.0
+    sets = [rng.uniform(-half, half, size=shape) for shape in [(2,)] + _point_shapes(count)]
+
+    def evaluate():
+        u = prof.physical_field(expansion, P)
+        return [(model.k(x), u(x)) for x in sets]
+
+    blocked = evaluate()
+    monkeypatch.setattr(fields, "AT_BLOCK", 10 * count)
+    for x, got, want in zip(sets, blocked, evaluate()):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == x.shape[:-1]
+            assert g.tobytes() == w.tobytes()
+
+
+def test_k_peak_memory_is_blocks_plus_output(model, rng):
+    # k on 10⁶ points allocates its output and a few blocks of temporaries,
+    # not box-sized ones
+    x = rng.uniform(-3.0, 3.0, size=(10 ** 6, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kv = model.k(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= kv.nbytes + 8 * fields.AT_BLOCK * 8
 
 
 def test_solvability_violated_on_bad_source(lab):
@@ -403,8 +450,8 @@ def test_rotation_equivariance(lab):
     P2 = prof.ParamPoint(b=0.05, lam=0.1, alpha=np.array([0.01, 0.02]))  # R @ alpha
     r = np.linspace(0.0, 8.0, 40)
     th = np.full_like(r, 0.7)
-    v1 = e1.eval_P(P1, _cartesian(r, th))
-    v2 = e2.eval_P(P2, _cartesian(r, th + np.pi / 2))   # evaluate at R y
+    v1 = e1.combined(P1).at(_cartesian(r, th))
+    v2 = e2.combined(P2).at(_cartesian(r, th + np.pi / 2))   # evaluate at R y
     assert np.allclose(v1, v2, atol=1e-10)
 
 

@@ -1,6 +1,7 @@
 """Split-step solver: exact solutions, conservation, ordering, I/O."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,25 @@ def test_step_values_returns_padded_view():
     closed = st.nonlinear(u, carry)
     assert closed.strides == u.strides and closed.base is not u.base
     assert not np.any(closed.base[:, n:])
+
+
+def test_step_values_allocates_one_padded_buffer():
+    # a Strang step from a stepped state, its propagator cached, allocates
+    # the new state's padded buffer and nothing box-sized besides; the
+    # 256 KiB of slack hold numpy's ufunc buffers (8192 elements per
+    # operand) and stay under one n² real (512 KiB)
+    L, n = 8.0, 256
+    X, Y, kv = _inhomogeneous(L, n)
+    st = sim.Stepper(L, n, kv)
+    u, carry = st.step_values(_rough_data(L, n, seed=3), 0.01)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u, carry = st.step_values(u, 0.01, carry)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * (n + sim.ROW_PAD) + 2 ** 18
 
 
 def test_snapshot_of_padded_view_writes_contiguous_bytes(tmp_path):
