@@ -31,19 +31,31 @@ file holds only the view.  Each transform and pointwise product does the
 same arithmetic on the same values as on (n, n) arrays, so the results are
 bitwise those of the unpadded layout.
 
+A step allocates no box-sized array.  The nonlinear kick writes N(τ)u into
+the state's own buffer, KICK_BLOCK values of whole rows at a time, with
+θ = τk|u|² and e^{iθ} in one block-sized complex temporary.  The linear
+flow transforms the same buffer in place and runs each second 1D pass on
+the kept lines only (`Stepper.linear`).  The propagator zeroes every
+wavenumber of the top third of either axis (the 2/3 rule), so a cut row
+of the forward transform's axis-1 pass is multiplied by 0 and can be zeroed
+untransformed, and a cut column of the inverse's axis-0 pass holds only
+zeros, whose transform is zero.  The kept lines go through the passes of
+fft2 and ifft2 in pocketfft's own order, axis 0 then axis 1, each line by
+the same arithmetic; ifft2 scales by 1/n² once and the pruned inverse by
+1/n on each axis, which is exact for n a power of two.  The steps are
+therefore bitwise those of the full transforms.
+
 The box-sized arrays of a run, each alive only while it is read:
 
 - across a step: the state u (padded complex), the cached propagator of
   each sub-step length (padded complex, 1 for Strang, 2 for the triple
   jump), the k samples (n² real) and the dealiasing mask (n² bytes);
-- within a step: one padded buffer per nonlinear sub-step, its output, in
-  whose imaginary part θ = τk|u|² is built; the input state lives until
-  the step returns, and a dt refresh builds a new propagator from one n²
-  real temporary;
+- within a step: nothing new, except that the first step after a dt
+  refresh builds its propagator from one n² real temporary;
 - on a step that closes the state: the closed state (padded complex); for
   its series row or refresh |u|² and k|u|⁴ (n² real each), then the
   spectrum copy (padded complex) and |û|² (n² real);
-- field0 until the first step, when the state moves into the padded
+- field0 until the first step, when the state is copied into the padded
   layout; past that only a reference that the caller keeps holds it.
 """
 
@@ -54,6 +66,13 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.fft as _fft
+
+
+_SIZE_RULE = "values must be square with n a power of two >= 1"
+
+
+def _power_of_two(n: int) -> bool:
+    return n >= 1 and not n & (n - 1)
 
 
 class ResolutionBreach(RuntimeError):
@@ -84,8 +103,8 @@ class ComplexField2D:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         n = self.values.shape[0]
-        if self.values.shape != (n, n) or n < 1 or n & (n - 1):
-            raise ValueError("values must be square with n a power of two >= 1")
+        if self.values.shape != (n, n) or not _power_of_two(n):
+            raise ValueError(_SIZE_RULE)
         if not np.all(np.isfinite(self.values)):
             raise BlowupNaN(f"non-finite field samples at t = {self.t:.6g}")
 
@@ -123,6 +142,10 @@ class SimConfig:
 # buffer no longer start a power of two apart.
 ROW_PAD = 4
 
+# Values per row block of the nonlinear kick (fields.AT_BLOCK's size): e^{iθ}
+# of a block, 512 KiB of complex values, is still in cache for the product.
+KICK_BLOCK = 2 ** 15
+
 
 def _phase(theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """e^{iθ} of a real array, as cos θ + i sin θ written into one complex
@@ -142,25 +165,34 @@ class Stepper:
     gradient behind the reference invariants of `conserved`.
 
     Each transform runs in place on the (n, n) view of a zero-padded
-    (n, n + ROW_PAD) buffer (see the module docstring).  `nonlinear` takes
-    the states it made as they are and copies any other input into the
-    layout once; `linear` transforms such a state in place; the spectral
-    diagnostics copy their input and leave it unwritten.
+    (n, n + ROW_PAD) buffer (see the module docstring).  `step_values` and
+    `linear` write into a state in that layout and copy any other input into
+    it once; `nonlinear` writes a new state; the spectral diagnostics copy
+    their input and leave it unwritten.
     """
 
     def __init__(self, L: float, n: int, k_values: np.ndarray, splitting_order: int = 2):
+        if not _power_of_two(int(n)):
+            raise ValueError(_SIZE_RULE)
         self.L = float(L)
         self.n = int(n)
         self.k = np.asarray(k_values, dtype=float)
         if self.k.shape not in ((n, n), ()):
             raise ValueError("k must be scalar or an (n, n) sample")
+        self._k_rows = np.broadcast_to(self.k, (n, n))
         h = 2.0 * L / n
         freq = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
         self.kx = freq[:, None]
         self.ky = freq[None, :]
         self._padded_shape = (self.n, self.n + ROW_PAD)
-        f = np.fft.fftfreq(n)
-        self._dealias_mask = (np.abs(f[:, None]) > 1.0 / 3.0) | (np.abs(f[None, :]) > 1.0 / 3.0)
+        cut = np.abs(np.fft.fftfreq(n)) > 1.0 / 3.0
+        self._dealias_mask = cut[:, None] | cut[None, :]
+        # fftfreq puts the cut wavenumbers in one middle run [a, b), so the
+        # kept ones are the runs [0, a) and [b, n)
+        cut_at = np.flatnonzero(cut)
+        a, b = (int(cut_at[0]), int(cut_at[-1]) + 1) if cut_at.size else (n, n)
+        self._cut = slice(a, b)
+        self._kept = tuple(s for s in (slice(0, a), slice(b, n)) if s.start < s.stop)
         if splitting_order == 2:
             self._weights = (1.0,)
         else:
@@ -184,68 +216,90 @@ class Stepper:
         """The (n, n) view of a new zero buffer in the padded layout."""
         return np.zeros(self._padded_shape, dtype=complex)[:, :self.n]
 
-    def _buffer(self, u: np.ndarray) -> Optional[np.ndarray]:
-        """u's padded buffer when u is the (n, n) view of one, else None."""
+    def _padded(self, u: np.ndarray) -> np.ndarray:
+        """u's padded buffer when u is the (n, n) view of one, else a new
+        padded buffer holding a copy of u."""
         base = u.base
         if (isinstance(base, np.ndarray) and base.shape == self._padded_shape
                 and base.dtype == complex and u.strides == base.strides
                 and u.ctypes.data == base.ctypes.data):
             return base
-        return None
+        view = self._zeros()
+        view[...] = u
+        return view.base
 
-    def _padded(self, u: np.ndarray) -> np.ndarray:
-        """u's padded buffer, or a new padded buffer holding a copy of u."""
-        buf = self._buffer(u)
-        if buf is None:
-            view = self._zeros()
-            view[...] = u
-            buf = view.base
-        return buf
+    def _kick(self, buf: np.ndarray, tau: float, out: np.ndarray):
+        """Write N(τ) of the padded buffer buf into the padded buffer out,
+        which may be buf, KICK_BLOCK values of whole rows at a time.
+
+        θ = τk|u|² is built in the imaginary part of one block-sized complex
+        temporary (its real part holds Im(u)² on the way), e^{iθ} over it,
+        then out = e^{iθ}·u with e^{iθ} the first factor: swapped factors
+        can round a complex product differently.  The padding of θ is 0,
+        because |0|² = 0 and k multiplies the view only, so out's padding
+        is 0.
+        """
+        rows = max(1, KICK_BLOCK // buf.shape[1])
+        phase = np.empty((rows, buf.shape[1]), dtype=complex)
+        for i in range(0, self.n, rows):
+            b = buf[i:i + rows]
+            e = phase[:len(b)]
+            theta = e.imag
+            np.multiply(b.real, b.real, out=theta)
+            np.multiply(b.imag, b.imag, out=e.real)
+            theta += e.real
+            theta[:, :self.n] *= self._k_rows[i:i + rows]
+            theta *= tau
+            _phase(theta, out=e)
+            np.multiply(e, b, out=out[i:i + rows])
 
     def nonlinear(self, u: np.ndarray, tau: float) -> np.ndarray:
-        """N(τ)u = u·e^{iτk|u|²}, as the view of a new padded buffer.
-
-        θ = τk|u|² is built in the output's imaginary part (its real part
-        holds Im(u)² on the way), so no real temporary is allocated.  θ and
-        the product run over the whole buffer; its padding stays 0 because
-        |0|² = 0, and k multiplies the view only.
-        """
-        buf = self._padded(u)
+        """N(τ)u = u·e^{iτk|u|²}, as the view of a new padded buffer; u is
+        not written."""
         out = np.empty(self._padded_shape, dtype=complex)
-        theta = out.imag
-        np.multiply(buf.real, buf.real, out=theta)
-        np.multiply(buf.imag, buf.imag, out=out.real)
-        theta += out.real
-        theta[:, :self.n] *= self.k
-        theta *= tau
-        _phase(theta, out=out)
-        out *= buf
+        self._kick(self._padded(u), tau, out)
         return out[:, :self.n]
 
     def linear(self, u: np.ndarray, tau: float) -> np.ndarray:
-        """L(τ)u = e^{iτΔ}u through one fft2/ifft2 pair, written into u, a
-        state that `nonlinear` made.
+        """L(τ)u = e^{iτΔ}u, written into u's buffer when u is in the padded
+        layout, else into a padded copy of u; returns its (n, n) view.
 
-        The propagator multiplies u's whole contiguous buffer: both
-        paddings are 0, so they stay 0.
+        The forward transform runs along axis 0 over every column, then
+        along axis 1 over the kept rows, and the half-transformed cut rows
+        are zeroed.  The inverse runs along axis 0 over the kept columns,
+        then along axis 1 over every row.  The module docstring says why
+        this gives the bits of fft2 and ifft2.
         """
-        _in_place(_fft.fft2, u)
-        buf = self._buffer(u)
-        buf *= self._propagator(tau).base
-        _in_place(_fft.ifft2, u)
+        buf = self._padded(u)
+        u = buf[:, :self.n]
+        prop = self._propagator(tau).base
+        _in_place(_fft.fft2, u, axes=(0,))
+        for rows in self._kept:
+            _in_place(_fft.fft2, u[rows], axes=(1,))
+            buf[rows] *= prop[rows]
+        buf[self._cut] = 0.0
+        for cols in self._kept:
+            _in_place(_fft.ifft2, u[:, cols], axes=(0,))
+        _in_place(_fft.ifft2, u, axes=(1,))
         return u
 
     def step_values(self, u: np.ndarray, dt: float, carry: float = 0.0):
         """One step from u, whose nonlinear sub-step of length carry is pending.
 
-        Returns (v, carry'): the state after the step is N(carry')v.  The
-        propagator cache keeps only this step's sub-step lengths, because dt
-        changes at every refresh and an old dt never returns.
+        Returns (v, carry'): the state after the step is N(carry')v.  A
+        state in the padded layout (one that `step_values` or `nonlinear`
+        returned) is stepped in place and v is a view of its buffer; any
+        other u is copied once and left unwritten.  The propagator cache
+        keeps only this step's sub-step lengths, because dt changes at every
+        refresh and an old dt never returns.
         """
         taus = [w * dt for w in self._weights]
         self._prop_cache = {tau: p for tau, p in self._prop_cache.items() if tau in taus}
+        buf = self._padded(u)
+        u = buf[:, :self.n]
         for tau in taus:
-            u = self.linear(self.nonlinear(u, carry + 0.5 * tau), tau)
+            self._kick(buf, carry + 0.5 * tau, buf)
+            self.linear(u, tau)
             carry = 0.5 * tau
         return u, carry
 
@@ -287,11 +341,11 @@ class Stepper:
         return float(np.sum(power[self._dealias_mask]) / (np.sum(power) + 1e-300))
 
 
-def _in_place(transform, u: np.ndarray):
-    """Write transform(u) into u.  scipy transforms a complex view in place
-    when it may overwrite it, and returns a new view of u's memory; the copy
-    back covers any backend that returns other memory."""
-    out = transform(u, overwrite_x=True)
+def _in_place(transform, u: np.ndarray, axes=(-2, -1)):
+    """Write transform(u) along axes into u.  scipy transforms a complex view
+    in place when it may overwrite it, and returns a new view of u's memory;
+    the copy back covers any backend that returns other memory."""
+    out = transform(u, axes=axes, overwrite_x=True)
     if out.ctypes.data != u.ctypes.data or out.strides != u.strides:
         u[...] = out
 
@@ -471,7 +525,7 @@ def read_snapshot(path) -> ComplexField2D:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(24)
         n = struct.unpack_from("<Q", head)[0] if len(head) == 24 else 0
-        ok = n >= 1 and not n & (n - 1) and size == 24 + 16 * n * n
+        ok = _power_of_two(n) and size == 24 + 16 * n * n
         if ok:
             data = np.empty((n, n), dtype="<c16")
             ok = fh.readinto(data) == data.nbytes      # the file may shrink after fstat

@@ -12,8 +12,9 @@ RANDOM_EPS_BUMPS = 6   # Gaussian bumps summed by constrained_random_eps
 
 
 def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
-    """One closed splitting step; the new field's NaN scan aborts it."""
-    u, carry = stepper.step_values(field.values, dt)
+    """One closed splitting step from a copy of field's values, which
+    step_values would step in place; the new field's NaN scan aborts it."""
+    u, carry = stepper.step_values(field.values.copy(), dt)
     return ComplexField2D(field.L, stepper.nonlinear(u, carry), field.t + dt)
 
 

@@ -297,27 +297,34 @@ def test_run_takes_one_gradient_per_recorded_state(monkeypatch):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_run_fft_count(monkeypatch, order):
-    # 2 transforms per sub-step, 1 per series row and 1 per dt refresh off a
-    # row: rows at steps 0, 4, …, 20; refreshes at 6, 12, 18, of which 12 is
-    # a row; snapshots and the closing of the state take none
-    L, n = 8.0, 32
+    # a sub-step's linear flow takes 6 pruned passes: axis 0 over the n
+    # columns, axis 1 over the two runs of kept rows, axis 0 over the two runs
+    # of kept columns and axis 1 over the n rows, so 2(n + kept) lines with
+    # kept = 21 of the 32 wavenumbers (|f| <= 1/3).  A series row and a dt
+    # refresh off a row take one fft2, 2n lines: rows at steps 0, 4, …, 20;
+    # refreshes at 6, 12, 18, of which 12 is a row; snapshots and the
+    # closing of the state take none
+    L, n, kept = 8.0, 32, 21
     X, Y = _grid(L, n)
     f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
     grad_ref = (2.0 / sim.lambda_proxy(f0, sim.Stepper(L, n, 1.0), 1.0, 1.0)) ** 2
-    calls = []
+    calls, lines = [], []
     for name in ("fft2", "ifft2"):
         transform = getattr(sim._fft, name)
 
-        def counting(*args, _transform=transform, **kwargs):
+        def counting(x, *args, axes=(-2, -1), _transform=transform, **kwargs):
             calls.append(1)
-            return _transform(*args, **kwargs)
+            lines.append(sum(x.size // x.shape[a] for a in axes))
+            return _transform(x, *args, axes=axes, **kwargs)
 
         monkeypatch.setattr(sim._fft, name, counting)
     cfg = sim.SimConfig(c_dt=0.01, max_steps=20, splitting_order=order,
                         series_stride=4, dt_refresh_every=6, snapshot_stride=5)
     res = sim.run(cfg, f0, 1.0, grad_ref=grad_ref, mass_ref=1.0)
     assert res.series["t"].size == 6
-    assert len(calls) == 2 * 20 * (1 if order == 2 else 3) + 6 + 2
+    sub_steps = 20 * (1 if order == 2 else 3)
+    assert len(calls) == 6 * sub_steps + 6 + 2
+    assert sum(lines) == 2 * (n + kept) * sub_steps + 2 * n * (6 + 2)
 
 
 @pytest.mark.parametrize("k_kind", ["array", "scalar"])
@@ -499,7 +506,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 64])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("k_kind", ["scalar", "array"])
 def test_step_values_bitwise_matches_contiguous_reference(n, order, k_kind):
@@ -539,7 +546,8 @@ def test_step_values_copies_back_out_of_place_transforms(monkeypatch, order):
     for name in ("fft2", "ifft2"):
         transform = getattr(sim._fft, name)
         monkeypatch.setattr(sim._fft, name,
-                            lambda x, overwrite_x=False, _t=transform: _t(x))
+                            lambda x, axes=(-2, -1), overwrite_x=False, _t=transform:
+                            _t(x, axes=axes))
     u, carry = st.step_values(u0, 0.01)
     assert carry == ref_carry
     assert _same_bits(u, ref)
@@ -580,6 +588,64 @@ def test_step_values_allocates_one_padded_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * n * (n + sim.ROW_PAD) + 2 ** 18
+
+
+def test_step_values_allocates_one_row_block():
+    # the same step at n = 512, where the padded buffer (4.2 MB) would show:
+    # the state is stepped in place, so the peak is the kick's e^{iθ} over
+    # one block of whole padded rows (about KICK_BLOCK values) and numpy's
+    # ufunc buffers
+    L, n = 8.0, 512
+    X, Y, kv = _inhomogeneous(L, n)
+    st = sim.Stepper(L, n, kv)
+    u, carry = st.step_values(_rough_data(L, n, seed=3), 0.01)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u, carry = st.step_values(u, 0.01, carry)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = sim.KICK_BLOCK // (n + sim.ROW_PAD)
+    assert peak <= 16 * rows * (n + sim.ROW_PAD) + 2 ** 18
+
+
+def test_step_values_steps_padded_states_in_place():
+    # a state that step_values or nonlinear returned is stepped in its own
+    # buffer; a contiguous input is copied once and left unwritten, by
+    # step_values and by linear alone
+    L, n = 8.0, 16
+    st = sim.Stepper(L, n, 0.8)
+    u0 = _rough_data(L, n, seed=6)
+    before = u0.copy()
+    u, carry = st.step_values(u0, 0.01)
+    assert _same_bits(u0, before) and not np.shares_memory(u, u0)
+    assert _same_bits(st.linear(u0, 0.01), _reference_linear(st, u0.copy(), 0.01))
+    assert _same_bits(u0, before)
+    for state in (st.nonlinear(u, carry), u):
+        old = state.copy()
+        v, _ = st.step_values(state, 0.01, carry)
+        assert v.base is state.base and not _same_bits(state, old)
+
+
+@pytest.mark.parametrize("n", [0, 3, 12, 96])
+def test_stepper_rejects_n_not_a_power_of_two(n):
+    # the pruned inverse scales by 1/n on each axis, ifft2 by 1/n² once:
+    # equal to the bit only for n a power of two
+    with pytest.raises(ValueError, match="^values must be square with n a power of two >= 1$"):
+        sim.Stepper(8.0, n, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 1024])
+def test_pruned_lines_are_the_unmasked_ones(n):
+    # linear transforms the kept rows and columns, and zeroes the cut rows:
+    # exactly the rows and columns that the dealiasing mask does not cover
+    st = sim.Stepper(8.0, n, 1.0)
+    kept = np.concatenate([np.arange(n)[s] for s in st._kept])
+    mask = st._dealias_mask
+    assert np.array_equal(kept, np.flatnonzero(~mask.all(axis=1)))
+    assert np.array_equal(kept, np.flatnonzero(~mask.all(axis=0)))
+    assert np.array_equal(np.arange(n)[st._cut], np.flatnonzero(mask.all(axis=1)))
 
 
 def test_snapshot_of_padded_view_writes_contiguous_bytes(tmp_path):
