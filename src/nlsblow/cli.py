@@ -14,6 +14,9 @@ snapshot is listed under ``predictor_fallback`` in analyze.json.
 ode_gap.csv holds, per snapshot fitted from an ODE guess, the predicted
 minus the fitted (b, λ, β, α, γ); params.csv ends with the fit's telemetry
 (Newton steps, Jacobian condition number, largest condition residual).
+
+``sim`` (scipy.fft) and ``modfit`` (scipy.ndimage) are imported by the
+commands that run them, so the theory commands never load either.
 """
 
 import argparse
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import modeqs, modfit, profile as prof, sim
+from . import modeqs, profile as prof
 from .config import ConfigError, load_config
 from .fields import PolarGrid
 from .lab import get_lab
@@ -213,6 +216,8 @@ def cmd_appendix_b(cfg, out: Path) -> int:
 
 
 def cmd_simulate(cfg, out: Path) -> int:
+    from . import sim
+
     lab = get_lab(**cfg["radial_grid"])
     exp = _expansion_from(cfg, lab)
     L, n = cfg["grid2d"]["L"], cfg["grid2d"]["n"]
@@ -259,6 +264,8 @@ def _predict(root, constants, t: float):
 
 
 def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
+    from . import modfit, sim
+
     lab = get_lab(**cfg["radial_grid"])
     exp = _expansion_from(cfg, lab)
     ft = dict(cfg["fit"])

@@ -5,17 +5,18 @@ shared radial grid.  Real fields carry conjugate-symmetric components
 f_{-m} = conj(f_m).  Mode products are exact convolutions in m; parameter-
 space calculus on the profile expansion never touches these radial arrays.
 Off the grid, a field is interpolated in r by the package's only CubicSpline:
-``spline`` builds it anew on each evaluation (nothing is cached; a caller
-that evaluates many point sets passes one spline to each), through all real
-and imaginary parts at once.  ``at`` takes cartesian points y of
-shape (..., 2), is exactly 0 past r_max, evaluates the spline only at the
-points within r_max, AT_BLOCK points at a time, and sums the modes by Horner
-in z = e^{iθ} = (y₁ + i y₂)/r (z = 1 at r = 0; no angle is formed), so its
-last bits differ from a per-mode Σ f_m e^{imθ}; a mode-0-only field is its
-spline's values exactly.  Each point's value is independent of the other
-points of the call, so ``in_blocks`` can take any pointwise evaluator of
-the package (``kmodel``'s k, ``profile.modulated``) through a box AT_BLOCK
-points at a time without changing a bit.
+``spline`` imports scipy.interpolate and builds it anew on each evaluation
+(nothing is cached; a caller that evaluates many point sets passes one
+spline to each), through all real and imaginary parts at once.  ``at``
+takes cartesian points y of shape (..., 2), is exactly 0 past r_max,
+evaluates the spline only at the points within r_max, AT_BLOCK points at a
+time, and sums the modes by Horner in z = e^{iθ} = (y₁ + i y₂)/r (z = 1 at
+r = 0; no angle is formed), so its last bits differ from a per-mode
+Σ f_m e^{imθ}; a mode-0-only field is its spline's values exactly.  Each
+point's value is independent of the other points of the call, so
+``in_blocks`` can take any pointwise evaluator of the package (``kmodel``'s
+k, ``profile.modulated``) through a box AT_BLOCK points at a time without
+changing a bit.
 
 A PolarGrid is the (r, θ) product grid on which every sampled polar field
 lives: r_j = j·h on [0, r_max] (n_r nodes, r_0 = 0) and θ_k = 2πk/n_θ.
@@ -30,24 +31,22 @@ three operations on samples, with these conventions:
   each mode with the parity (−1)^m of r^|m| e^{imθ} at the origin (ghost
   values F(−r) = (−1)^m F(r)) and zero ghosts past r_max.  r⁻¹∂_θ has modes
   i m F / r, and is set to 0 on the r = 0 row.
-- Integral: ∫ f r dr dθ, composite Simpson in r and the uniform rule in θ
-  (exact for trigonometric polynomials of degree below n_θ).  ``weights``
-  holds the same rule as one (n_r, n_θ) array, for contracting many
-  integrands at once.
+- Integral: ∫ f r dr dθ, the radial grid's composite-Simpson weight vector
+  (``RadialGrid.weights``) contracted with the sum over θ, times the
+  uniform rule's 2π/n_θ (exact for trigonometric polynomials of degree
+  below n_θ).  ``weights`` holds the same rule as one (n_r, n_θ) array, for
+  contracting many integrands at once.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .radial import RadialGrid, derivative, quadrature
 
 AT_BLOCK = 2 ** 15     # points per evaluation in AngularField.at and in_blocks
-WEIGHT_BLOCK = 32      # unit vectors per Simpson evaluation in PolarGrid.weights
 
 
 def in_blocks(fn: Callable, y: np.ndarray, dtype) -> np.ndarray:
@@ -146,23 +145,13 @@ class PolarGrid:
         return dr, dth
 
     def integral(self, vals: np.ndarray) -> float:
-        """∫ vals r dr dθ of real samples."""
-        radial = simpson(vals * self.r[:, None], x=self.r, axis=0)
-        return float(np.sum(radial) * (2 * np.pi / self.n_theta))
+        """∫ vals r dr dθ of real samples: the radial weights against Σ_θ vals."""
+        return float(self.radial.weights @ np.sum(vals, axis=1) * (2 * np.pi / self.n_theta))
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """integral's rule as samples, Σ weights·f ≈ ∫ f r dr dθ, built once per grid.
-
-        Simpson is linear in the samples, so its r-weight of node j is its
-        value on the unit vector e_j.  The unit vectors go WEIGHT_BLOCK at a
-        time: the whole n_r × n_r identity would raise a fit's peak memory.
-        """
-        r = self.r
-        blocks = [simpson(np.eye(self.n_r, WEIGHT_BLOCK, -j), x=r, axis=0)  # e_j, e_j+1, …
-                  for j in range(0, self.n_r, WEIGHT_BLOCK)]
-        simpson_r = np.concatenate(blocks)[:self.n_r]
-        return np.repeat((simpson_r * r * (2 * np.pi / self.n_theta))[:, None],
+        """integral's rule as samples, Σ weights·f ≈ ∫ f r dr dθ, built once per grid."""
+        return np.repeat((self.radial.weights * (2 * np.pi / self.n_theta))[:, None],
                          self.n_theta, axis=1)
 
 
@@ -244,12 +233,14 @@ class AngularField:
             modes[:, m % polar.n_theta] += v
         return polar.samples(modes)
 
-    def spline(self) -> CubicSpline:
+    def spline(self):
         """One cubic spline in r through the columns [Re f_m …, Im f_m …], comps order."""
+        from scipy.interpolate import CubicSpline
+
         vals = np.array(list(self.comps.values())).reshape(len(self.comps), self.grid.n)
         return CubicSpline(self.grid.nodes, np.concatenate([vals.real, vals.imag]).T)
 
-    def at(self, y: np.ndarray, spline: Optional[CubicSpline] = None) -> np.ndarray:
+    def at(self, y: np.ndarray, spline=None) -> np.ndarray:
         """Evaluate at cartesian points y of shape (..., 2) (spline in r, zero beyond r_max).
 
         Horner in z = (y₁ + i y₂)/r from the top mode down to min(m_min, 0),

@@ -13,7 +13,8 @@ from the profile constants.  The system is written once, as the table
 ``law_matrices`` turns it into the matrices ``modulation_rhs`` evaluates.
 The state is ``profile.ParamPoint``, in its vector layout
 [b, λ, β1, β2, α1, α2, γ, s, t]: both clocks are integrated states, and
-either one can be the independent variable of ``integrate``.
+either one can be the independent variable of ``integrate``.  The functions
+that call scipy.integrate import it, so loading this module does not.
 
 The separate 2x2 system Z_s = [[0,-2],[ς/s²,0]] Z + F with its closed-form
 basis and variation-of-constants bound is the a-priori toolbox used to tame
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
-from scipy.integrate import solve_ivp
 
 from .profile import ParamPoint, ProfileConstants
 
@@ -34,6 +33,8 @@ from .profile import ParamPoint, ProfileConstants
 def quad(*args, **kwargs):
     # tight-tolerance tails of oscillatory integrands trip the roundoff
     # warning long after the requested accuracy is reached
+    import scipy.integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         return scipy.integrate.quad(*args, **kwargs)
@@ -132,6 +133,8 @@ def integrate(state0: ParamPoint, constants: ProfileConstants, s_span=None,
     starts at the state's own clock.  Stops cleanly at λ = lam_min; forward
     and backward spans both work.
     """
+    from scipy.integrate import solve_ivp
+
     if state0.lam <= 0:
         raise ValueError("lambda must be positive")
     if (s_span is None) == (t_span is None):
@@ -286,6 +289,8 @@ def bound_report(sys: AppendixBSystem, F: Callable, s_values: np.ndarray) -> dic
 def integrate_linear_system(sys: AppendixBSystem, F: Callable, s_from: float,
                             s_to: float, Z0: np.ndarray) -> Callable:
     """Direct adaptive integration of the 2x2 system (the cross-check route)."""
+
+    from scipy.integrate import solve_ivp
 
     def rhs(s, z):
         f = F(s)

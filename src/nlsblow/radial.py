@@ -4,12 +4,14 @@ Q is the positive radial solution of ΔQ - Q + Q^3 = 0 in R^2, i.e.
 
     Q'' + Q'/r - Q + Q^3 = 0,   Q'(0) = 0,   Q(r) -> 0,
 
-obtained by a collocation Newton on the full grid.  Shooting only brackets
-its start: a coarse bisection on Q(0) (relative width START_XTOL) and one
-dense shot from the bracket's midpoint.  Newton recomputes every sample, so
-it alone owns the accuracy; ``shooting_amplitude`` at its default xtol stays
-the independent oracle for Q(0).  All integrals carry the 2D measure
-2π r dr and stop at r_max, where the Dirichlet row keeps Q(r_max) = 0.
+obtained by a collocation Newton on the full grid from the closed-form
+start START_AMPLITUDE·sech²(START_RATE·r).  The positive radial solution is
+unique (Kwong 1989), so Newton lands on the same samples from any start in
+its basin, and it alone owns the accuracy.  The independent oracle for Q(0),
+a shooting bisection, lives with the tests.  All integrals carry the 2D
+measure 2π r dr, by one composite-Simpson weight vector per grid
+(``RadialGrid.weights``), and stop at r_max, where the Dirichlet row keeps
+Q(r_max) = 0.
 
 The package's one radial discretization is here: 4th-order differences with
 parity ghosts f(-r) = (-1)^m f(r) at r = 0 and zero ghosts past r_max, as
@@ -18,14 +20,10 @@ Laplacian (``laplacian_banded``) and of -Δ_m + V (``operator_banded``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp, simpson
 from scipy.linalg import solve_banded
-
-
-class BracketError(RuntimeError):
-    """Shooting bisection failed to bracket the ground state amplitude."""
 
 
 @dataclass(frozen=True)
@@ -46,6 +44,25 @@ class RadialGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.r_max, self.n)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Composite-Simpson weights of ∫_0^r_max f(r) r dr: Σ weights·f.
+
+        h/3·[1, 4, 2, …, 4, 1] over an even number of intervals.  An odd
+        number ends with Cartwright's last-interval correction (scipy's
+        ``simpson`` since 1.11): h/3·[1, 4, …, 4, 1] up to node n−2, then
+        −h/12, +2h/3, +5h/12 on the last three nodes.
+        """
+        h = self.h
+        w = np.zeros(self.n)
+        even = self.n - 1 - (self.n - 1) % 2        # the Simpson part's last node
+        w[0:even + 1:2] = 2.0 * h / 3.0
+        w[1:even:2] = 4.0 * h / 3.0
+        w[0] = w[even] = h / 3.0
+        if even < self.n - 1:
+            w[-3:] += np.array([-1.0, 8.0, 5.0]) * (h / 12.0)
+        return w * self.nodes
 
 
 @dataclass
@@ -106,8 +123,7 @@ def fit_tail_rate(grid: RadialGrid, values: np.ndarray) -> float:
 
 def quadrature(values: np.ndarray, grid: RadialGrid) -> float:
     """2π ∫_0^r_max f(r) r dr by composite Simpson on the grid's nodes."""
-    r = grid.nodes
-    return float(2.0 * np.pi * simpson(np.asarray(values) * r, x=r))
+    return float(2.0 * np.pi * (grid.weights @ np.asarray(values)))
 
 
 # ----------------------------------------------------------------------
@@ -220,103 +236,36 @@ def operator_banded(lap: np.ndarray, m: int, potential: np.ndarray, h: float) ->
 # ground state
 # ----------------------------------------------------------------------
 
-SHOOTING_ITERS = 200   # most bisection steps of shooting_amplitude
-START_XTOL = 1e-2      # relative bracket width of the Newton start's bisection
-START_RTOL = 1e-8      # rtol of that bisection's shots: they only classify Q(0)
-START_ATOL = 1e-10     # atol of those shots
-
-
-def _shoot(a: float, r_max: float, rtol: float, atol: float, dense: bool = False):
-    """Integrate Q''+Q'/r = Q - Q^3 from the series start at r0 with Q(0)=a.
-
-    Returns (flag, sol): flag=+1 if the solution turned upward while still
-    positive (amplitude too small), -1 if it crossed zero (too large).
-    """
-    r0 = 1e-8
-    c2 = (a - a ** 3) / 4.0
-    y0 = [a + c2 * r0 ** 2, 2 * c2 * r0]
-
-    def rhs(r, y):
-        q, dq = y
-        return [dq, q - q ** 3 - dq / r]
-
-    def cross_zero(r, y):
-        return y[0]
-
-    cross_zero.terminal = True
-    cross_zero.direction = -1
-
-    def turn_up(r, y):
-        # after the profile has begun to decay, dq returning to 0 means blow-up back upward
-        return y[1] - 1e-14 if y[0] < a * 0.5 else -1.0
-
-    turn_up.terminal = True
-    turn_up.direction = 1
-
-    sol = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=rtol, atol=atol,
-                    events=(cross_zero, turn_up), dense_output=dense)
-    if sol.t_events[0].size:
-        return -1, sol
-    if sol.t_events[1].size:
-        return +1, sol
-    # reached r_max without either event: classify by sign of the endpoint
-    return (+1 if sol.y[0, -1] > 0 else -1), sol
-
-
-def shooting_amplitude(r_max: float = 30.0, bracket=(2.0, 2.5), rtol: float = 1e-12,
-                       atol: float = 1e-14, xtol: float = 1e-15) -> float:
-    """Bisection on Q(0) down to a relative bracket width xtol.
-
-    At the default xtol this is the independent shooting oracle for the
-    amplitude; ``solve_ground_state`` calls it with START_XTOL for a start.
-    """
-    lo, hi = bracket
-    flo, _ = _shoot(lo, r_max, rtol, atol)
-    fhi, _ = _shoot(hi, r_max, rtol, atol)
-    if flo == fhi:
-        raise BracketError(
-            f"shooting flags equal at bracket ends ({flo}); r_max={r_max} too small "
-            "or bracket does not contain the ground-state amplitude")
-    for _ in range(SHOOTING_ITERS):
-        mid = 0.5 * (lo + hi)
-        fm, _ = _shoot(mid, r_max, rtol, atol)
-        if fm == flo:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < xtol * hi:
-            break
-    return 0.5 * (lo + hi)
+START_AMPLITUDE = 2.2   # Newton's start: START_AMPLITUDE·sech²(START_RATE·r), 0 at r_max
+START_RATE = 0.8
 
 
 def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
-    """Ground state on the grid: a coarse shooting start, then Newton.
+    """Ground state on the grid: Newton from a closed-form start.
 
-    Shooting only brackets the start: bisection on Q(0), with loose shots
-    (START_RTOL, START_ATOL), stops at relative width START_XTOL, and the
-    dense shot from the bracket's midpoint, at rtol 1e-12 (held
-    at max(its last value, 0) past where it stops) seeds the iteration.
-    Newton owns the accuracy: it solves the 4th-order collocation system
-    (-Δ_h + 1)Q - Q^3 = 0 with Q'(0)=0 and Q(r_max)=0, so the returned
-    samples satisfy the discrete equation to pointwise residual <= tol.
+    The start is START_AMPLITUDE·sech²(START_RATE·r) with its last node at 0.
+    The positive radial solution is unique, so any start in Newton's basin
+    gives the same samples.  Newton owns the accuracy: it solves the
+    4th-order collocation system (-Δ_h + 1)Q - Q^3 = 0 with Q'(0)=0 and
+    Q(r_max)=0, so the returned samples satisfy the discrete equation to
+    pointwise residual <= tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if grid.r_max < 15:
         raise ValueError("r_max >= 15 required for a trustworthy tail")
-    a = shooting_amplitude(grid.r_max, rtol=START_RTOL, atol=START_ATOL, xtol=START_XTOL)
-    flag, sol = _shoot(a, grid.r_max, 1e-12, 1e-14, dense=True)
-    r = grid.nodes
-    q = np.empty(grid.n)
-    r_reached = sol.t[-1]
-    inside = r >= 1e-8
-    q[~inside] = a
-    rr = np.minimum(r[inside], r_reached)
-    q[inside] = sol.sol(rr)[0]
-    q[r > r_reached] = np.maximum(sol.y[0, -1], 0.0)
-    q = np.maximum(q, 0.0)
+    e = np.exp(-2.0 * START_RATE * grid.nodes)      # sech²x = 4e^{-2x}/(1+e^{-2x})², no overflow
+    q = 4.0 * START_AMPLITUDE * e / (1.0 + e) ** 2
     q[-1] = 0.0
+    q = _newton(grid, q, tol)
+    if not (q[0] > 0 and np.all(np.diff(q[:-1]) < 0)):
+        raise RuntimeError("ground state not positive decreasing; grid too coarse?")
+    return RadialFunction(grid, q)
 
+
+def _newton(grid: RadialGrid, q: np.ndarray, tol: float) -> np.ndarray:
+    """Newton on the collocation system from the start q, stopped at tol or at its
+    roundoff floor; raises RuntimeError if the best iterate misses tol."""
     lap = laplacian_banded(grid, 0)
 
     def residual(qv):
@@ -341,11 +290,7 @@ def solve_ground_state(grid: RadialGrid, tol: float = 1e-10) -> RadialFunction:
         raise RuntimeError(
             f"ground-state Newton stalled at residual {best:.2e} > tol {tol:.0e}; "
             "the roundoff floor scales like 1/h^2, so loosen tol or refine less")
-
-    out = RadialFunction(grid, q)
-    if not (q[0] > 0 and np.all(np.diff(q[:-1]) < 0)):
-        raise RuntimeError("ground state not positive decreasing; grid too coarse?")
-    return out
+    return q
 
 
 def moments(Q: RadialFunction) -> Moments:

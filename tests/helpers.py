@@ -1,6 +1,7 @@
 """Test-only helpers built on the package: nothing in nlsblow calls these."""
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from nlsblow.fields import AngularField, PolarGrid
 from nlsblow.modfit import _BLEND, condition_window_pairs
@@ -9,6 +10,11 @@ from nlsblow.sim import ComplexField2D, Stepper, box_points
 
 RANDOM_EPS_L2 = 1e-3   # ‖ε‖_L2 of constrained_random_eps
 RANDOM_EPS_BUMPS = 6   # Gaussian bumps summed by constrained_random_eps
+SHOOTING_ITERS = 200   # most bisection steps of shooting_amplitude
+
+
+class BracketError(RuntimeError):
+    """Shooting bisection failed to bracket the ground state amplitude."""
 
 
 def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
@@ -58,3 +64,83 @@ def rescaled_perturbation(eps: np.ndarray, grid: PolarGrid, params: ParamPoint,
     field = AngularField(grid.radial, dict(zip(grid.m, grid.modes(eps).T)))
     return modulated(field.at, params.lam, params.alpha, params.gamma,
                      float(model.k(params.alpha)), box_points(L, n))
+
+
+# ----------------------------------------------------------------------
+# the shooting oracle for the ground state
+# ----------------------------------------------------------------------
+
+def _shoot(a: float, r_max: float, rtol: float, atol: float, dense: bool = False):
+    """Integrate Q''+Q'/r = Q - Q^3 from the series start at r0 with Q(0)=a.
+
+    Returns (flag, sol): flag=+1 if the solution turned upward while still
+    positive (amplitude too small), -1 if it crossed zero (too large).
+    """
+    r0 = 1e-8
+    c2 = (a - a ** 3) / 4.0
+    y0 = [a + c2 * r0 ** 2, 2 * c2 * r0]
+
+    def rhs(r, y):
+        q, dq = y
+        return [dq, q - q ** 3 - dq / r]
+
+    def cross_zero(r, y):
+        return y[0]
+
+    cross_zero.terminal = True
+    cross_zero.direction = -1
+
+    def turn_up(r, y):
+        # after the profile has begun to decay, dq returning to 0 means blow-up back upward
+        return y[1] - 1e-14 if y[0] < a * 0.5 else -1.0
+
+    turn_up.terminal = True
+    turn_up.direction = 1
+
+    sol = solve_ivp(rhs, (r0, r_max), y0, method="DOP853", rtol=rtol, atol=atol,
+                    events=(cross_zero, turn_up), dense_output=dense)
+    if sol.t_events[0].size:
+        return -1, sol
+    if sol.t_events[1].size:
+        return +1, sol
+    # reached r_max without either event: classify by sign of the endpoint
+    return (+1 if sol.y[0, -1] > 0 else -1), sol
+
+
+def shooting_amplitude(r_max: float = 30.0, bracket=(2.0, 2.5), rtol: float = 1e-12,
+                       atol: float = 1e-14, xtol: float = 1e-15) -> float:
+    """Bisection on Q(0) down to a relative bracket width xtol: the independent
+    shooting oracle for the ground state's amplitude."""
+    lo, hi = bracket
+    flo, _ = _shoot(lo, r_max, rtol, atol)
+    fhi, _ = _shoot(hi, r_max, rtol, atol)
+    if flo == fhi:
+        raise BracketError(
+            f"shooting flags equal at bracket ends ({flo}); r_max={r_max} too small "
+            "or bracket does not contain the ground-state amplitude")
+    for _ in range(SHOOTING_ITERS):
+        mid = 0.5 * (lo + hi)
+        fm, _ = _shoot(mid, r_max, rtol, atol)
+        if fm == flo:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < xtol * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def shooting_start(grid, a: float) -> np.ndarray:
+    """The dense shot from Q(0) = a sampled on the grid's nodes: held at
+    max(its last value, 0) past where it stops, clipped at 0, last node 0."""
+    _, sol = _shoot(a, grid.r_max, 1e-12, 1e-14, dense=True)
+    r = grid.nodes
+    q = np.empty(grid.n)
+    r_reached = sol.t[-1]
+    inside = r >= 1e-8
+    q[~inside] = a
+    q[inside] = sol.sol(np.minimum(r[inside], r_reached))[0]
+    q[r > r_reached] = np.maximum(sol.y[0, -1], 0.0)
+    q = np.maximum(q, 0.0)
+    q[-1] = 0.0
+    return q

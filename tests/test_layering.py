@@ -18,10 +18,41 @@ def test_radial_solves_ground_state_without_linops():
     code = ("import sys\n"
             "from nlsblow.radial import RadialGrid, solve_ground_state\n"
             "solve_ground_state(RadialGrid(20.0, 512))\n"
-            "assert 'nlsblow.linops' not in sys.modules, 'radial imported linops'\n")
+            "assert 'nlsblow.linops' not in sys.modules, 'radial imported linops'\n"
+            "assert 'scipy.integrate' not in sys.modules, 'radial imported scipy.integrate'\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# scipy subpackages each command must not load: the lab needs scipy.linalg
+# only, and the ODE, spline, FFT and image subpackages load in the commands
+# that run them
+COMMAND_SCIPY = {
+    "verify": ("", ("integrate", "interpolate", "ndimage", "fft")),
+    "profile": ("", ("integrate", "interpolate", "ndimage", "fft")),
+    # a few steps on the fit workload's box, at the default lab
+    "simulate": ("grid2d: {L: 6.0, n: 512}\nsim: {t_stop: -0.2999}\n", ("integrate", "ndimage")),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_SCIPY)
+def test_command_loads_only_its_scipy(tmp_path, command):
+    config_text, banned = COMMAND_SCIPY[command]
+    config = tmp_path / "config.yaml"
+    config.write_text(config_text)
+    code = ("import sys\n"
+            "from nlsblow.cli import main\n"
+            f"rc = main([{command!r}, '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(rc, ' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    assert rc == "0"
+    assert "scipy.linalg" in loaded
+    for sub in banned:
+        assert not [m for m in loaded if m.split(".")[1] == sub], f"{command} loads scipy.{sub}"
 
 
 # the declared order: a module may load only the package modules before it

@@ -1,19 +1,21 @@
 """Ground state, quadrature, and moment identities."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from nlsblow import radial
 from nlsblow.radial import (
     RadialGrid,
-    BracketError,
     fit_tail_rate,
     quadrature,
     derivative,
     moments,
-    shooting_amplitude,
     solve_ground_state,
 )
+
+from helpers import BracketError, shooting_amplitude, shooting_start
 
 
 def test_grid_invariants():
@@ -49,6 +51,18 @@ def test_pohozaev_suite(lab):
 def test_quadrature_exponential_exact():
     g = RadialGrid(40.0, 16384)
     assert quadrature(np.exp(-g.nodes), g) == pytest.approx(2 * np.pi, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1001, 1000])
+def test_quadrature_is_simpson(n):
+    # an even n has an odd number of intervals, where the last one takes
+    # Cartwright's correction as in scipy's simpson
+    from scipy.integrate import simpson
+
+    g = RadialGrid(25.0, n)
+    r = g.nodes
+    for f in (np.exp(-r) * np.cos(3 * r), 1.0 / (1.0 + r ** 2), np.ones(n)):
+        assert quadrature(f, g) == pytest.approx(2 * np.pi * simpson(f * r, x=r), rel=1e-13)
 
 
 def test_ymom_richardson(lab):
@@ -89,47 +103,36 @@ def test_moment_grid_refinement(lab):
         assert abs(a - b) / abs(b) < 1e-8
 
 
-def test_ground_state_shot_budget(monkeypatch):
-    # shooting only brackets the Newton start: a coarse bisection and one dense shot
-    calls = []
-    shoot = radial._shoot
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return shoot(*args, **kwargs)
-
-    monkeypatch.setattr(radial, "_shoot", counted)
-    solve_ground_state(RadialGrid(20.0, 512))
-    assert len(calls) <= 12
+# grids whose Newton stalls at its roundoff floor, which grows like 1/h², from any start
+ROUNDOFF_STALLS = {(15.0, 8192), (20.0, 8192)}
 
 
-@pytest.mark.parametrize("r_max, n", [(20.0, 512), (30.0, 4096)])
-def test_coarse_start_only_seeds_newton(monkeypatch, r_max, n):
+@lru_cache(maxsize=None)
+def _oracle_amplitude(r_max):
+    return shooting_amplitude(r_max)
+
+
+def _newton_or_error(solve):
+    try:
+        return solve()
+    except RuntimeError as err:
+        return err
+
+
+@pytest.mark.parametrize("n", [512, 2048, 8192])
+@pytest.mark.parametrize("r_max", [15.0, 20.0, 30.0, 40.0, 60.0, 100.0])
+def test_coarse_start_only_seeds_newton(r_max, n):
+    # Newton from the closed-form start and from the oracle's dense shot land
+    # on the same samples, or both stop at the same roundoff floor
     grid = RadialGrid(r_max, n)
-    coarse = solve_ground_state(grid).values
-    monkeypatch.setattr(radial, "START_XTOL", 1e-15)   # the oracle's full-precision start
-    monkeypatch.setattr(radial, "START_RTOL", 1e-12)
-    monkeypatch.setattr(radial, "START_ATOL", 1e-14)
-    full = solve_ground_state(grid).values
-    assert np.max(np.abs(coarse - full)) <= 1e-10
-
-
-@pytest.mark.parametrize("r_max", [15.0, 20.0, 25.0, 30.0, 40.0])
-def test_loose_start_shots_keep_the_midpoint(r_max):
-    # the start's bisection only classifies shots: rtol 1e-8 ends on the
-    # same midpoint as the dense shot's 1e-12
-    loose = shooting_amplitude(r_max, rtol=radial.START_RTOL, atol=radial.START_ATOL,
-                               xtol=radial.START_XTOL)
-    tight = shooting_amplitude(r_max, rtol=1e-12, atol=1e-14, xtol=radial.START_XTOL)
-    assert loose == tight
-
-
-def test_loose_start_shots_keep_the_lab_bitwise(monkeypatch, lab):
-    assert (lab.grid.r_max, lab.grid.n) == (30.0, 8192)
-    monkeypatch.setattr(radial, "START_RTOL", 1e-12)
-    monkeypatch.setattr(radial, "START_ATOL", 1e-14)
-    tight = solve_ground_state(RadialGrid(30.0, 8192)).values
-    assert np.array_equal(lab.Q.values, tight)
+    closed = _newton_or_error(lambda: solve_ground_state(grid).values)
+    shot = _newton_or_error(lambda: radial._newton(
+        grid, shooting_start(grid, _oracle_amplitude(r_max)), 1e-10))
+    if (r_max, n) in ROUNDOFF_STALLS:
+        for got in (closed, shot):
+            assert isinstance(got, RuntimeError) and "stalled" in str(got)
+    else:
+        assert np.max(np.abs(closed - shot)) <= 1e-10
 
 
 def test_bracket_failure():

@@ -572,10 +572,11 @@ def test_step_values_returns_padded_view():
 
 
 def test_step_values_allocates_one_padded_buffer():
-    # a Strang step from a stepped state, its propagator cached, allocates
-    # the new state's padded buffer and nothing box-sized besides; the
-    # 256 KiB of slack hold numpy's ufunc buffers (8192 elements per
-    # operand) and stay under one n² real (512 KiB)
+    # a Strang step from a stepped state, its propagator cached, steps the
+    # state in place: at n = 256 the peak is the kick's e^{iθ} over one
+    # block of whole padded rows (about KICK_BLOCK values) and numpy's
+    # ufunc buffers, well under the one padded buffer (1.1 MB) it may not
+    # exceed
     L, n = 8.0, 256
     X, Y, kv = _inhomogeneous(L, n)
     st = sim.Stepper(L, n, kv)
@@ -587,6 +588,8 @@ def test_step_values_allocates_one_padded_buffer():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    rows = sim.KICK_BLOCK // (n + sim.ROW_PAD)
+    assert peak <= 16 * rows * (n + sim.ROW_PAD) + 2 ** 18
     assert peak <= 16 * n * (n + sim.ROW_PAD) + 2 ** 18
 
 
