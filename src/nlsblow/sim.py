@@ -45,6 +45,19 @@ the same arithmetic; ifft2 scales by 1/n² once and the pruned inverse by
 1/n on each axis, which is exact for n a power of two.  The steps are
 therefore bitwise those of the full transforms.
 
+The kick's phase is exact where it is small.  For |θ| < PHASE_EXACT = 2^-27
+the correctly rounded cos θ is 1.0 and sin θ is θ: cos θ = 1 - θ²/2 + ...
+rounds to 1 while θ²/2 is under half an ulp below 1 (2^-54), that is
+|θ| < 2^-26.5, and sin θ = θ(1 - θ²/6 + ...) rounds to θ while θ²/6 is
+under the relative half ulp (at least 2^-54), that is |θ| < 2^-25.7.  2^-27
+is the power of two under both, and numpy's cos and sin meet it to the bit
+(tests/test_sim.py holds them to it).  A collapsing state is a core that
+decays like e^{-r} over a background near 0, so along a collapse run on
+the production box about 97% of θ lie under it.  The kick takes cos and
+sin only on the column span of each row block where some |θ| does not,
+and writes e^{iθ} = 1 + iθ elsewhere, so every result is bitwise that of
+cos and sin everywhere.
+
 The box-sized arrays of a run, each alive only while it is read:
 
 - across a step: the state u (padded complex), the cached propagator of
@@ -146,6 +159,10 @@ ROW_PAD = 4
 # of a block, 512 KiB of complex values, is still in cache for the product.
 KICK_BLOCK = 2 ** 15
 
+# Below this |θ|, cos θ rounds to 1.0 and sin θ to θ (the module docstring
+# says why), so the kick writes e^{iθ} = 1 + iθ without calling them.
+PHASE_EXACT = 2.0 ** -27
+
 
 def _phase(theta: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """e^{iθ} of a real array, as cos θ + i sin θ written into one complex
@@ -238,6 +255,16 @@ class Stepper:
         can round a complex product differently.  The padding of θ is 0,
         because |0|² = 0 and k multiplies the view only, so out's padding
         is 0.
+
+        cos and sin run only on the block's live columns, the span from the
+        first to the last column holding some |θ| >= PHASE_EXACT or a
+        non-finite θ, whose NaN they pass on; outside it e^{iθ} is 1 + iθ,
+        the correctly rounded cos and sin there (2^-27 is under the 2^-26.5
+        where cos θ stops rounding to 1 and the 2^-25.7 where sin θ stops
+        rounding to θ), so the result is bitwise that of cos and sin
+        everywhere.  A localized state leaves most blocks with no live
+        column at all.  The test is on |θ|: a merged middle kick of the
+        triple jump has τ < 0, and k may have either sign.
         """
         rows = max(1, KICK_BLOCK // buf.shape[1])
         phase = np.empty((rows, buf.shape[1]), dtype=complex)
@@ -250,7 +277,13 @@ class Stepper:
             theta += e.real
             theta[:, :self.n] *= self._k_rows[i:i + rows]
             theta *= tau
-            _phase(theta, out=e)
+            dead = theta.max(axis=0) < PHASE_EXACT        # NaN compares False: live
+            dead &= theta.min(axis=0) > -PHASE_EXACT
+            live = np.flatnonzero(~dead)
+            c0, c1 = (live[0], live[-1] + 1) if live.size else (0, 0)
+            e.real[:, :c0] = 1.0
+            e.real[:, c1:] = 1.0
+            _phase(theta[:, c0:c1], out=e[:, c0:c1])
             np.multiply(e, b, out=out[i:i + rows])
 
     def nonlinear(self, u: np.ndarray, tau: float) -> np.ndarray:

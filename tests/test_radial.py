@@ -135,6 +135,27 @@ def test_coarse_start_only_seeds_newton(r_max, n):
         assert np.max(np.abs(closed - shot)) <= 1e-10
 
 
+def test_shape_check_reads_the_samples_above_tol_only(lab):
+    # Newton from the oracle's dense shot on (100, 8192) converges, with
+    # samples of either sign where Q is under roundoff; the check accepts
+    # it, and still rejects a rise or a sign change in the core, a tail
+    # that leaves ±tol and the zero solution
+    tol = 1e-10
+    grid = RadialGrid(100.0, 8192)
+    shot = radial._newton(grid, shooting_start(grid, _oracle_amplitude(100.0)), tol)
+    assert np.max(np.abs(shot - solve_ground_state(grid).values)) <= tol
+    assert np.any(shot[:-1] < 0) and not np.all(np.diff(shot[:-1]) < 0)
+    assert radial._positive_decreasing(shot, tol)
+    q, r = lab.Q.values, lab.grid.nodes
+    assert radial._positive_decreasing(q, tol)
+    rise = q.copy()
+    i = np.searchsorted(r, 2.0)
+    rise[i] = rise[i - 1]
+    bump = q + 1e-9 * np.exp(-(r - 26.0) ** 2)
+    for bad in (rise, q - 1e-3, q * (1.0 - r / 5.0), bump, -q, 0.0 * q):
+        assert not radial._positive_decreasing(bad, tol)
+
+
 def test_bracket_failure():
     with pytest.raises(BracketError):
         shooting_amplitude(30.0, bracket=(0.1, 0.2))

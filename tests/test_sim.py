@@ -665,3 +665,126 @@ def test_snapshot_of_padded_view_writes_contiguous_bytes(tmp_path):
     assert raw == struct.pack("<Qdd", n, L, -0.49) + contiguous.values.astype("<c16").tobytes()
     back = sim.read_snapshot(tmp_path / "padded.bin")
     assert _same_bits(back.values, contiguous.values) and back.t == padded.t
+
+
+# ----------------------------------------------------------------------
+# the kick's exact phase: cos and sin only where |θ| >= PHASE_EXACT
+# ----------------------------------------------------------------------
+
+def _localized_data(L, n, center, seed):
+    """A narrow Gaussian core at center (periodically wrapped) over a
+    background of 1e-6, the shape of a collapsing state."""
+    X, Y = _grid(L, n)
+    dx = (X - center[0] + L) % (2 * L) - L
+    dy = (Y - center[1] + L) % (2 * L) - L
+    rng = np.random.default_rng(seed)
+    background = 1e-6 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return 2.0 * np.exp(-(dx ** 2 + dy ** 2) / 0.4 ** 2 + 0.3j * X) + background
+
+
+def _k_samples(L, n, kind):
+    X, Y = _grid(L, n)
+    k = 0.8 if kind.endswith("scalar") else 1.0 - 0.03 * (X ** 2 + Y ** 2)  # both signs
+    return -k if kind.startswith("-") else k
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+@pytest.mark.parametrize("case", ["core", "edge", "nonfinite"])
+@pytest.mark.parametrize("k_kind", ["scalar", "-scalar", "array", "-array"])
+def test_kick_on_localized_data_matches_reference_bits(monkeypatch, n, case, k_kind):
+    # a core in the box leaves whole row blocks and the column margins on
+    # both sides of its span dead; a core on the periodic edge makes the
+    # live span whole rows; a NaN and an inf in dead rows and margins turn
+    # their columns live.  Each kick, in place or into a new buffer, with
+    # the default and with 3-row blocks, is bitwise the kick that takes cos
+    # and sin on every column, and the reference's
+    L = 8.0
+    center = (-L, -L) if case == "edge" else (0.3, -0.2)
+    u0 = _localized_data(L, n, center, seed=n)
+    if case == "nonfinite":
+        u0[0, n // 2] = np.nan
+        u0[n // 2, 0] = np.inf
+    st = sim.Stepper(L, n, _k_samples(L, n, k_kind), splitting_order=4)
+    for tau in (0.013, -0.021):
+        theta = np.abs(u0) ** 2 * st.k * tau
+        live = ~(np.abs(theta) < sim.PHASE_EXACT)
+        if n >= 64:          # the data have the shape each case names
+            cols = np.flatnonzero(live.any(axis=0))
+            if case == "core":
+                assert not live[:3].any() and 0 < cols[0] and cols[-1] < n - 1
+            elif case == "edge":
+                assert not live[n // 2].any() and cols[0] == 0 and cols[-1] == n - 1
+            else:
+                assert np.count_nonzero(live[:3]) == 1 and live[n // 2, 0]
+                assert not live[n // 2, 1]
+        with np.errstate(invalid="ignore"):         # cos and sin of ±inf
+            with monkeypatch.context() as m:
+                m.setattr(sim, "PHASE_EXACT", 0.0)    # cos and sin on every column
+                wants = [st.nonlinear(u0, tau)]
+            if n > 1:
+                wants.append(_reference_nonlinear(st, u0, tau))
+            for block in (sim.KICK_BLOCK, 3 * (n + sim.ROW_PAD)):
+                with monkeypatch.context() as m:
+                    m.setattr(sim, "KICK_BLOCK", block)
+                    out = st.nonlinear(u0, tau)
+                    buf = st._padded(u0)
+                    st._kick(buf, tau, buf)
+                for got in (out, buf[:, :n]):
+                    assert all(_same_bits(got, want) for want in wants)
+                    assert not np.any(got.base[:, n:])
+    # at n = 1 the reference's in-place product has length 1, which numpy
+    # rounds by the plain formula and every longer one by its vector loop,
+    # so there the kick is held to the all-columns kick alone
+    if case != "nonfinite" and n > 1:
+        u, carry = u0, 0.0
+        ref, ref_carry = u0.copy(), 0.0
+        for dt in (0.01, 0.013):         # the triple jump's merged kicks have τ < 0
+            u, carry = st.step_values(u, dt, carry)
+            ref, ref_carry = _reference_step_values(st, ref, dt, ref_carry)
+            assert _same_bits(u, ref)
+
+
+def test_run_raises_blowup_nan_from_a_dead_row_block():
+    # the NaN node of k lies in a row block where every other |θ| is under
+    # PHASE_EXACT; its column still takes cos and sin, so the first step
+    # is poisoned and run stops there
+    L, n = 8.0, 256
+    core = lambda x: np.exp(-((x[..., 0] - 3.0) ** 2 + x[..., 1] ** 2) / 0.5 ** 2) + 0j
+    f0 = sim.init_from_profile(core, 0.5, -0.25, L, n)
+    k = np.ones((n, n))
+    k[5, 7] = np.nan
+    rows = sim.KICK_BLOCK // (n + sim.ROW_PAD)           # the first row block
+    assert rows < n and np.all(np.abs(f0.values[:rows]) ** 2 < 1e-12)
+    cfg = sim.SimConfig(c_dt=0.01, max_steps=10)
+    dt = cfg.c_dt * sim.lambda_proxy(f0, sim.Stepper(L, n, k), 1.0, 1.0) ** 2
+    with pytest.raises(sim.BlowupNaN) as ran:
+        sim.run(cfg, f0, k, 1.0, 1.0)
+    assert str(ran.value) == f"non-finite field samples at t = {f0.t + dt:.6g}"
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def test_cos_and_sin_are_exact_below_phase_exact():
+    # the kick's contract with numpy: for |θ| < PHASE_EXACT, cos θ is 1.0 and
+    # sin θ is θ to the bit, on a contiguous array and on a complex array's
+    # strided .imag, the two ways the kick calls them.  The samples are
+    # log-uniform from the subnormals up, of both signs, with ±0 and the
+    # largest double under the threshold
+    rng = np.random.default_rng(27)
+    size = 1_000_000
+    mag = np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(-1073, -26, size))
+    theta = mag * rng.choice([-1.0, 1.0], size)
+    below = np.nextafter(sim.PHASE_EXACT, 0.0)
+    theta[:6] = [0.0, -0.0, below, -below, 5e-324, -5e-324]
+    assert np.all(np.abs(theta) < sim.PHASE_EXACT)
+    held = np.empty(size, dtype=complex)
+    held.imag = theta
+    for name, x in (("contiguous", theta), ("strided .imag", held.imag)):
+        cos_bad = np.count_nonzero(_bits(np.cos(x)) != _bits(np.ones(size)))
+        sin_bad = np.count_nonzero(_bits(np.sin(x)) != _bits(theta))
+        assert cos_bad == 0 and sin_bad == 0, (
+            f"numpy {np.__version__}, {name}: cos θ != 1.0 at {cos_bad} and sin θ != θ at "
+            f"{sin_bad} of {size} samples with |θ| < PHASE_EXACT; the kick's 1 + iθ would "
+            "no longer be bitwise e^{iθ}")
