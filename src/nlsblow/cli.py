@@ -295,7 +295,7 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
         try:
             dec = modfit.decompose(field, guess, fit)
         except modfit.NewtonDiverged as err:
-            skipped.append({"file": path.name, "reason": str(err)})
+            skipped.append({"file": path.name, "reason": str(err), **err.numbers})
             continue
         root = p = dec.params
         if predicted is not None:

@@ -4,19 +4,19 @@ An AngularField F(y) = Σ_m f_m(r) e^{imθ} keeps each f_m sampled on the
 shared radial grid.  Real fields carry conjugate-symmetric components
 f_{-m} = conj(f_m).  Mode products are exact convolutions in m; parameter-
 space calculus on the profile expansion never touches these radial arrays.
-Off the grid, a field is interpolated in r by the package's only CubicSpline:
-``spline`` imports scipy.interpolate and builds it anew on each evaluation
-(nothing is cached; a caller that evaluates many point sets passes one
-spline to each), through all real and imaginary parts at once.  ``at``
-takes cartesian points y of shape (..., 2), is exactly 0 past r_max,
-evaluates the spline only at the points within r_max, AT_BLOCK points at a
-time, and sums the modes by Horner in z = e^{iθ} = (y₁ + i y₂)/r (z = 1 at
-r = 0; no angle is formed), so its last bits differ from a per-mode
-Σ f_m e^{imθ}; a mode-0-only field is its spline's values exactly.  Each
-point's value is independent of the other points of the call, so
-``in_blocks`` can take any pointwise evaluator of the package (``kmodel``'s
-k, ``profile.modulated``) through a box AT_BLOCK points at a time without
-changing a bit.
+Off the grid, a field is interpolated in r by the package's one cubic spline:
+``spline`` builds a not-a-knot ``Spline``, bitwise scipy's CubicSpline, anew
+on each evaluation (nothing is cached; a caller that evaluates many point
+sets passes one spline to each), through all real and imaginary parts at
+once.  ``at`` takes cartesian points y of shape (..., 2), is exactly 0 past
+r_max, evaluates the spline only at the points within r_max, AT_BLOCK points
+at a time into one (columns, points) block, and sums the modes by Horner in
+z = e^{iθ} = (y₁ + i y₂)/r (z = 1 at r = 0; no angle is formed), so its
+last bits differ from a per-mode Σ f_m e^{imθ}; a mode-0-only field is its
+spline's values exactly.  Each point's value is independent of the other
+points of the call, so ``in_blocks`` can take any pointwise evaluator of the
+package (``kmodel``'s k, ``profile.modulated``) through a box AT_BLOCK points
+at a time without changing a bit.
 
 A PolarGrid is the (r, θ) product grid on which every sampled polar field
 lives: r_j = j·h on [0, r_max] (n_r nodes, r_0 = 0) and θ_k = 2πk/n_θ.
@@ -43,6 +43,7 @@ from functools import cached_property
 from typing import Callable, Dict
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .radial import RadialGrid, derivative, quadrature
 
@@ -84,6 +85,49 @@ def angular_modes(fn: Callable, max_deg: int) -> Dict[int, complex]:
     cm = c[ms % nt]
     keep = np.abs(cm) > 1e-13 * scale
     return dict(zip(ms[keep].tolist(), cm[keep].tolist()))
+
+
+class Spline:
+    """Piecewise polynomials in r, one per column, evaluated as scipy's PPoly: column j is
+    0.0 + c[j, K−1, i], then + c[j, k, i]·z for z = s, s·s, s·s·s, with s = r − x_i on the
+    piece i = searchsorted(x, r, 'right') − 1 clipped to [0, n − 2] (the end pieces extrapolate)."""
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
+
+    @classmethod
+    def not_a_knot(cls, x: np.ndarray, y: np.ndarray) -> "Spline":
+        """scipy's CubicSpline(x, y.T), n ≥ 4, by its arithmetic: its slope system with the
+        not-a-knot end rows, its solve_banded call, then each piece's Hermite cubic."""
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        A = np.array([np.r_[0.0, d0, dx[:-1]], np.r_[dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]],
+                      np.r_[dx[1:], d1, 0.0]])           # the bands, upper to lower
+        b = np.empty(y.shape)
+        b[:, 0] = ((dx[0] + 2 * d0) * dx[1] * slope[:, 0] + dx[0] * dx[0] * slope[:, 1]) / d0
+        b[:, 1:-1] = 3 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
+        b[:, -1] = (dx[-1] * dx[-1] * slope[:, -2] + (2 * d1 + dx[-1]) * dx[-2] * slope[:, -1]) / d1
+        s = solve_banded((1, 1), A, b.T, overwrite_b=True, check_finite=False).T
+        t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+        return cls(x, np.stack((t / dx, (slope - s[:, :-1]) / dx - t, s[:, :-1], y[:, :-1]), 1))
+
+    def derivative(self) -> "Spline":
+        return Spline(self.x, self.c[:, :-1] * np.arange(self.c.shape[1] - 1, 0, -1.0)[:, None])
+
+    def __call__(self, r: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Values at the points r, shape (columns, points), into out if given."""
+        i = np.searchsorted(self.x, r, side="right") - 1      # take's mode="clip" clips it
+        s = r - self.x[:-1].take(i, mode="clip")
+        powers = (s, s * s, s * s * s)
+        out = np.empty((self.c.shape[0], r.size)) if out is None else out
+        term = np.empty(r.size)
+        for cj, o in zip(self.c, out):
+            cj[-1].take(i, out=o, mode="clip")
+            o += 0.0                              # PPoly's 0.0 + c: -0.0 becomes 0.0
+            for ck, z in zip(cj[-2::-1], powers):
+                o += np.multiply(ck.take(i, out=term, mode="clip"), z, out=term)
+        return out
 
 
 @dataclass(frozen=True)
@@ -233,12 +277,10 @@ class AngularField:
             modes[:, m % polar.n_theta] += v
         return polar.samples(modes)
 
-    def spline(self):
+    def spline(self) -> Spline:
         """One cubic spline in r through the columns [Re f_m …, Im f_m …], comps order."""
-        from scipy.interpolate import CubicSpline
-
         vals = np.array(list(self.comps.values())).reshape(len(self.comps), self.grid.n)
-        return CubicSpline(self.grid.nodes, np.concatenate([vals.real, vals.imag]).T)
+        return Spline.not_a_knot(self.grid.nodes, np.concatenate([vals.real, vals.imag]))
 
     def at(self, y: np.ndarray, spline=None) -> np.ndarray:
         """Evaluate at cartesian points y of shape (..., 2) (spline in r, zero beyond r_max).
@@ -258,10 +300,11 @@ class AngularField:
         nm = len(self.comps)
         column = {m: j for j, m in enumerate(self.comps)}
         top, low = max(max(column), 0), min(min(column), 0)
+        block = np.empty((2 * nm, min(inside.size, AT_BLOCK)))
         for start in range(0, inside.size, AT_BLOCK):
             idx = inside[start:start + AT_BLOCK]
             ri = r[idx]
-            vals = np.ascontiguousarray(spl(ri).T)
+            vals = spl(ri, out=block[:, :idx.size])
             z = np.ones(idx.size, dtype=complex)
             np.divide(y[idx, 0] + 1j * y[idx, 1], ri, out=z, where=ri > 0)
             acc = np.zeros(idx.size, dtype=complex)

@@ -59,7 +59,13 @@ FIT_WINDOW_FRAC = 0.5  # trailing share of the λ series that fit_rate fits
 
 
 class NewtonDiverged(RuntimeError):
-    """The field is too far from the soliton manifold for this guess."""
+    """The field is too far from the soliton manifold for this guess.  ``numbers``
+    holds decompose's last accepted max|R| (condition_residual), its Newton
+    steps (newton_iterations) and, when that is the reason, the root's eps_L2."""
+
+    def __init__(self, message: str, **numbers):
+        super().__init__(message)
+        self.numbers = numbers
 
 
 class NonMonotoneSeries(ValueError):
@@ -104,7 +110,7 @@ def _radial_samples(f: AngularField, r: np.ndarray) -> dict:
     spl = f.spline()
     v, dv = spl(r), spl.derivative()(r)
     nm = len(f.comps)
-    return {m: (v[:, j] + 1j * v[:, nm + j], dv[:, j] + 1j * dv[:, nm + j])
+    return {m: (v[j] + 1j * v[nm + j], dv[j] + 1j * dv[nm + j])
             for j, m in enumerate(f.comps)}
 
 
@@ -314,17 +320,21 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -
         eps, w = fit.epsilon_at(P, usample)
         return fit.condition_values(eps, w), P, eps, w
 
+    def diverged(message, **numbers) -> NewtonDiverged:
+        return NewtonDiverged(message, condition_residual=float(np.max(np.abs(R))),
+                              newton_iterations=iterations, **numbers)
+
     p = guess.to_vector()[:7]
     R, P, eps, w = evaluate(p)
     iterations = 0
     while np.max(np.abs(R)) > tol:
         if iterations == MAX_ITER:
-            raise NewtonDiverged(f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} "
-                                 f"after {MAX_ITER} iterations")
+            raise diverged(f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} "
+                           f"after {MAX_ITER} iterations")
         try:
             step_vec = np.linalg.solve(fit.jacobian(P, eps, w), -R)
         except np.linalg.LinAlgError as err:
-            raise NewtonDiverged(f"singular Jacobian: {err}")
+            raise diverged(f"singular Jacobian: {err}")
         scale = 1.0
         for _ in range(8):
             trial = p + scale * step_vec
@@ -335,14 +345,15 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -
                     break
             scale *= 0.5
         else:
-            raise NewtonDiverged("line search failed; guess outside the basin")
+            raise diverged("line search failed; guess outside the basin")
         iterations += 1
     cond = float(np.linalg.cond(fit.jacobian(P, eps, w)))
 
     l2 = np.sqrt(grid.integral(np.abs(eps) ** 2))
     eps_max = EPS_L2_FACTOR * np.sqrt(fit.expansion.lab.moments.massQ)
     if l2 > eps_max:
-        raise NewtonDiverged(f"eps_L2 {l2:.3g} > {eps_max:.3g}: a root off the soliton manifold")
+        raise diverged(f"eps_L2 {l2:.3g} > {eps_max:.3g}: a root off the soliton manifold",
+                       eps_L2=float(l2))
     dr_eps, dth_eps = grid.gradient(eps)
     h1 = np.sqrt(l2 ** 2 + grid.integral(np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2))
     return Decomposition(params=P, epsilon=eps, fit_grid=grid, residuals=R,

@@ -457,3 +457,34 @@ def test_analyze_records_skipped_snapshot(tmp_path, monkeypatch):
     assert report["skipped"] == [{"file": "snap_000001.bin",
                                   "reason": "line search failed; guess outside the basin"}]
     assert report["snapshots_fit"] == report["snapshots_total"] - 1 == len(calls) - 1
+
+
+def test_analyze_writes_the_newton_state_of_a_skipped_snapshot(tmp_path, monkeypatch):
+    # seeded noise in place of one snapshot cannot be fitted: its skipped entry
+    # carries the last accepted max|R| and the Newton steps taken as numbers
+    from nlsblow import modfit
+
+    out = tmp_path / "s"
+    cfgfile = _simulate_small(tmp_path, out, -0.29)
+    path = out / "snapshots" / "snap_000001.bin"
+    field = sim.read_snapshot(path)
+    rng = np.random.default_rng(11)
+    noise = rng.normal(size=field.values.shape) + 1j * rng.normal(size=field.values.shape)
+    sim.write_snapshot(path, sim.ComplexField2D(field.L, noise, field.t))
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    (entry,) = json.loads((out / "analyze.json").read_text())["skipped"]
+    assert entry["file"] == "snap_000001.bin"
+    assert np.isfinite(entry["condition_residual"]) and entry["condition_residual"] > 0.0
+    assert isinstance(entry["newton_iterations"], int) and entry["newton_iterations"] >= 0
+    assert "eps_L2" not in entry
+
+    # a root off the soliton manifold also writes its eps_L2
+    monkeypatch.setattr(modfit, "EPS_L2_FACTOR", 0.0)
+    sim.write_snapshot(path, field)
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    report = json.loads((out / "analyze.json").read_text())
+    assert report["snapshots_fit"] == 0
+    for entry in report["skipped"]:
+        assert entry["reason"].startswith("eps_L2")
+        assert np.isfinite(entry["eps_L2"]) and entry["eps_L2"] > 0.0
+        assert np.isfinite(entry["condition_residual"]) and entry["newton_iterations"] >= 0

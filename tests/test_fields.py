@@ -1,5 +1,7 @@
 """The polar product grid: gradient, synthesis and quadrature conventions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -168,6 +170,49 @@ def test_at_of_an_empty_field_is_zero(rng):
     r = rng.uniform(0.0, 13.0, size=(10, 3))
     got = field.at(np.stack([r, np.zeros_like(r)], axis=-1))
     assert got.shape == (10, 3) and got.dtype == complex and np.all(got == 0.0)
+
+
+@pytest.mark.parametrize("n", [8, 9, 301, 8192])
+def test_spline_is_cubic_spline_bitwise(rng, n):
+    # values and derivative are scipy's not-a-knot CubicSpline's, byte for
+    # byte, at random radii, every node, ±0.0, r_max and just past both ends
+    from scipy.interpolate import CubicSpline
+
+    grid = RadialGrid(r_max=30.0, n=n)
+    field = _random_field(rng, grid, range(-4, 5))
+    vals = np.array(list(field.comps.values()))
+    ref = CubicSpline(grid.nodes, np.concatenate([vals.real, vals.imag]).T)
+    ends = [0.0, -0.0, grid.r_max, np.nextafter(grid.r_max, np.inf), grid.r_max + 0.25,
+            np.nextafter(-0.0, -np.inf), -0.25]
+    r = np.concatenate([rng.uniform(0.0, grid.r_max, size=20_000), grid.nodes, ends])
+    spline = field.spline()
+    for got, want in ((spline(r), ref(r)), (spline.derivative()(r), ref.derivative()(r))):
+        assert got.shape == (18, r.size)
+        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
+# at's allocations on top of its input and spline, in float arrays of
+# AT_BLOCK points: the radii and inside-indices of 2.5 blocks of points, and
+# the point-sized temporaries of one block's spline values and Horner sum
+AT_SLACK = 20 * AT_BLOCK * 8
+
+
+def test_at_holds_one_block_of_spline_values(rng):
+    # peak rise: the output, one (2·modes, AT_BLOCK) block of spline values
+    # and AT_SLACK; a second copy of the block, such as a transposed spline
+    # output, does not fit
+    field = _random_field(rng, RadialGrid(r_max=10.0, n=301), range(-4, 5))
+    n_pts = 5 * AT_BLOCK // 2
+    y = _cartesian(rng.uniform(0.0, 9.0, size=n_pts), rng.uniform(-np.pi, np.pi, size=n_pts))
+    spline = field.spline()
+    tracemalloc.start()
+    try:
+        got = field.at(y, spline)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 2 * len(field.comps) * AT_BLOCK * 8
+    assert peak <= got.nbytes + block + AT_SLACK
 
 
 def test_points_are_the_nodes_in_cartesian_form():

@@ -26,14 +26,32 @@ def test_radial_solves_ground_state_without_linops():
 
 
 # scipy subpackages each command must not load: the lab needs scipy.linalg
-# only, and the ODE, spline, FFT and image subpackages load in the commands
-# that run them
+# only, and the ODE, FFT and image subpackages load in the commands that run
+# them; no command loads scipy.interpolate, which would bring optimize,
+# sparse and spatial with it
+FEW_STEPS = "grid2d: {L: 6.0, n: 512}\nsim: {t_stop: -0.2999}\n"
 COMMAND_SCIPY = {
     "verify": ("", ("integrate", "interpolate", "ndimage", "fft")),
     "profile": ("", ("integrate", "interpolate", "ndimage", "fft")),
     # a few steps on the fit workload's box, at the default lab
-    "simulate": ("grid2d: {L: 6.0, n: 512}\nsim: {t_stop: -0.2999}\n", ("integrate", "ndimage")),
+    "simulate": (FEW_STEPS, ("integrate", "ndimage", "interpolate", "optimize", "sparse",
+                             "spatial")),
+    # the snapshots of that run; its ODE predictor loads scipy.integrate
+    "analyze": (FEW_STEPS, ("interpolate",)),
 }
+
+
+def _scipy_loaded_by(command, config, out):
+    """(exit code, the scipy.* modules loaded) of one command in a fresh interpreter."""
+    code = ("import sys\n"
+            "from nlsblow.cli import main\n"
+            f"rc = main([{command!r}, '--config', {str(config)!r}, '--out', {str(out)!r}])\n"
+            "print(rc, ' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    return rc, loaded
 
 
 @pytest.mark.parametrize("command", COMMAND_SCIPY)
@@ -41,14 +59,9 @@ def test_command_loads_only_its_scipy(tmp_path, command):
     config_text, banned = COMMAND_SCIPY[command]
     config = tmp_path / "config.yaml"
     config.write_text(config_text)
-    code = ("import sys\n"
-            "from nlsblow.cli import main\n"
-            f"rc = main([{command!r}, '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
-            "print(rc, ' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    if command == "analyze":
+        assert _scipy_loaded_by("simulate", config, tmp_path)[0] == "0"
+    rc, loaded = _scipy_loaded_by(command, config, tmp_path)
     assert rc == "0"
     assert "scipy.linalg" in loaded
     for sub in banned:
