@@ -153,7 +153,7 @@ def cmd_profile(cfg, out: Path) -> int:
         "C0": exp.C0, "eta_star": exp.eta_star,
     })
     lams = np.geomspace(*cfg["profile"]["lam_scan"])
-    norms = [exp.residual(prof.conformal_ray(l, exp.C0), weight=cfg["profile"]["weight"])["L2w"]
+    norms = [exp.residual(prof.conformal_ray(l, exp.C0), weight=cfg["profile"]["weight"])
              for l in lams]
     rows = []
     for i, (l, nv) in enumerate(zip(lams, norms)):

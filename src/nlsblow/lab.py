@@ -3,10 +3,11 @@
 Everything downstream (profile construction, simulation initialization,
 decomposition windows) reads from one Lab instance, so the expensive pieces
 are computed once per grid.  A Lab is complete when it is built: its
-``LinearizedOps`` holds every band and kernel vector, and ρ is solved.
+``LinearizedOps`` holds every band and kernel vector and ρ, solved once
+there; ``Lab.rho`` reads it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,10 +27,10 @@ class Lab:
     Q: RadialFunction
     moments: Moments
     ops: LinearizedOps
-    rho: RadialFunction = field(init=False)
 
-    def __post_init__(self):
-        self.rho = self.ops.compute_rho()
+    @property
+    def rho(self) -> RadialFunction:
+        return self.ops.rho
 
     @property
     def dQ(self) -> np.ndarray:

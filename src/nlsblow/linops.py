@@ -6,7 +6,7 @@ On the mode-m radial part of a field f_m(r) e^{imθ},
 
 The bands are those of ``radial.operator_banded`` (4th-order pentadiagonal,
 parity ghosts at r=0, Dirichlet row at r_max).  The lab builds its bands
-for m = 0..M_MAX and its kernel vectors once, when it builds its one
+for m = 0..M_MAX, its kernel vectors and ρ once, when it builds its one
 ``LinearizedOps``.  The kernel modes -- L+ at m=1 (radial part Q') and L- at
 m=0 (Q itself) -- are solved by deflation: the source's left-kernel
 component (refused above SOLVABILITY_THRESHOLD) is removed, the banded
@@ -67,7 +67,7 @@ def _null_vector(ab: np.ndarray, k0: np.ndarray) -> np.ndarray:
 
 
 class LinearizedOps:
-    """L± around Q: Laplacian bands lap[m], L± bands bands[op, m], kernels, all built here."""
+    """L± around Q: Laplacian bands lap[m], L± bands bands[op, m], kernels, ρ: all built here."""
 
     def __init__(self, Q: RadialFunction):
         self.Q = Q
@@ -91,6 +91,7 @@ class LinearizedOps:
                 w[0] = 0.0
             w[-1] = 0.0
             self.kernels[op, m, "left"] = w / np.linalg.norm(w)
+        self.rho = self.compute_rho()
 
     def _check_mode(self, m: int):
         if abs(m) > M_MAX:
@@ -210,7 +211,6 @@ class LinearizedOps:
         dq = self.dQ
         lam_q = q + r * dq
         lap_q = q - q ** 3              # exact through the discrete equation
-        rho = self.compute_rho()
 
         def rel(resid, ref):
             return norm2d(resid, g) / norm2d(ref, g)
@@ -221,7 +221,7 @@ class LinearizedOps:
             "Lplus_LambdaQ": rel(self.apply("plus", lam_q, 0) + 2 * q, 2 * q),
             "Lminus_yQ": rel(self.apply("minus", r * q, 1) + 2 * dq, 2 * dq),
             "Lminus_y2Q": rel(self.apply("minus", r ** 2 * q, 0) + 4 * lam_q, 4 * lam_q),
-            "Lplus_rho": rel(self.apply("plus", rho.values, 0) - r ** 2 * q, r ** 2 * q),
+            "Lplus_rho": rel(self.apply("plus", self.rho.values, 0) - r ** 2 * q, r ** 2 * q),
             "Lplus_DeltaQ": rel(self.apply("plus", lap_q, 0) - 6 * dq ** 2 * q, 6 * dq ** 2 * q),
         }
         return out

@@ -5,7 +5,9 @@ by seven scalar conditions pairing ε against the phase-dressed profile
 Q_P = Σ + iΘ and ρ e^{iφ}: translations, boosts, scaling, phase-curvature and
 phase directions.  Each condition is ∫ a·ε₁ + b·ε₂ = 0 for one window pair
 (a, b) of ``condition_window_pairs``, the only place the windows are written.
-All seven integrals are one contraction with ``PolarGrid.weights``.
+``Fit.window_fields`` weights them once per evaluated point into one
+(7, 2·n_r·n_θ) matrix, and the conditions and every column of the Jacobian
+at that point are products of that matrix with a field's (Re, Im) samples.
 
 A damped Newton iteration solves them in the seven parameters.  Its Jacobian
 is analytic.  With V = Q_P + ε = √k(α) λ e^{-iγ} u(α + λy) and the phase
@@ -23,7 +25,8 @@ each line-search trial takes one.  The Jacobian pairs ∂ε with the windows
 held fixed.  It drops ∫ ∂(a, b)·ε, the variation of the windows, which is
 O(‖ε‖).  Newton then converges linearly, with a contraction factor O(‖ε‖),
 not quadratically; near the soliton manifold that costs about as many steps.
-A step is taken only if it lowers the largest condition value.  The
+A step is taken only if it lowers the largest condition value, and only
+then is the Jacobian built, while the accepted point's windows are alive.  The
 conditions also vanish far off the soliton manifold, so a root with
 ‖ε‖_L2 > ``EPS_L2_FACTOR``·‖Q‖_L2 raises ``NewtonDiverged``.  A simulation
 field is cubic-spline prefiltered once, when its ``FieldSampler`` is built,
@@ -160,7 +163,8 @@ class Fit:
         return self.grid.samples(self._modes(slopes, self.samples[0]))
 
     def window_fields(self, P: ParamPoint) -> dict:
-        """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ, ρ1/ρ2 and e^{iφ} at parameters P."""
+        """Σ, Θ, their cartesian gradients, ΛΣ/ΛΘ, ρ1/ρ2, e^{iφ} and ``windows``, the weighted
+        condition windows at P: (7, 2·n_r·n_θ), (a, b) per node as a sample's (Re, Im)."""
         grid = self.grid
         r = grid.r[:, None]
         theta = grid.theta[None, :]
@@ -175,8 +179,14 @@ class Fit:
         gy = st * grad_r + ct * grad_th
         lam_qp = QP + r * grad_r
         rho_c = self.rho[:, None] * eip
-        return {"QP": QP, "gx": gx, "gy": gy, "LamQP": lam_qp, "rho": rho_c,
-                "ct": ct, "st": st, "eip": eip}
+        w = {"QP": QP, "gx": gx, "gy": gy, "LamQP": lam_qp, "rho": rho_c,
+             "ct": ct, "st": st, "eip": eip}
+        windows = np.empty((7, grid.weights.size, 2))
+        for i, (a, b) in enumerate(condition_window_pairs(w, grid)):
+            windows[i, :, 0] = (a * grid.weights).ravel()
+            windows[i, :, 1] = (b * grid.weights).ravel()
+        w["windows"] = windows.reshape(7, -1)
+        return w
 
     def epsilon_at(self, P: ParamPoint, usample: "FieldSampler"):
         """ε = √k(α) λ e^{-iγ} u(α + λy) - Q_P on the fit grid, and the windows at P."""
@@ -186,25 +196,9 @@ class Fit:
         eps = np.sqrt(k_alpha) * P.lam * uvals * np.exp(-1j * P.gamma) - w["QP"]
         return eps, w
 
-    def _pair_with_windows(self, fields, w: dict) -> np.ndarray:
-        """∫ a_i·Re f_j + b_i·Im f_j for the 7 condition windows and each field f_j.
-
-        ``fields`` is an iterable of k complex samples arrays; the result has
-        shape (7, k).
-        """
-        grid = self.grid
-        # weighted windows interleaved (a, b) per node, as a complex sample's (Re, Im)
-        windows = np.empty((7, grid.weights.size, 2))
-        for i, (a, b) in enumerate(condition_window_pairs(w, grid)[:7]):
-            windows[i, :, 0] = (a * grid.weights).ravel()
-            windows[i, :, 1] = (b * grid.weights).ravel()
-        windows = windows.reshape(7, -1)
-        return np.array([windows @ np.ascontiguousarray(f, dtype=complex).view(float).ravel()
-                         for f in fields]).T
-
     def condition_values(self, eps: np.ndarray, w: dict) -> np.ndarray:
         """The seven orthogonality values ∫ a·ε₁ + b·ε₂, one per window pair."""
-        return self._pair_with_windows([eps], w)[:, 0]
+        return w["windows"] @ np.ascontiguousarray(eps, dtype=complex).view(float).ravel()
 
     def jacobian(self, P: ParamPoint, eps: np.ndarray, w: dict) -> np.ndarray:
         """∂(conditions)/∂(b, λ, β1, β2, α1, α2, γ) at P with the windows held fixed.
@@ -231,7 +225,7 @@ class Fit:
             yield dlogk[1] * V + Vy / P.lam - dP[5]
             yield -1j * V
 
-        return self._pair_with_windows(d_eps(), w)
+        return np.array([self.condition_values(f, w) for f in d_eps()]).T
 
 
 class FieldSampler:
@@ -280,11 +274,11 @@ class Decomposition:
 
 
 def condition_window_pairs(dec_windows: dict, grid: PolarGrid):
-    """The (ε₁, ε₂) window pairs of the 7 conditions plus the mass direction."""
+    """The (ε₁, ε₂) window pairs of the 7 conditions."""
     w = dec_windows
     r = grid.r[:, None]
     S, T = w["QP"].real, w["QP"].imag
-    pairs = [
+    return [
         (-w["gx"].imag, w["gx"].real),
         (-w["gy"].imag, w["gy"].real),
         (r * w["ct"] * S, r * w["ct"] * T),
@@ -292,9 +286,7 @@ def condition_window_pairs(dec_windows: dict, grid: PolarGrid):
         (-w["LamQP"].imag, w["LamQP"].real),
         (r ** 2 * S, r ** 2 * T),
         (-w["rho"].imag, w["rho"].real),
-        (S, T),
     ]
-    return pairs
 
 
 def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -> Decomposition:
@@ -315,39 +307,43 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -
     def point(pv) -> ParamPoint:
         return ParamPoint.from_vector(np.append(pv, (0.0, usample.t)))
 
-    def evaluate(pv):
+    def evaluate(pv, bar=None):
+        # (R, P, ε, Jacobian) at pv, or None if max|R| is not below bar; the windows die here
         P = point(pv)
         eps, w = fit.epsilon_at(P, usample)
-        return fit.condition_values(eps, w), P, eps, w
+        R = fit.condition_values(eps, w)
+        if bar is None or np.max(np.abs(R)) < bar:
+            return R, P, eps, fit.jacobian(P, eps, w)
+        return None
 
     def diverged(message, **numbers) -> NewtonDiverged:
         return NewtonDiverged(message, condition_residual=float(np.max(np.abs(R))),
                               newton_iterations=iterations, **numbers)
 
     p = guess.to_vector()[:7]
-    R, P, eps, w = evaluate(p)
+    R, P, eps, jac = evaluate(p)
     iterations = 0
     while np.max(np.abs(R)) > tol:
         if iterations == MAX_ITER:
             raise diverged(f"orthogonality residual {np.max(np.abs(R)):.2e} > {tol:.2e} "
                            f"after {MAX_ITER} iterations")
         try:
-            step_vec = np.linalg.solve(fit.jacobian(P, eps, w), -R)
+            step_vec = np.linalg.solve(jac, -R)
         except np.linalg.LinAlgError as err:
             raise diverged(f"singular Jacobian: {err}")
         scale = 1.0
         for _ in range(8):
             trial = p + scale * step_vec
             if trial[1] > 0:
-                trial_eval = evaluate(trial)
-                if np.max(np.abs(trial_eval[0])) < np.max(np.abs(R)):
-                    p, (R, P, eps, w) = trial, trial_eval
+                trial_eval = evaluate(trial, np.max(np.abs(R)))
+                if trial_eval is not None:
+                    p, (R, P, eps, jac) = trial, trial_eval
                     break
             scale *= 0.5
         else:
             raise diverged("line search failed; guess outside the basin")
         iterations += 1
-    cond = float(np.linalg.cond(fit.jacobian(P, eps, w)))
+    cond = float(np.linalg.cond(jac))
 
     l2 = np.sqrt(grid.integral(np.abs(eps) ** 2))
     eps_max = EPS_L2_FACTOR * np.sqrt(fit.expansion.lab.moments.massQ)

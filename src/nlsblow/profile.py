@@ -335,8 +335,8 @@ class ProfileExpansion:
 
     # -- the self-similar equation residual --------------------------------
 
-    def residual(self, P: ParamPoint, weight: float = 0.25) -> dict:
-        """Weighted norms of the mismatch in the conformal-frame profile equation.
+    def residual(self, P: ParamPoint, weight: float = 0.25) -> float:
+        """e^{weight·r}-weighted L² norm of the mismatch in the conformal-frame profile equation.
 
         The equation is evaluated with the law table that built the terms,
         the exact parameter derivatives of the monomial map, the same
@@ -347,11 +347,7 @@ class ProfileExpansion:
         polar = self.lab.polar
         psi = self._mismatch(P, polar)
         w2 = np.exp(2.0 * weight * polar.r)[:, None]
-        l2 = np.sqrt(polar.integral(np.abs(psi) ** 2 * w2))
-        dr_psi, dth_psi = polar.gradient(psi)
-        grad2 = np.abs(dr_psi) ** 2 + np.abs(dth_psi) ** 2
-        h1 = np.sqrt(l2 ** 2 + polar.integral(grad2 * w2))
-        return {"L2w": float(l2), "H1w": float(h1), "weight": weight}
+        return float(np.sqrt(polar.integral(np.abs(psi) ** 2 * w2)))
 
     def _mismatch(self, P: ParamPoint, polar: PolarGrid) -> np.ndarray:
         """The profile-equation residual ψ sampled on the polar grid."""

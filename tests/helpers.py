@@ -42,7 +42,8 @@ def constrained_random_eps(dec_windows: dict, grid: PolarGrid, rng) -> np.ndarra
         width = rng.uniform(1.0, 3.0)
         eps += (c[0] * np.cos(m * th) + c[1] * np.sin(m * th)) \
             * (r ** m * np.exp(-r ** 2 / (2 * width ** 2)))
-    pairs = condition_window_pairs(dec_windows, grid)
+    QP = dec_windows["QP"]
+    pairs = condition_window_pairs(dec_windows, grid) + [(QP.real, QP.imag)]
     nw = len(pairs)
     gram = np.empty((nw, nw))
     vals = np.empty(nw)

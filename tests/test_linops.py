@@ -6,7 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from nlsblow import profile as prof
 from nlsblow.config import RunConfig
-from nlsblow.linops import M_MAX, SOLVABILITY_THRESHOLD, SolvabilityViolated, ModeError, norm2d
+from nlsblow.lab import Lab
+from nlsblow.linops import (M_MAX, SOLVABILITY_THRESHOLD, LinearizedOps, SolvabilityViolated,
+                            ModeError, norm2d)
 from nlsblow.radial import quadrature
 
 
@@ -17,6 +19,23 @@ def test_identity_suite(lab):
     res = lab.ops.identity_residuals()
     for name, val in res.items():
         assert val < IDENTITY_TOL, f"{name}: {val:.3e}"
+
+
+def test_rho_is_solved_once(lab_small, monkeypatch):
+    # LinearizedOps solves ρ when it is built; the lab and identity_residuals read it
+    calls = []
+    real = LinearizedOps.compute_rho
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(LinearizedOps, "compute_rho", counted)
+    Q = lab_small.Q
+    lab = Lab(grid=Q.grid, Q=Q, moments=lab_small.moments, ops=LinearizedOps(Q))
+    lab.ops.identity_residuals()
+    assert len(calls) == 1
+    assert lab.rho.values.tobytes() == lab_small.rho.values.tobytes()
 
 
 def test_apply_rejects_large_mode(lab_small):

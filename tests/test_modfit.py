@@ -274,19 +274,26 @@ def test_jacobian_matches_finite_differences(expansion, fit, field, rel_gap):
 
 def test_decompose_samples_the_field_once_per_step(expansion, fit, monkeypatch):
     # the Jacobian takes no field sample: a full Newton step costs one sample
-    # (a finite-difference Jacobian costs 7 more)
+    # (a finite-difference Jacobian costs 7 more); the conditions and the
+    # Jacobian at a point read one window matrix, built once per sample
     u, _ = _box_profile(expansion)
-    calls = []
-    real = modfit.FieldSampler.__call__
+    calls, builds = [], []
+    real_call, real_pairs = modfit.FieldSampler.__call__, modfit.condition_window_pairs
 
     def counted(self, pts):
         calls.append(pts.shape)
-        return real(self, pts)
+        return real_call(self, pts)
+
+    def counted_pairs(w, grid):
+        builds.append(1)
+        return real_pairs(w, grid)
 
     monkeypatch.setattr(modfit.FieldSampler, "__call__", counted)
+    monkeypatch.setattr(modfit, "condition_window_pairs", counted_pairs)
     dec = modfit.decompose(u, BOX_GUESS, fit)
     assert dec.newton_iterations >= 2
     assert len(calls) <= 6
+    assert len(builds) == len(calls)
 
 
 def test_condition_values_match_explicit_integrals(fit, rng):

@@ -412,11 +412,11 @@ def test_mass_energy_invariant_slopes(expansion, lab):
 def test_residual_scaling_on_and_off_ray(expansion):
     lams = np.geomspace(0.01, 0.1, 6)
     on_ray = [expansion.residual(prof.conformal_ray(l, expansion.C0, (0.3, -0.2),
-                                                    (-0.25, 0.35)))["L2w"]
+                                                    (-0.25, 0.35)))
               for l in lams]
     slope = np.polyfit(np.log(lams), np.log(on_ray), 1)[0]
     assert 4.5 <= slope <= 5.5
-    off_ray = [expansion.residual(prof.ParamPoint(b=l, lam=l, alpha=np.array([l, 0.5 * l])))["L2w"]
+    off_ray = [expansion.residual(prof.ParamPoint(b=l, lam=l, alpha=np.array([l, 0.5 * l])))
                for l in lams]
     slope_off = np.polyfit(np.log(lams), np.log(off_ray), 1)[0]
     assert slope_off < 3.8
@@ -424,7 +424,17 @@ def test_residual_scaling_on_and_off_ray(expansion):
 
 def test_residual_vanishes_at_origin(expansion):
     res = expansion.residual(prof.ParamPoint(b=0.0, lam=0.0))
-    assert res["L2w"] < 1e-7
+    assert res < 1e-7
+
+
+def test_residual_takes_no_gradient(expansion, monkeypatch):
+    # the weighted L² norm is all residual returns: ψ is never differentiated
+    def refuse(self, values):
+        raise AssertionError("residual took a polar gradient")
+
+    monkeypatch.setattr(fields.PolarGrid, "gradient", refuse)
+    res = expansion.residual(prof.conformal_ray(0.05, expansion.C0))
+    assert isinstance(res, float) and 0.0 < res < 1e-3
 
 
 def test_residual_grid_refinement(model):
@@ -435,8 +445,8 @@ def test_residual_grid_refinement(model):
     exp_hi = prof.build_expansion(model, 1.0, lab_hi)
     exp_lo = prof.build_expansion(model, 1.0, get_lab())
     P = prof.conformal_ray(0.05, 1.0, (0.3, -0.2), (-0.25, 0.35))
-    a = exp_lo.residual(P)["L2w"]
-    b = exp_hi.residual(P)["L2w"]
+    a = exp_lo.residual(P)
+    b = exp_hi.residual(P)
     assert abs(a - b) / b < 0.05
 
 
@@ -678,6 +688,6 @@ def test_law_table_matches_explicit_laws(lab, expansion, P):
 def test_band_residual_slope_is_five(lab, e1, e2, phi, third, k1):
     # the perfbench k band: the generated profile leaves an O(λ⁵) residual on the ray
     exp = prof.build_expansion(_band_edge_model((e1, e2), phi, third, k1), 1.0, lab)
-    res = [exp.residual(prof.conformal_ray(lam, 1.0))["L2w"] for lam in (0.02, 0.04)]
+    res = [exp.residual(prof.conformal_ray(lam, 1.0)) for lam in (0.02, 0.04)]
     slope = np.log(res[1] / res[0]) / np.log(2.0)
     assert 4.5 < slope < 5.5
