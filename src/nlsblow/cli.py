@@ -17,6 +17,8 @@ minus the fitted (b, λ, β, α, γ); params.csv ends with the fit's telemetry
 
 ``sim`` (scipy.fft) and ``modfit`` (scipy.ndimage) are imported by the
 commands that run them, so the theory commands never load either.
+``modeqs.integrate`` takes its own RK45 steps, so ode and analyze load no
+scipy.integrate; appendix-b alone does, for quad and DOP853.
 """
 
 import argparse

@@ -13,8 +13,12 @@ from the profile constants.  The system is written once, as the table
 ``law_matrices`` turns it into the matrices ``modulation_rhs`` evaluates.
 The state is ``profile.ParamPoint``, in its vector layout
 [b, λ, β1, β2, α1, α2, γ, s, t]: both clocks are integrated states, and
-either one can be the independent variable of ``integrate``.  The functions
-that call scipy.integrate import it, so loading this module does not.
+either one can be the independent variable of ``integrate``.  It takes
+Dormand & Prince's 5(4) steps (J. Comput. Appl. Math. 6, 1980) with
+Shampine's dense output (Math. Comp. 46, 1986) as scipy's
+``solve_ivp(method="RK45", dense_output=True)`` does, literal for literal and
+bit for bit, without scipy.  Only ``quad`` and ``integrate_linear_system``
+import scipy.integrate, so loading this module, and ``integrate``, does not.
 
 The separate 2x2 system Z_s = [[0,-2],[ς/s²,0]] Z + F with its closed-form
 basis and variation-of-constants bound is the a-priori toolbox used to tame
@@ -45,6 +49,29 @@ ATOL_DEFAULT = 1e-12
 LAM_MIN_DEFAULT = 1e-6
 QUAD_TOL = 1e-12       # absolute and relative tolerance of decaying_solution's integrals
 LINEAR_RTOL = 1e-12    # rtol of integrate_linear_system
+
+# scipy's RK45 tableau; the stage abscissae C are not needed, since no right
+# side here reads its clock
+RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10   # the step-size controller
+ROOT_TOL = 4 * np.finfo(float).eps     # xtol = rtol of solve_ivp's event roots
 
 
 def existence_initial_state(t1: float, C0: float, gamma0: float = 0.0) -> ParamPoint:
@@ -122,6 +149,101 @@ class StepUnderflow(RuntimeError):
     """The integrator stalled approaching the λ -> 0 degeneracy."""
 
 
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk45(fun, x0, x1, y0, rtol, atol, lam_min):
+    """Dormand–Prince steps of y' = fun(y) from x0 toward x1, as scipy's RK45 takes them.
+
+    Returns one (x_old, h, y_old, Q) per step for ``_dense``; the end, which
+    is the root of λ = lam_min if λ - lam_min reaches 0 within a step; and
+    whether it did.
+    """
+    direction = np.sign(x1 - x0)
+    x, y, f = x0, y0, fun(y0)
+    # scipy's select_initial_step (Hairer, Nørsett & Wanner, Sec. II.4)
+    length = abs(x1 - x0)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    d2 = _rms((fun(y + h0 * direction * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, length)
+    K = np.empty((7, y.size))
+    steps, g = [], y[1] - lam_min
+    while True:
+        min_step = 10 * np.abs(np.nextafter(x, direction * np.inf) - x)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow("Required step size is less than spacing between numbers.")
+            x_new = x + h_abs * direction
+            if direction * (x_new - x1) > 0:
+                x_new = x1
+            h = x_new - x
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(y + np.dot(K[:s].T, RK_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, RK_B)
+            K[-1] = f_new = fun(y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K.T, RK_E) * h / scale)
+            if error < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** -0.2)
+            rejected = True
+        factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error ** -0.2)
+        h_abs *= min(1, factor) if rejected else factor     # no growth after a rejection
+        steps.append((x, h, y, K.T.dot(RK_P)))
+        x, y, f = x_new, y_new, f_new
+        g_new = y[1] - lam_min
+        if g <= 0 <= g_new or g_new <= 0 <= g:
+            return steps, _bisect(lambda xi: _poly(steps[-1], np.array([xi]))[1, 0] - lam_min,
+                                  steps[-1][0], x), True
+        if direction * (x - x1) >= 0:
+            return steps, x, False
+        g = g_new
+
+
+def _bisect(g, a, b):
+    """A root of g between a and b, across which g changes sign, to ROOT_TOL."""
+    ga = g(a)
+    while abs(b - a) >= ROOT_TOL * (1 + abs(b)):
+        m = 0.5 * (a + b)
+        gm = g(m)
+        if gm == 0:
+            return m
+        a, b = (m, b) if (gm < 0) == (ga < 0) else (a, m)
+    return b
+
+
+def _poly(step, xs):
+    """One step's dense output h·Q·(θ, θ², θ³, θ⁴) + y_old at xs, θ = (x - x_old)/h."""
+    x_old, h, y_old, Q = step
+    p = np.cumprod(np.tile((xs - x_old) / h, (Q.shape[1], 1)), axis=0)
+    y = h * np.dot(Q, p)
+    y += y_old[:, None]
+    return y
+
+
+def _dense(steps, end, xs):
+    """The dense output at xs as solve_ivp's OdeSolution evaluates it: in ascending
+    order, one ``_poly`` per run of points in one step."""
+    ends, last = np.array([step[0] for step in steps] + [end]), len(steps) - 1
+    ascending = ends[-1] >= ends[0]
+    order = np.argsort(xs)
+    x_sorted = xs[order]
+    seg = np.searchsorted(ends if ascending else ends[::-1], x_sorted,
+                          side="left" if ascending else "right") - 1
+    seg = np.clip(seg, 0, last) if ascending else last - np.clip(seg, 0, last)
+    out = np.empty((steps[0][2].size, xs.size))
+    for run in np.split(np.arange(xs.size), np.flatnonzero(np.diff(seg)) + 1):
+        out[:, order[run]] = _poly(steps[seg[run[0]]], x_sorted[run])
+    return out
+
+
 def integrate(state0: ParamPoint, constants: ProfileConstants, s_span=None,
               t_span=None, rtol: float = RTOL_DEFAULT, atol: float = ATOL_DEFAULT,
               lam_min: float = LAM_MIN_DEFAULT, n_points: int = 400) -> Trajectory:
@@ -131,10 +253,8 @@ def integrate(state0: ParamPoint, constants: ProfileConstants, s_span=None,
     the s system divided by that clock's own rate (1 for s, λ² for t), so
     both clocks come out as integrated states.  The span is (start, end) and
     starts at the state's own clock.  Stops cleanly at λ = lam_min; forward
-    and backward spans both work.
+    and backward spans both work.  The states are solve_ivp's, bit for bit.
     """
-    from scipy.integrate import solve_ivp
-
     if state0.lam <= 0:
         raise ValueError("lambda must be positive")
     if (s_span is None) == (t_span is None):
@@ -147,27 +267,23 @@ def integrate(state0: ParamPoint, constants: ProfileConstants, s_span=None,
     v0 = state0.to_vector()
     if abs(span[0] - v0[clock]) > 1e-12 * max(1.0, abs(span[0])):
         raise ValueError(f"{name}_span must start at the state's own {name}")
+    xs = np.linspace(span[0], span[1], n_points)
+    if span[1] == span[0]:
+        # solve_ivp takes no step: the state at every point, stopped if λ is at lam_min
+        return Trajectory(states=np.tile(v0, (n_points, 1)),
+                          status="lam_min" if v0[1] == lam_min else "completed")
 
     exponents, coeffs = law_matrices(constants)
 
-    def rhs(x, v):
+    def rhs(v):
         f = modulation_rhs(v, exponents, coeffs)
         return f / f[clock]
 
-    def hit_lam_min(x, v):
-        return v[1] - lam_min
-
-    hit_lam_min.terminal = True
-
-    xs = np.linspace(span[0], span[1], n_points)
-    sol = solve_ivp(rhs, span, v0, method="RK45", rtol=rtol, atol=atol,
-                    dense_output=True, events=hit_lam_min)
-    if sol.status == -1:
-        raise StepUnderflow(sol.message)
+    steps, end, stopped = _rk45(rhs, span[0], span[1], v0, rtol, atol, lam_min)
     direction = np.sign(span[1] - span[0])
-    xs = xs[(xs - span[0]) * direction <= (sol.t[-1] - span[0]) * direction + 1e-300]
-    return Trajectory(states=sol.sol(xs).T,
-                      status="lam_min" if sol.t_events[0].size else "completed")
+    xs = xs[(xs - span[0]) * direction <= (end - span[0]) * direction + 1e-300]
+    return Trajectory(states=_dense(steps, end, xs).T,
+                      status="lam_min" if stopped else "completed")
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,9 @@ is analytic.  With V = Q_P + ε = √k(α) λ e^{-iγ} u(α + λy) and the phase
 
 ∇V is ∇Q_P plus the fit grid's gradient of ε, and ∂_p P_P reweights the
 fit's per-term mode samples.  So the Jacobian takes no field sample;
-each line-search trial takes one.  The Jacobian pairs ∂ε with the windows
+each line-search trial takes one.  ε_H1 reads the gradient of ε that the
+root's Jacobian took, and ``virial_boundary`` its ∂_r ε, kept as
+``Decomposition.eps_dr``.  The Jacobian pairs ∂ε with the windows
 held fixed.  It drops ∫ ∂(a, b)·ε, the variation of the windows, which is
 O(‖ε‖).  Newton then converges linearly, with a contraction factor O(‖ε‖),
 not quadratically; near the soliton manifold that costs about as many steps.
@@ -200,17 +202,18 @@ class Fit:
         """The seven orthogonality values ∫ a·ε₁ + b·ε₂, one per window pair."""
         return w["windows"] @ np.ascontiguousarray(eps, dtype=complex).view(float).ravel()
 
-    def jacobian(self, P: ParamPoint, eps: np.ndarray, w: dict) -> np.ndarray:
+    def jacobian(self, P: ParamPoint, eps: np.ndarray, w: dict, eps_grad: tuple) -> np.ndarray:
         """∂(conditions)/∂(b, λ, β1, β2, α1, α2, γ) at P with the windows held fixed.
 
-        ``eps`` and ``w`` are those of the evaluation at P (see the module
-        docstring for each ∂ε); no field sample is taken.
+        ``eps`` and ``w`` are those of the evaluation at P, and ``eps_grad`` is
+        ``grid.gradient(eps)`` (see the module docstring for each ∂ε); no
+        field sample is taken.
         """
         grid = self.grid
         r = grid.r[:, None]
         ct, st, QP = w["ct"], w["st"], w["QP"]
         V = QP + eps
-        eps_r, eps_th = grid.gradient(eps)
+        eps_r, eps_th = eps_grad
         Vx = w["gx"] + ct * eps_r - st * eps_th
         Vy = w["gy"] + st * eps_r + ct * eps_th
         dlogk = self.model.grad_k(P.alpha) / (2.0 * float(self.model.k(P.alpha)))
@@ -265,6 +268,7 @@ class FieldSampler:
 class Decomposition:
     params: ParamPoint
     epsilon: np.ndarray          # on the polar fit grid, rescaled variables
+    eps_dr: np.ndarray           # its ∂_r ε, as the root's Jacobian took it
     fit_grid: PolarGrid
     residuals: np.ndarray        # the 7 orthogonality values at the solution
     jacobian_cond: float         # of the analytic Jacobian at the solution
@@ -308,12 +312,15 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -
         return ParamPoint.from_vector(np.append(pv, (0.0, usample.t)))
 
     def evaluate(pv, bar=None):
-        # (R, P, ε, Jacobian) at pv, or None if max|R| is not below bar; the windows die here
+        # (R, P, ε, Jacobian, ∇ε) at pv, or None if max|R| is not below bar; the windows
+        # die here, and ∇ε too unless pv is the root
         P = point(pv)
         eps, w = fit.epsilon_at(P, usample)
         R = fit.condition_values(eps, w)
         if bar is None or np.max(np.abs(R)) < bar:
-            return R, P, eps, fit.jacobian(P, eps, w)
+            grad = grid.gradient(eps)
+            return (R, P, eps, fit.jacobian(P, eps, w, grad),
+                    grad if np.max(np.abs(R)) <= tol else None)
         return None
 
     def diverged(message, **numbers) -> NewtonDiverged:
@@ -321,7 +328,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -
                               newton_iterations=iterations, **numbers)
 
     p = guess.to_vector()[:7]
-    R, P, eps, jac = evaluate(p)
+    R, P, eps, jac, grad = evaluate(p)
     iterations = 0
     while np.max(np.abs(R)) > tol:
         if iterations == MAX_ITER:
@@ -337,7 +344,7 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -
             if trial[1] > 0:
                 trial_eval = evaluate(trial, np.max(np.abs(R)))
                 if trial_eval is not None:
-                    p, (R, P, eps, jac) = trial, trial_eval
+                    p, (R, P, eps, jac, grad) = trial, trial_eval
                     break
             scale *= 0.5
         else:
@@ -350,9 +357,8 @@ def decompose(u: Union[ComplexField2D, Callable], guess: ParamPoint, fit: Fit) -
     if l2 > eps_max:
         raise diverged(f"eps_L2 {l2:.3g} > {eps_max:.3g}: a root off the soliton manifold",
                        eps_L2=float(l2))
-    dr_eps, dth_eps = grid.gradient(eps)
-    h1 = np.sqrt(l2 ** 2 + grid.integral(np.abs(dr_eps) ** 2 + np.abs(dth_eps) ** 2))
-    return Decomposition(params=P, epsilon=eps, fit_grid=grid, residuals=R,
+    h1 = np.sqrt(l2 ** 2 + grid.integral(np.abs(grad[0]) ** 2 + np.abs(grad[1]) ** 2))
+    return Decomposition(params=P, epsilon=eps, eps_dr=grad[0], fit_grid=grid, residuals=R,
                          jacobian_cond=cond, eps_l2=float(l2), eps_h1=float(h1),
                          newton_iterations=iterations)
 
@@ -467,8 +473,7 @@ def virial_boundary(dec: Decomposition, A: float, ymomQ: float) -> float:
         raise ValueError("A must be at least 10")
     g = dec.fit_grid
     lam, b = dec.params.lam, dec.params.b
-    dr_eps, _ = g.gradient(dec.epsilon)
     psi = phi_prime(g.r / A)[:, None]
-    term = 0.5 / lam * g.integral((A * psi * dr_eps * np.conj(dec.epsilon)).imag)
+    term = 0.5 / lam * g.integral((A * psi * dec.eps_dr * np.conj(dec.epsilon)).imag)
     return float(-(b / lam) * ymomQ / 4.0 + term)
 

@@ -26,18 +26,20 @@ def test_radial_solves_ground_state_without_linops():
 
 
 # scipy subpackages each command must not load: the lab needs scipy.linalg
-# only, and the ODE, FFT and image subpackages load in the commands that run
-# them; no command loads scipy.interpolate, which would bring optimize,
-# sparse and spatial with it
+# only, and the FFT and image subpackages load in the commands that run
+# them.  None of these loads scipy.interpolate or scipy.integrate (the
+# modulation ODE takes its own RK45 steps; only appendix-b runs quad and
+# DOP853), which would bring optimize, sparse and spatial with them
 FEW_STEPS = "grid2d: {L: 6.0, n: 512}\nsim: {t_stop: -0.2999}\n"
+NOT_IN_ANY = ("integrate", "interpolate", "optimize", "sparse", "spatial")
 COMMAND_SCIPY = {
-    "verify": ("", ("integrate", "interpolate", "ndimage", "fft")),
-    "profile": ("", ("integrate", "interpolate", "ndimage", "fft")),
+    "verify": ("", NOT_IN_ANY + ("ndimage", "fft")),
+    "profile": ("", NOT_IN_ANY + ("ndimage", "fft")),
+    "ode": ("", NOT_IN_ANY + ("ndimage", "fft")),
     # a few steps on the fit workload's box, at the default lab
-    "simulate": (FEW_STEPS, ("integrate", "ndimage", "interpolate", "optimize", "sparse",
-                             "spatial")),
-    # the snapshots of that run; its ODE predictor loads scipy.integrate
-    "analyze": (FEW_STEPS, ("interpolate",)),
+    "simulate": (FEW_STEPS, NOT_IN_ANY + ("ndimage",)),
+    # the snapshots of that run, each guessed by the modulation ODE
+    "analyze": (FEW_STEPS, NOT_IN_ANY),
 }
 
 

@@ -23,6 +23,17 @@ def consts_zero(lab):
 RTOL = modeqs.RTOL_DEFAULT
 
 
+def _band_consts(lab, e1, e2, phi, third, k1):
+    """The profile constants of one k from the benchmark's band, as its config carries it."""
+    c, s = np.cos(phi), np.sin(phi)
+    hxy = c * s * (e1 - e2)
+    cfg = RunConfig()
+    cfg.data["kmodel"] = {"hessian": [[c * c * e1 + s * s * e2, hxy],
+                                      [hxy, s * s * e1 + c * c * e2]],
+                          "third": list(third), "k1": k1}
+    return prof.derive_constants(cfg.model(), lab)
+
+
 def test_homogeneous_closed_form(consts_zero):
     # b(1) = 1, α = β = 0, d0 ≡ 0: b(s) = 1/s, λ(s) = λ(1)/s exactly
     st = prof.ParamPoint(b=1.0, lam=0.7, s=1.0)
@@ -83,14 +94,7 @@ nonzero = st.floats(-0.3, 0.3).filter(lambda x: abs(x) >= 1e-3)
        clocks=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3))
 def test_law_table_matches_hand_written_rhs(lab, e1, e2, phi, third, k1, b, lam, beta,
                                             alpha, clocks):
-    # k from the benchmark's band, as its config carries it
-    c, s = np.cos(phi), np.sin(phi)
-    hxy = c * s * (e1 - e2)
-    cfg = RunConfig()
-    cfg.data["kmodel"] = {"hessian": [[c * c * e1 + s * s * e2, hxy],
-                                      [hxy, s * s * e1 + c * c * e2]],
-                          "third": list(third), "k1": k1}
-    consts = prof.derive_constants(cfg.model(), lab)
+    consts = _band_consts(lab, e1, e2, phi, third, k1)
     vec = np.array([b, lam, *beta, *alpha, *clocks])
     want = _hand_rhs(vec, consts)
     got = modeqs.modulation_rhs(vec, *modeqs.law_matrices(consts))
@@ -152,6 +156,97 @@ def test_lam_min_stop(consts):
     tr = modeqs.integrate(st, consts, s_span=(st.s, 1e9), lam_min=1e-3)
     assert tr.status == "lam_min"
     assert tr.lam[-1] >= 1e-3 - 1e-9
+
+
+@pytest.fixture(scope="module", params=["round", "skew"])
+def band_consts(request, lab):
+    if request.param == "round":
+        return _band_consts(lab, -0.2, -0.2, 0.0, [0.0] * 4, 0.5)
+    return _band_consts(lab, -0.15, -0.25, 0.7, [0.03, -0.02, 0.01, -0.03], 0.45)
+
+
+def _solve_ivp_reference(state0, consts, s_span=None, t_span=None,
+                         lam_min=modeqs.LAM_MIN_DEFAULT, n_points=400):
+    """(states, status, rhs evaluations, rejected steps) of the system integrated by
+    scipy's solve_ivp(RK45, dense_output, a terminal λ = lam_min event), or
+    (StepUnderflow message, None, ...) where it fails."""
+    from scipy.integrate import solve_ivp
+
+    span, clock = (s_span, 7) if t_span is None else (t_span, 8)
+    exponents, coeffs = modeqs.law_matrices(consts)
+
+    def rhs(x, v):
+        f = modeqs.modulation_rhs(v, exponents, coeffs)
+        return f / f[clock]
+
+    def hit_lam_min(x, v):
+        return v[1] - lam_min
+
+    hit_lam_min.terminal = True
+    sol = solve_ivp(rhs, span, state0.to_vector(), method="RK45", rtol=modeqs.RTOL_DEFAULT,
+                    atol=modeqs.ATOL_DEFAULT, dense_output=True, events=hit_lam_min)
+    if sol.status == -1:
+        return sol.message, None, sol.nfev, None
+    xs = np.linspace(span[0], span[1], n_points)
+    direction = np.sign(span[1] - span[0])
+    xs = xs[(xs - span[0]) * direction <= (sol.t[-1] - span[0]) * direction + 1e-300]
+    # one evaluation for f(x0), one for the initial step, six per step attempt
+    rejected = (sol.nfev - 2) // 6 - (sol.t.size - 1)
+    return sol.sol(xs).T, "lam_min" if sol.t_events[0].size else "completed", sol.nfev, rejected
+
+
+ON_RAY = modeqs.existence_initial_state(t1=-0.1, C0=1.0)
+OFF_RAY = prof.ParamPoint(b=1e-3, lam=1e-3, beta=np.array([1e-5, -2e-5]),
+                          alpha=np.array([2e-5, 1e-5]), s=10.0)
+FAR = prof.ParamPoint(b=0.3, lam=0.2, beta=np.array([0.01, -0.02]),
+                      alpha=np.array([0.02, 0.01]), s=1.0, t=-0.5)
+# its first step is rejected, and the step after it would grow without the
+# controller's no-growth-after-rejection rule
+KICKED = prof.ParamPoint(b=0.08, lam=0.18, beta=np.array([0.14, -0.07]),
+                         alpha=np.array([-0.03, -0.017]), s=1.0, t=-0.5)
+BITWISE_CASES = {
+    "s-forward": (ON_RAY, dict(s_span=(ON_RAY.s, 500.0))),
+    "s-forward-two": (OFF_RAY, dict(s_span=(10.0, 1000.0), n_points=2)),
+    "s-backward": (OFF_RAY, dict(s_span=(10.0, 2.0))),
+    "t-forward-two": (ON_RAY, dict(t_span=(ON_RAY.t, -1e-3), n_points=2)),
+    "t-forward-rejects": (KICKED, dict(t_span=(-0.5, -0.4))),
+    "t-backward-rejects": (FAR, dict(t_span=(-0.5, -0.9))),
+    "lam-min": (ON_RAY, dict(s_span=(ON_RAY.s, 2000.0), lam_min=1e-3)),
+    "zero-span": (FAR, dict(s_span=(1.0, 1.0))),
+    # b_s = -b² from b = -1 blows up at s = 2
+    "underflow": (prof.ParamPoint(b=-1.0, lam=0.5, s=1.0), dict(s_span=(1.0, 3.0))),
+}
+
+
+@pytest.mark.parametrize("case", BITWISE_CASES)
+def test_integrate_is_solve_ivp_bit_for_bit(band_consts, case, monkeypatch):
+    import scipy
+
+    state0, kwargs = BITWISE_CASES[case]
+    want, want_status, nfev, rejected = _solve_ivp_reference(state0, band_consts, **kwargs)
+    calls = []
+    real_rhs = modeqs.modulation_rhs
+    monkeypatch.setattr(modeqs, "modulation_rhs", lambda *a: calls.append(1) or real_rhs(*a))
+    where = f"differs from scipy {scipy.__version__}'s solve_ivp(RK45)"
+    if want_status is None:
+        with pytest.raises(modeqs.StepUnderflow) as err:
+            modeqs.integrate(state0, band_consts, **kwargs)
+        assert str(err.value) == want, where
+    else:
+        tr = modeqs.integrate(state0, band_consts, **kwargs)
+        assert tr.status == want_status, where
+        assert tr.states.shape == want.shape, where
+        assert tr.states.tobytes() == want.tobytes(), where
+    if case == "zero-span":
+        assert not calls and np.all(tr.states == state0.to_vector())
+    else:
+        assert len(calls) == nfev, where
+    if case.endswith("rejects"):
+        assert rejected >= 1
+    if case == "lam-min":
+        assert want_status == "lam_min" and tr.states.shape[0] > 100
+    if case == "underflow":
+        assert want_status is None
 
 
 def test_alpha_beta_subsystem_reduction(lab):

@@ -235,6 +235,7 @@ def test_line_search_refuses_a_rising_step(fit, monkeypatch):
     monkeypatch.setattr(modfit.Fit, "condition_values",
                         lambda self, p, w: np.append(p[0] ** 2 + 1.0, p[1:] - p0[1:]))
     monkeypatch.setattr(modfit.Fit, "jacobian", lambda *args: np.diag([1e-7] + [1.0] * 6))
+    monkeypatch.setattr(PolarGrid, "gradient", lambda self, vals: None)
     with pytest.raises(modfit.NewtonDiverged, match="line search failed"):
         modfit.decompose(lambda pts: np.zeros(pts.shape[:-1]), P, fit)
 
@@ -267,7 +268,7 @@ def test_jacobian_matches_finite_differences(expansion, fit, field, rel_gap):
         u = prof.physical_field(expansion, P)
     root = modfit.decompose(u, BOX_GUESS, fit).params
     eps, w = fit.epsilon_at(root, modfit.FieldSampler(u))
-    jac = fit.jacobian(root, eps, w)
+    jac = fit.jacobian(root, eps, w, fit.grid.gradient(eps))
     fd = _fd_jacobian(u, root, fit)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < rel_gap
 
@@ -294,6 +295,31 @@ def test_decompose_samples_the_field_once_per_step(expansion, fit, monkeypatch):
     assert dec.newton_iterations >= 2
     assert len(calls) <= 6
     assert len(builds) == len(calls)
+
+
+def test_each_root_is_differentiated_once(expansion, fit, monkeypatch, lab):
+    # the root's ∇ε is the one its last Jacobian took: eps_H1 and the virial
+    # boundary take no gradient of their own
+    u, _ = _box_profile(expansion)
+    grads, jacobians = [], []
+    real_gradient, real_jacobian = PolarGrid.gradient, modfit.Fit.jacobian
+
+    def counted_gradient(self, vals):
+        grads.append(1)
+        return real_gradient(self, vals)
+
+    def counted_jacobian(self, *args):
+        jacobians.append(1)
+        return real_jacobian(self, *args)
+
+    monkeypatch.setattr(PolarGrid, "gradient", counted_gradient)
+    monkeypatch.setattr(modfit.Fit, "jacobian", counted_jacobian)
+    dec = modfit.decompose(u, BOX_GUESS, fit)
+    vb = modfit.virial_boundary(dec, 20.0, lab.moments.ymomQ)
+    assert len(jacobians) == dec.newton_iterations + 1
+    assert len(grads) == len(jacobians)
+    assert dec.eps_dr.tobytes() == real_gradient(fit.grid, dec.epsilon)[0].tobytes()
+    assert np.isfinite(vb) and dec.eps_h1 > dec.eps_l2
 
 
 def test_condition_values_match_explicit_integrals(fit, rng):
@@ -469,6 +495,7 @@ def test_virial_boundary_zero_eps(expansion, lab):
     grid = PolarGrid()
     dec = modfit.Decomposition(
         params=prof.ParamPoint(b=0.05, lam=0.1), epsilon=np.zeros((grid.n_r, grid.n_theta), dtype=complex),
+        eps_dr=np.zeros((grid.n_r, grid.n_theta), dtype=complex),
         fit_grid=grid, residuals=np.zeros(7), jacobian_cond=1.0, eps_l2=0.0, eps_h1=0.0,
         newton_iterations=0)
     val = modfit.virial_boundary(dec, 20.0, lab.moments.ymomQ)
