@@ -223,10 +223,9 @@ def cmd_simulate(cfg, out: Path) -> int:
     lab = get_lab(**cfg["radial_grid"])
     exp = _expansion_from(cfg, lab)
     L, n = cfg["grid2d"]["L"], cfg["grid2d"]["n"]
-    si = dict(cfg["sim"])
-    st = modeqs.existence_initial_state(si.pop("t_start"), exp.C0, 0.0)
+    si = cfg["sim"]
+    st = modeqs.existence_initial_state(si["t_start"], exp.C0, 0.0)
     k_vals = exp.model.k(sim.box_points(L, n))
-    cfg_run = sim.SimConfig(**si)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
     # an earlier run into the same directory must not leave snapshots behind
@@ -240,15 +239,20 @@ def cmd_simulate(cfg, out: Path) -> int:
         snap_files.append("snapshots/" + name)
 
     # the initial field is passed inline, so that run holds its only reference
-    # and it is freed once run has stepped past it
-    result = sim.run(cfg_run, sim.init_from_profile(prof.physical_field(exp, st), st.lam,
-                                                    st.t, L, n),
-                     k_vals, lab.moments.gradQ, lab.moments.massQ, snapshot_sink=sink)
-    header = list(result.series.keys())
-    rows = zip(*[result.series[k] for k in header])
+    # and it is freed once run has stepped past it.  The settings go by name:
+    # a call through **si holds its positional arguments until it returns
+    # (as CPython 3.11 does), and with them the initial field
+    series, reason = sim.run(
+        sim.init_from_profile(prof.physical_field(exp, st), st.lam, st.t, L, n),
+        k_vals, lab.moments.gradQ, lab.moments.massQ, sink, c_dt=si["c_dt"],
+        t_stop=si["t_stop"], lam_stop=si["lam_stop"], splitting_order=si["splitting_order"],
+        dt_refresh_every=si["dt_refresh_every"], series_stride=si["series_stride"],
+        snapshot_stride=si["snapshot_stride"])
+    header = list(series.keys())
+    rows = zip(*[series[k] for k in header])
     write_csv(out / "series.csv", header, rows)
-    write_json(out / "simulate.json", {"reason": result.reason, "C0": exp.C0,
-                                       "steps_recorded": int(result.series["t"].size),
+    write_json(out / "simulate.json", {"reason": reason, "C0": exp.C0,
+                                       "steps_recorded": int(series["t"].size),
                                        "snapshots": len(snap_files)})
     _finish(out, "simulate", cfg, ["series.csv", "simulate.json"] + snap_files)
     return 0
@@ -277,16 +281,17 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
     paths = sorted(snap_dir.glob("snap_*.bin"))
     if not paths:
         raise FileNotFoundError(f"no snapshots under {snap_dir}")
-    first = sim.read_snapshot(paths[0])
-    pts = sim.box_points(first.L, first.n)
-    stepper = sim.Stepper(first.L, first.n, exp.model.k(pts))
+    stepper = None    # on the first snapshot's box
     root = None       # the last fitted parameters
     rows, gaps, skipped, fallback = [], [], [], []
     for path in paths:
         field = sim.read_snapshot(path)
-        if (field.L, field.n) != (first.L, first.n):
+        if stepper is None:
+            pts = sim.box_points(field.L, field.n)
+            stepper = sim.Stepper(field.L, field.n, exp.model.k(pts))
+        elif (field.L, field.n) != (stepper.L, stepper.n):
             raise ValueError(f"{path.name}: box (L, n) = ({field.L}, {field.n}) differs from "
-                             f"({first.L}, {first.n}) of {paths[0].name}")
+                             f"({stepper.L}, {stepper.n}) of {paths[0].name}")
         if root is None:
             predicted, guess = None, modeqs.existence_initial_state(field.t, exp.C0)
         else:
@@ -310,6 +315,7 @@ def cmd_analyze(cfg, out: Path, snapshots_dir=None) -> int:
                      p.beta[1], p.gamma, dec.eps_l2, dec.eps_h1, p.b / p.lam,
                      I_val, vb, dec.newton_iterations, dec.jacobian_cond,
                      np.max(np.abs(dec.residuals))])
+        del dec, wv, w_field       # free before the next snapshot is read and fitted
     write_csv(out / "params.csv",
               ["t", "b", "lambda", "alpha1", "alpha2", "beta1", "beta2", "gamma",
                "eps_L2", "eps_H1", "b_over_lambda", "I_value", "virial_boundary",

@@ -311,7 +311,7 @@ class AppendixBSystem:
     def homogeneous_residual(self, s):
         """max residual of both basis columns in the first-order system."""
         out = 0.0
-        for Z, dz, name in ((self.Z_plus, self.dz_plus, "+"), (self.Z_minus, self.dz_minus, "-")):
+        for Z in (self.Z_plus, self.Z_minus):
             h = 1e-6 * np.maximum(s, 1.0)
             dZ = (Z(s + h) - Z(s - h)) / (2 * h)
             v = Z(s)
@@ -365,21 +365,15 @@ def decaying_solution(sys: AppendixBSystem, F: Callable, s: np.ndarray) -> np.nd
     W = sys.wronskian
     out = np.zeros((2, s.size))
 
-    def f1(sig):
-        return F(sig)[0]
+    def integrand_plus(sig):
+        f, Zm = F(sig), sys.Z_minus(sig)
+        return (f[0] * Zm[1] - f[1] * Zm[0]) / W
 
-    def f2(sig):
-        return F(sig)[1]
+    def integrand_minus(sig):
+        f, Zp = F(sig), sys.Z_plus(sig)
+        return (f[1] * Zp[0] - f[0] * Zp[1]) / W
 
     for i, si in enumerate(s):
-        def integrand_plus(sig):
-            Zm = sys.Z_minus(sig)
-            return (f1(sig) * Zm[1] - f2(sig) * Zm[0]) / W
-
-        def integrand_minus(sig):
-            Zp = sys.Z_plus(sig)
-            return (f2(sig) * Zp[0] - f1(sig) * Zp[1]) / W
-
         ap, err1 = quad(integrand_plus, si, np.inf, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
         am, err2 = quad(integrand_minus, si, np.inf, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=400)
         if not (np.isfinite(ap) and np.isfinite(am)):
@@ -391,10 +385,14 @@ def decaying_solution(sys: AppendixBSystem, F: Callable, s: np.ndarray) -> np.nd
 def bound_report(sys: AppendixBSystem, F: Callable, s_values: np.ndarray) -> dict:
     """Ratio of |Z1| + s|Z2| to ∫_s^∞ (|F1| + σ|F2|) log σ dσ over s_values."""
     Z = decaying_solution(sys, F, s_values)
+
+    def integrand(sig):
+        f = F(sig)
+        return (abs(f[0]) + sig * abs(f[1])) * np.log(sig)
+
     ratios = []
     for i, si in enumerate(s_values):
-        rhs, _ = quad(lambda sig: (abs(F(sig)[0]) + sig * abs(F(sig)[1])) * np.log(sig),
-                      si, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
+        rhs, _ = quad(integrand, si, np.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
         lhs = abs(Z[0, i]) + si * abs(Z[1, i])
         ratios.append(lhs / rhs if rhs > 0 else np.inf)
     ratios = np.array(ratios)

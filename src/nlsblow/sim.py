@@ -133,23 +133,8 @@ class ComplexField2D:
         return ComplexField2D(self.L, self.values.copy(), self.t)
 
 
-@dataclass
-class SimConfig:
-    """Step policy and termination rules for one run (the box is the field's)."""
-
-    c_dt: float = 0.05
-    t_stop: Optional[float] = None
-    lam_stop: Optional[float] = None
-    splitting_order: int = 2       # 2 (Strang) or 4 (triple-jump composition)
-    dt_refresh_every: int = 10
-    series_stride: int = 5
-    snapshot_stride: int = 50
-    max_steps: int = 2_000_000
-
-    def __post_init__(self):
-        if self.splitting_order not in (2, 4):
-            raise ValueError("splitting_order must be 2 or 4")
-
+# Steps a run takes at most: a cap, not a config key, so every run ends.
+MAX_STEPS = 2_000_000
 
 # One 64-byte cache line of complex128 values per row: the rows of a padded
 # buffer no longer start a power of two apart.
@@ -191,6 +176,8 @@ class Stepper:
     def __init__(self, L: float, n: int, k_values: np.ndarray, splitting_order: int = 2):
         if not _power_of_two(int(n)):
             raise ValueError(_SIZE_RULE)
+        if splitting_order not in (2, 4):
+            raise ValueError("splitting_order must be 2 or 4")
         self.L = float(L)
         self.n = int(n)
         self.k = np.asarray(k_values, dtype=float)
@@ -445,32 +432,30 @@ def init_from_profile(u1: Callable, lam1: float, t1: float, L: float, n: int) ->
     return ComplexField2D(L, u1(box_points(L, n)), t1)
 
 
-@dataclass
-class RunResult:
-    series: dict
-    snapshots: list
-    reason: str
+def run(field0: ComplexField2D, k_values, grad_ref: float, mass_ref: float,
+        snapshot_sink: Callable, *, c_dt: float, t_stop: Optional[float],
+        lam_stop: Optional[float], splitting_order: int, dt_refresh_every: int,
+        series_stride: int, snapshot_stride: int, max_steps: int = MAX_STEPS):
+    """Advance with the adaptive dt policy dt = c_dt·λ_est²; returns
+    (series, reason), reason the stop rule that ended the run.
 
-
-def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
-        mass_ref: float, snapshot_sink: Optional[Callable] = None) -> RunResult:
-    """Advance with the adaptive dt policy, recording series and snapshots.
-
-    The box (L, n) is field0's.  Snapshot emission is synchronous (single
-    writer, bounded by construction); a custom sink may stream fields to disk
-    instead of keeping them in memory.  Across a step the run holds only the
-    state; a closed state lives until its row, refresh and snapshot are taken.
+    The box (L, n) is field0's.  The keyword settings are the config's
+    ``sim`` keys less ``t_start``, with no defaults here (config.SCHEMA
+    holds them); t_stop and lam_stop may be None.  field0, every
+    snapshot_stride-th state and the last state go to snapshot_sink, each
+    once and synchronously; the run keeps none of them.  Across a step the
+    run holds only the state; a closed state lives until its row, refresh
+    and snapshot are taken.
     """
     L, h = field0.L, field0.h
-    if config.lam_stop is not None and config.lam_stop <= 4.0 * h:
-        raise ValueError(f"lam_stop = {config.lam_stop:.4g} must exceed 4 grid spacings "
+    if lam_stop is not None and lam_stop <= 4.0 * h:
+        raise ValueError(f"lam_stop = {lam_stop:.4g} must exceed 4 grid spacings "
                          f"(4h = {4.0 * h:.4g})")
     stepper = Stepper(L, field0.n, np.asarray(k_values, dtype=float),
-                      splitting_order=config.splitting_order)
+                      splitting_order=splitting_order)
     u, t, carry = field0.values, field0.t, 0.0     # the current state is N(carry)·u at t
     series = {k: [] for k in ("t", "mass", "energy", "momentum_x", "momentum_y",
                               "grad_norm", "lambda_proxy")}
-    snapshots = []
 
     def close() -> ComplexField2D:
         return ComplexField2D(L, stepper.nonlinear(u, carry), t)
@@ -485,28 +470,26 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
             series[key].append(val)
         return lam_est
 
-    emit_snapshot = snapshots.append if snapshot_sink is None else snapshot_sink
-
     # a series row's λ_est is lambda_proxy of the same state, so a dt refresh
     # on a recorded step reuses it instead of taking a second fft2
     lam_est = record_series(field0)
-    dt = config.c_dt * lam_est ** 2
-    emit_snapshot(field0)
+    dt = c_dt * lam_est ** 2
+    snapshot_sink(field0)
     u = stepper._zeros()      # the state moves into the padded layout now, so that
     u[...] = field0.values    # field0 is free to go if the caller holds no reference
     del field0
     recorded = snapped = True      # the current state is already emitted
     reason = "max_steps"
-    for istep in range(config.max_steps):
-        if config.lam_stop is not None and lam_est < config.lam_stop:
+    for istep in range(max_steps):
+        if lam_stop is not None and lam_est < lam_stop:
             reason = "lam_stop"
             break
         if lam_est < 4.0 * h:
             raise ResolutionBreach(
                 f"λ_est = {lam_est:.4g} fell under 4 grid spacings at t = {t:.6g}")
-        if config.t_stop is not None:
-            remaining = config.t_stop - t
-            if remaining <= 1e-14 * max(1.0, abs(config.t_stop)):
+        if t_stop is not None:
+            remaining = t_stop - t
+            if remaining <= 1e-14 * max(1.0, abs(t_stop)):
                 reason = "t_stop"
                 break
             dt_step = min(dt, remaining)
@@ -517,27 +500,26 @@ def run(config: SimConfig, field0: ComplexField2D, k_values, grad_ref: float,
         buf = stepper._padded(u)        # Σ|u|² over the buffer: its padding is 0
         if not np.isfinite(np.vdot(buf, buf)):
             raise BlowupNaN(f"non-finite field samples at t = {t:.6g}")
-        recorded = (istep + 1) % config.series_stride == 0
-        refresh = (istep + 1) % config.dt_refresh_every == 0
-        snapped = (istep + 1) % config.snapshot_stride == 0
+        recorded = (istep + 1) % series_stride == 0
+        refresh = (istep + 1) % dt_refresh_every == 0
+        snapped = (istep + 1) % snapshot_stride == 0
         if recorded or refresh or snapped:
             field = close()
             lam_row = record_series(field) if recorded else None
             if refresh:
                 lam_est = lam_row if recorded else lambda_proxy(field, stepper, grad_ref,
                                                                 mass_ref)
-                dt = config.c_dt * lam_est ** 2
+                dt = c_dt * lam_est ** 2
             if snapped:
-                emit_snapshot(field)
+                snapshot_sink(field)
             del field
     if not (recorded and snapped):
         field = close()
         if not recorded:
             record_series(field)
         if not snapped:
-            emit_snapshot(field)
-    return RunResult(series={k: np.array(v) for k, v in series.items()},
-                     snapshots=snapshots, reason=reason)
+            snapshot_sink(field)
+    return {k: np.array(v) for k, v in series.items()}, reason
 
 
 # ----------------------------------------------------------------------

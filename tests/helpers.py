@@ -3,6 +3,7 @@
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from nlsblow.config import DEFAULTS
 from nlsblow.fields import AngularField, PolarGrid
 from nlsblow.modfit import _BLEND, condition_window_pairs
 from nlsblow.profile import ParamPoint, modulated
@@ -22,6 +23,14 @@ def step(field: ComplexField2D, dt: float, stepper: Stepper) -> ComplexField2D:
     step_values would step in place; the new field's NaN scan aborts it."""
     u, carry = stepper.step_values(field.values.copy(), dt)
     return ComplexField2D(field.L, stepper.nonlinear(u, carry), field.t + dt)
+
+
+def run_settings(**overrides) -> dict:
+    """sim.run's keyword settings: the config's sim defaults less t_start,
+    then overrides (which may add max_steps)."""
+    settings = dict(DEFAULTS["sim"], **overrides)
+    del settings["t_start"]
+    return settings
 
 
 def phi_second(r):

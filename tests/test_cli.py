@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,29 @@ def test_simulate_default_stop_rules_end_at_blow_up_time(tmp_path):
     assert float(last.split(",")[0]) == 0.0
 
 
+def test_simulate_frees_the_initial_field_after_the_first_step(tmp_path, monkeypatch):
+    # run copies field0 into its own layout and drops it: by the second
+    # snapshot nothing may hold the initial field's samples
+    initial, written = [], []
+    real_init, real_write = sim.init_from_profile, sim.write_snapshot
+
+    def init(*args):
+        field = real_init(*args)
+        initial.append(weakref.ref(field.values))
+        return field
+
+    def write(path, field):
+        if written:
+            assert initial[0]() is None, "the initial field is still alive"
+        written.append(path)
+        real_write(path, field)
+
+    monkeypatch.setattr(sim, "init_from_profile", init)
+    monkeypatch.setattr(sim, "write_snapshot", write)
+    _simulate_small(tmp_path, tmp_path / "s", -0.29)
+    assert len(initial) == 1 and len(written) >= 2
+
+
 def test_simulate_replaces_earlier_snapshots(tmp_path):
     out = tmp_path / "s"
     _simulate_small(tmp_path, out, -0.28)
@@ -435,6 +459,26 @@ def test_analyze_builds_one_fit(tmp_path, monkeypatch):
     assert report["snapshots_total"] >= 2
     assert report["snapshots_fit"] == report["snapshots_total"]
     assert len(built) == 1
+
+
+def test_analyze_frees_each_fit_before_the_next(tmp_path, monkeypatch):
+    # a snapshot's Decomposition must be gone by the time the next one is fitted
+    from nlsblow import modfit
+
+    out = tmp_path / "s"
+    cfgfile = _simulate_small(tmp_path, out, -0.29)
+    real = modfit.decompose
+    last = []
+
+    def checked(*args, **kwargs):
+        assert not last or last[-1]() is None, "the previous Decomposition is still alive"
+        dec = real(*args, **kwargs)
+        last.append(weakref.ref(dec))
+        return dec
+
+    monkeypatch.setattr(modfit, "decompose", checked)
+    assert main(["analyze", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert len(last) == json.loads((out / "analyze.json").read_text())["snapshots_total"] >= 2
 
 
 def test_analyze_records_skipped_snapshot(tmp_path, monkeypatch):

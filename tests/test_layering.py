@@ -99,9 +99,11 @@ def test_sim_initializes_and_runs_without_the_profile_layers():
             "from nlsblow import sim\n"
             "u1 = lambda x: np.exp(-0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)) + 0j\n"
             "f0 = sim.init_from_profile(u1, 1.0, -0.5, 8.0, 128)\n"
-            "res = sim.run(sim.SimConfig(c_dt=0.01, max_steps=4), f0, np.ones((128, 128)),\n"
-            "              1.0, 1.0)\n"
-            "assert res.reason == 'max_steps', res.reason\n"
+            "_, reason = sim.run(f0, np.ones((128, 128)), 1.0, 1.0, [].append, c_dt=0.01,\n"
+            "                    t_stop=None, lam_stop=None, splitting_order=2,\n"
+            "                    dt_refresh_every=10, series_stride=5, snapshot_stride=50,\n"
+            "                    max_steps=4)\n"
+            "assert reason == 'max_steps', reason\n"
             "print(' '.join(sorted(m for m in set(sys.modules) - before\n"
             "                      if m.split('.')[0] == 'nlsblow')))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True,

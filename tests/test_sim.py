@@ -1,5 +1,6 @@
 """Split-step solver: exact solutions, conservation, ordering, I/O."""
 
+import inspect
 import struct
 import tracemalloc
 
@@ -7,11 +8,12 @@ import numpy as np
 import pytest
 
 from nlsblow import profile as prof, sim
+from nlsblow.config import SCHEMA
 from nlsblow.fields import AngularField
 from nlsblow.kmodel import InhomogeneityModel
 from nlsblow.modeqs import existence_initial_state
 
-from helpers import step
+from helpers import run_settings, step
 
 
 def _q_of_r(lab):
@@ -57,13 +59,13 @@ def test_run_raises_blowup_nan_at_the_first_poisoned_step():
                                1.0, -0.25, L, n)
     k = np.ones((n, n))
     k[5, 7] = np.nan
-    cfg = sim.SimConfig(c_dt=0.01, max_steps=10)
-    dt = cfg.c_dt * sim.lambda_proxy(f0, sim.Stepper(L, n, k), 1.0, 1.0) ** 2
+    settings = run_settings(c_dt=0.01, t_stop=None, max_steps=10)
+    dt = settings["c_dt"] * sim.lambda_proxy(f0, sim.Stepper(L, n, k), 1.0, 1.0) ** 2
     with pytest.raises(sim.BlowupNaN) as closed:
         step(f0, dt, sim.Stepper(L, n, k))
     snaps = []
     with pytest.raises(sim.BlowupNaN) as ran:
-        sim.run(cfg, f0, k, 1.0, 1.0, snapshot_sink=snaps.append)
+        sim.run(f0, k, 1.0, 1.0, snaps.append, **settings)
     assert str(ran.value) == str(closed.value) == f"non-finite field samples at t = {f0.t + dt:.6g}"
     assert len(snaps) == 1 and snaps[0] is f0
 
@@ -203,14 +205,15 @@ def test_run_termination_and_strides(lab, profile_expansion):
     L, n = 6.0, 512
     X, Y = _grid(L, n)
     f0 = _init_from_profile(profile_expansion, 0.0, -0.3, L, n)
-    cfg = sim.SimConfig(c_dt=0.02, lam_stop=0.2,
-                        series_stride=4, snapshot_stride=16)
-    res = sim.run(cfg, f0, np.ones((n, n)), lab.moments.gradQ, lab.moments.massQ)
-    assert res.reason == "lam_stop"
-    assert res.series["lambda_proxy"][-1] < 0.2 * 1.1
-    assert len(res.snapshots) >= 2
+    snaps = []
+    series, reason = sim.run(f0, np.ones((n, n)), lab.moments.gradQ, lab.moments.massQ,
+                             snaps.append, **run_settings(c_dt=0.02, t_stop=None, lam_stop=0.2,
+                                                          series_stride=4, snapshot_stride=16))
+    assert reason == "lam_stop"
+    assert series["lambda_proxy"][-1] < 0.2 * 1.1
+    assert len(snaps) >= 2
     # stop rule fires exactly when the proxy crosses the floor
-    above = res.series["lambda_proxy"][:-1]
+    above = series["lambda_proxy"][:-1]
     assert np.all(above[:-1] >= 0.2 * 0.8)
 
 
@@ -222,11 +225,13 @@ def test_run_leaves_field0_unchanged():
     before = f0.values.copy()
     st = sim.Stepper(L, n, np.ones((n, n)))
     grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
-    cfg = sim.SimConfig(c_dt=0.01, max_steps=12, series_stride=3, snapshot_stride=2)
-    res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
+    snaps = []
+    sim.run(f0, np.ones((n, n)), grad_ref, 1.0, snaps.append,
+            **run_settings(c_dt=0.01, t_stop=None, max_steps=12, series_stride=3,
+                           snapshot_stride=2))
     assert np.array_equal(f0.values, before)
-    assert res.snapshots[0] is f0
-    assert len({id(s.values) for s in res.snapshots}) == len(res.snapshots)
+    assert snaps[0] is f0
+    assert len({id(s.values) for s in snaps}) == len(snaps)
 
 
 def test_lam_stop_validation():
@@ -235,7 +240,24 @@ def test_lam_stop_validation():
     X, Y = _grid(L, n)
     f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
     with pytest.raises(ValueError, match="lam_stop"):
-        sim.run(sim.SimConfig(lam_stop=0.1), f0, np.ones((n, n)), grad_ref=1.0, mass_ref=1.0)
+        sim.run(f0, np.ones((n, n)), 1.0, 1.0, [].append,
+                **run_settings(t_stop=None, lam_stop=0.1))
+
+
+def test_stepper_rejects_an_unknown_splitting_order():
+    with pytest.raises(ValueError, match="splitting_order must be 2 or 4"):
+        sim.Stepper(8.0, 16, 1.0, splitting_order=3)
+
+
+def test_run_settings_are_the_config_sim_keys():
+    # one table: run's keyword settings are SCHEMA's sim keys (t_start sets
+    # field0's t) plus the max_steps cap, and only the cap has a default
+    params = inspect.signature(sim.run).parameters.values()
+    keyword = {p.name: p for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    sim_keys = {path.split(".", 1)[1] for path in SCHEMA if path.startswith("sim.")}
+    assert set(keyword) == sim_keys - {"t_start"} | {"max_steps"}
+    assert [name for name, p in keyword.items() if p.default is not p.empty] == ["max_steps"]
+    assert keyword["max_steps"].default == sim.MAX_STEPS == 2_000_000
 
 
 def test_snapshot_roundtrip(tmp_path, lab):
@@ -263,13 +285,14 @@ def test_run_emits_final_state_once():
     f0 = sim.ComplexField2D(L, np.exp(-(X ** 2 + Y ** 2) / 2.0) + 0j, -0.5)
     st = sim.Stepper(L, n, np.ones((n, n)))
     grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
-    cfg = sim.SimConfig(c_dt=0.01, max_steps=8,
-                        series_stride=4, snapshot_stride=4)
-    res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
-    assert res.reason == "max_steps"
-    assert res.series["t"].size == 3
-    assert np.all(np.diff(res.series["t"]) > 0)
-    assert [s.t for s in res.snapshots] == list(res.series["t"])
+    snaps = []
+    series, reason = sim.run(f0, np.ones((n, n)), grad_ref, 1.0, snaps.append,
+                             **run_settings(c_dt=0.01, t_stop=None, max_steps=8,
+                                            series_stride=4, snapshot_stride=4))
+    assert reason == "max_steps"
+    assert series["t"].size == 3
+    assert np.all(np.diff(series["t"]) > 0)
+    assert [s.t for s in snaps] == list(series["t"])
 
 
 def test_run_takes_one_gradient_per_recorded_state(monkeypatch):
@@ -288,10 +311,10 @@ def test_run_takes_one_gradient_per_recorded_state(monkeypatch):
         return moments(self, u)
 
     monkeypatch.setattr(sim.Stepper, "gradient_moments", counting)
-    cfg = sim.SimConfig(c_dt=0.01, max_steps=20,
-                        series_stride=5, dt_refresh_every=10, snapshot_stride=100)
-    res = sim.run(cfg, f0, np.ones((n, n)), grad_ref=grad_ref, mass_ref=1.0)
-    assert res.series["t"].size == 5
+    series, _ = sim.run(f0, np.ones((n, n)), grad_ref, 1.0, [].append,
+                        **run_settings(c_dt=0.01, t_stop=None, max_steps=20, series_stride=5,
+                                       dt_refresh_every=10, snapshot_stride=100))
+    assert series["t"].size == 5
     assert len(calls) == 5
 
 
@@ -318,10 +341,11 @@ def test_run_fft_count(monkeypatch, order):
             return _transform(x, *args, axes=axes, **kwargs)
 
         monkeypatch.setattr(sim._fft, name, counting)
-    cfg = sim.SimConfig(c_dt=0.01, max_steps=20, splitting_order=order,
-                        series_stride=4, dt_refresh_every=6, snapshot_stride=5)
-    res = sim.run(cfg, f0, 1.0, grad_ref=grad_ref, mass_ref=1.0)
-    assert res.series["t"].size == 6
+    series, _ = sim.run(f0, 1.0, grad_ref, 1.0, [].append,
+                        **run_settings(c_dt=0.01, t_stop=None, max_steps=20,
+                                       splitting_order=order, series_stride=4,
+                                       dt_refresh_every=6, snapshot_stride=5))
+    assert series["t"].size == 6
     sub_steps = 20 * (1 if order == 2 else 3)
     assert len(calls) == 6 * sub_steps + 6 + 2
     assert sum(lines) == 2 * (n + kept) * sub_steps + 2 * n * (6 + 2)
@@ -341,8 +365,9 @@ def test_series_row_matches_conserved(k_kind):
     kv = 1.0 - 0.02 * (X ** 2 + Y ** 2) if k_kind == "array" else 0.8
     st = sim.Stepper(L, n, kv)
     grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
-    res = sim.run(sim.SimConfig(max_steps=0), f0, kv, grad_ref=grad_ref, mass_ref=1.0)
-    row = {key: val[0] for key, val in res.series.items()}
+    series, _ = sim.run(f0, kv, grad_ref, 1.0, [].append,
+                        **run_settings(t_stop=None, max_steps=0))
+    row = {key: val[0] for key, val in series.items()}
     mass, energy, mom = sim.conserved(f0, kv)
     ux, uy = st.gradient(u)
     grad2 = np.sum(np.abs(ux) ** 2 + np.abs(uy) ** 2) * f0.h ** 2
@@ -407,21 +432,23 @@ def test_run_merged_steps_match_closed_steps(order, snapshot_stride):
     st = sim.Stepper(L, n, kv, splitting_order=order)
     grad_ref = (2.0 / sim.lambda_proxy(f0, st, 1.0, 1.0)) ** 2     # λ_est = 2 > 4h
     dt = 0.001 * 2.0 ** 2
-    cfg = sim.SimConfig(c_dt=0.001, t_stop=f0.t + 30.5 * dt, splitting_order=order,
-                        series_stride=1000, dt_refresh_every=1000,
-                        snapshot_stride=snapshot_stride)
-    res = sim.run(cfg, f0, kv, grad_ref=grad_ref, mass_ref=1.0)
-    assert res.reason == "t_stop"
-    assert res.series["lambda_proxy"][0] == pytest.approx(2.0, rel=1e-12)
-    dt = cfg.c_dt * res.series["lambda_proxy"][0] ** 2
+    c_dt, t_stop = 0.001, f0.t + 30.5 * dt
+    snaps = []
+    series, reason = sim.run(f0, kv, grad_ref, 1.0, snaps.append,
+                             **run_settings(c_dt=c_dt, t_stop=t_stop, splitting_order=order,
+                                            series_stride=1000, dt_refresh_every=1000,
+                                            snapshot_stride=snapshot_stride))
+    assert reason == "t_stop"
+    assert series["lambda_proxy"][0] == pytest.approx(2.0, rel=1e-12)
+    dt = c_dt * series["lambda_proxy"][0] ** 2
     replay, f = {f0.t: f0.values}, f0
-    while cfg.t_stop - f.t > 1e-14:
-        f = step(f, min(dt, cfg.t_stop - f.t), st)
+    while t_stop - f.t > 1e-14:
+        f = step(f, min(dt, t_stop - f.t), st)
         replay[f.t] = f.values
     assert len(replay) == 32
-    assert [s.t for s in res.snapshots][-1] == f.t
-    assert len(res.snapshots) == (6 if snapshot_stride == 7 else 2)
-    for snap in res.snapshots:
+    assert [s.t for s in snaps][-1] == f.t
+    assert len(snaps) == (6 if snapshot_stride == 7 else 2)
+    for snap in snaps:
         want = replay[snap.t]
         assert np.max(np.abs(snap.values - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -762,10 +789,10 @@ def test_run_raises_blowup_nan_from_a_dead_row_block():
     k[5, 7] = np.nan
     rows = sim.KICK_BLOCK // (n + sim.ROW_PAD)           # the first row block
     assert rows < n and np.all(np.abs(f0.values[:rows]) ** 2 < 1e-12)
-    cfg = sim.SimConfig(c_dt=0.01, max_steps=10)
-    dt = cfg.c_dt * sim.lambda_proxy(f0, sim.Stepper(L, n, k), 1.0, 1.0) ** 2
+    settings = run_settings(c_dt=0.01, t_stop=None, max_steps=10)
+    dt = settings["c_dt"] * sim.lambda_proxy(f0, sim.Stepper(L, n, k), 1.0, 1.0) ** 2
     with pytest.raises(sim.BlowupNaN) as ran:
-        sim.run(cfg, f0, k, 1.0, 1.0)
+        sim.run(f0, k, 1.0, 1.0, [].append, **settings)
     assert str(ran.value) == f"non-finite field samples at t = {f0.t + dt:.6g}"
 
 
